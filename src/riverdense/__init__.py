@@ -27,6 +27,7 @@ from .forecast import (ForecastModel, ForecastTask, RoutingCoeff,
                        basin_to_gauge_csvs, chronological_split, forward,
                        generate_basin, input_jacobian, load_model, make_windows,
                        loss_and_gradients, mae_loss, nse, nse_by_horizon,
-                       random_river_tree, save_model, sensitivity, train)
+                       prepare_dataset, random_river_tree, save_model,
+                       sensitivity, train)
 
 __version__ = "0.1.0"

@@ -224,16 +224,18 @@ def write_adjacency_meta(adj: AdjacencyMatrix, path, *, sigma: float | None,
     path.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
 
-def read_adjacency_csv(path, *, nodes: Sequence[int] | None = None,
-                       kind: str | None = None) -> tuple[np.ndarray, list[int]]:
+def read_adjacency_csv(path, *, nodes: Sequence[int] | None = None) -> tuple[np.ndarray, list[int]]:
     """Read a coordinate-list adjacency back into a weight matrix.
 
     Without an explicit node list the ids appearing in the file define the
     index order (sorted). Returns the raw matrix plus the node order; callers
     wrap it in :class:`AdjacencyMatrix` when the kind invariants apply.
+    Repeated ``(src, dst)`` entries and, with ``nodes``, entries outside that
+    set raise :class:`CsvFormatError` at their line.
     """
     path = Path(path)
-    entries: list[tuple[int, int, float]] = []
+    # one slot per data line, None for blank ones, so slot k sits on line k + 2
+    entries: list[tuple[int, int, float] | None] = []
     seen: set[int] = set(int(x) for x in nodes) if nodes is not None else set()
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -244,7 +246,8 @@ def read_adjacency_csv(path, *, nodes: Sequence[int] | None = None,
         if tuple(h.strip() for h in header) != ("src", "dst", "weight"):
             raise CsvFormatError(path, 1, f"bad header {header!r}, expected src,dst,weight")
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():
+                entries.append(None)
                 continue
             if len(row) != 3:
                 raise CsvFormatError(path, lineno, f"expected 3 columns, got {len(row)}")
@@ -258,9 +261,20 @@ def read_adjacency_csv(path, *, nodes: Sequence[int] | None = None,
                 seen.add(dst)
     order = sorted(seen)
     pos = {node: k for k, node in enumerate(order)}
-    w = np.zeros((len(order), len(order)))
-    for src, dst, weight in entries:
-        if src not in pos or dst not in pos:
-            raise CsvFormatError(path, 1, f"entry ({src},{dst}) outside the declared node set")
-        w[pos[src], pos[dst]] = weight
+    n = len(order)
+    w = np.zeros((n, n))
+    filled = bytearray(n * n)  # row-major flags of the cells set so far
+    for lineno, entry in enumerate(entries, start=2):
+        if entry is None:
+            continue
+        src, dst, weight = entry
+        try:
+            i, j = pos[src], pos[dst]
+        except KeyError:
+            raise CsvFormatError(path, lineno, f"entry ({src},{dst}) outside the declared "
+                                 "node set") from None
+        if filled[i * n + j]:
+            raise CsvFormatError(path, lineno, f"duplicate entry ({src},{dst})")
+        filled[i * n + j] = 1
+        w[i, j] = weight
     return w, order

@@ -10,10 +10,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +22,8 @@ from .adjacency import (AdjacencyMatrix, RewireConfig, build_adjacency,
                         write_adjacency_meta)
 from .errors import (CsvFormatError, CycleDetected, DuplicateEdge,
                      NonpositiveLength, RiverDenseError, UnknownStation)
-from .forecast import (ForecastModel, ForecastTask, TrainConfig,
-                       chronological_split, make_windows, nse_by_horizon,
-                       save_model, train)
+from .forecast import (ForecastModel, ForecastTask, TrainConfig, nse_by_horizon,
+                       prepare_dataset, save_model, train)
 from .network import read_edge_csv, topological_distances, write_edge_csv
 from .preprocess import (DEFAULT_COLUMN_MAP, HOUR, QCReport, _as_datetime64,
                          extract_subgraph, qc_station, read_gauge_csv,
@@ -57,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     qc.add_argument("--config", default=None, help="INI config (column_map, period)")
     qc.add_argument("--period-start", default=None, help="ISO-8601 start of the study period")
     qc.add_argument("--period-end", default=None, help="ISO-8601 end (exclusive)")
-    qc.add_argument("--threads", type=int, default=None, help="parallel station readers")
     qc.add_argument("--out", required=True, help="output directory")
 
     rw = sub.add_parser("rewire", help="build an adjacency matrix from a network")
@@ -72,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     rs.add_argument("--adjacency", required=True, help="coordinate-list CSV src,dst,weight")
     rs.add_argument("--meta", default=None, help="metadata JSON (defaults to sibling *_meta.json)")
     rs.add_argument("--mode", choices=("symmetric", "random-walk"), default="symmetric")
-    rs.add_argument("--threads", type=int, default=None, help="parallel pair evaluation")
     rs.add_argument("--out", required=True)
 
     tr = sub.add_parser("train", help="train and score the message-passing forecaster")
@@ -197,11 +192,7 @@ def cmd_qc(args) -> int:
         period_start = period_start or str(all_min)
         period_end = period_end or str(all_max + np.timedelta64(1, "h"))
 
-    threads = args.threads or os.cpu_count() or 1
-    stations = sorted(series)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        reports = list(pool.map(
-            lambda s: qc_station(series[s], period_start, period_end), stations))
+    reports = [qc_station(series[s], period_start, period_end) for s in sorted(series)]
 
     # network nodes without any gauge file fail by vacuous coverage
     span = int((_as_datetime64(period_end) - _as_datetime64(period_start)) // HOUR)
@@ -217,7 +208,7 @@ def cmd_qc(args) -> int:
     write_edge_csv(filtered, out / "network_filtered.csv")
     _write_manifest(out, args, [args.edges, args.gauges],
                     {"period_start": str(period_start), "period_end": str(period_end),
-                     "column_map": cmap, "threads": threads,
+                     "column_map": cmap,
                      "stations_in": len(reports), "stations_kept": len(keep)},
                     started)
     return 0
@@ -258,13 +249,12 @@ def cmd_resist(args) -> int:
         nodes = meta.get("nodes")
     w, order = read_adjacency_csv(adj_path, nodes=nodes)
 
-    threads = args.threads or os.cpu_count() or 1
-    report = resistance_report(w, mode=args.mode, threads=threads)
+    report = resistance_report(w, mode=args.mode)
     write_report_json(report, out / "resistance.json")
     write_report_csv(report, out / "resistance_hist.csv")
     _write_manifest(out, args, [str(adj_path)],
                     {"mode": args.mode, "n": report.n, "mean": report.mean,
-                     "excluded_pairs": report.excluded_pairs, "threads": threads,
+                     "excluded_pairs": report.excluded_pairs,
                      "nodes": order},
                     started)
     return 0
@@ -293,18 +283,6 @@ def cmd_train(args) -> int:
     features = np.stack(
         [np.stack([g.channels()[c] for c in channel_names], axis=1) for g in ordered],
         axis=1)  # (T, N, C)
-    targets = features[:, :, 0]
-
-    # z-score per station and channel, train-split statistics only; station
-    # discharge scales span orders of magnitude, pooled stats drown headwaters
-    t_total = features.shape[0]
-    cut = int(t_total * args.train_frac)
-    mean = features[:cut].mean(axis=0)
-    std = features[:cut].std(axis=0)
-    std = np.where(std == 0, 1.0, std)
-    features = (features - mean) / std
-    targets = (targets - mean[:, 0]) / std[:, 0]
-
     task = ForecastTask(alpha_hist=args.history, beta_horizon=args.horizon,
                         feature_dim=len(channel_names))
 
@@ -321,12 +299,8 @@ def cmd_train(args) -> int:
                               RewireConfig(sigma=args.sigma if args.sigma == "auto"
                                            else float(args.sigma), kind=args.kind))
 
-    xs, ys = make_windows(features, targets, task, stride=args.stride)
-    gap = -(-(task.alpha_hist + task.beta_horizon) // args.stride)
-    (x_tr, y_tr), (x_te, y_te) = chronological_split(xs, ys, args.train_frac, gap=gap)
-    if x_tr.shape[0] == 0 or x_te.shape[0] == 0:
-        raise ValueError(f"window split left train={x_tr.shape[0]} test={x_te.shape[0]}; "
-                         "series too short for the requested task")
+    (x_tr, y_tr), (x_te, y_te) = prepare_dataset(features, task, args.train_frac,
+                                                 args.stride)
 
     model = ForecastModel(task, adj, latent=args.latent, n_layers=args.layers,
                           seed=args.seed)
@@ -340,7 +314,7 @@ def cmd_train(args) -> int:
         for step, score in enumerate(horizon_nse, start=1):
             fh.write(f"{step},{adj.kind},{args.seed},{repr(float(score))}\n")
     save_model(model, out / "checkpoint.json")
-    _write_manifest(out, args, [args.edges, args.gauges, args.adjacency or ""],
+    _write_manifest(out, args, [p for p in (args.edges, args.gauges, args.adjacency) if p],
                     {"kind": adj.kind, "history": args.history, "horizon": args.horizon,
                      "latent": args.latent, "layers": args.layers,
                      "epochs": args.epochs, "lr": args.lr,

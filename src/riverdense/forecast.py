@@ -506,7 +506,7 @@ def generate_basin(size: int, seed: int, hours: int = 2400,
         local[t] = (1.0 - release) * prev + release * rainfall[t]
 
     discharge = np.zeros((hours, n))
-    for station in _upstream_first(net):
+    for station in net.topological_order():
         k = net.index(station)
         q = local[:, k].copy()
         for e in net.in_edges(station):
@@ -521,21 +521,6 @@ def generate_basin(size: int, seed: int, hours: int = 2400,
 
     return SyntheticBasin(network=net, routing=routing, rainfall=rainfall,
                           local_response=local, discharge=discharge)
-
-
-def _upstream_first(net: RiverNetwork) -> list[int]:
-    indeg = {node: len(net.in_edges(node)) for node in net.nodes}
-    ready = sorted(node for node, k in indeg.items() if k == 0)
-    order = []
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        for e in net.out_edges(node):
-            indeg[e.dst] -= 1
-            if indeg[e.dst] == 0:
-                ready.append(e.dst)
-        ready.sort()
-    return order
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +553,34 @@ def chronological_split(xs: np.ndarray, ys: np.ndarray, train_frac: float = 0.7,
     train = (xs[:max(cut - gap, 0)], ys[:max(cut - gap, 0)])
     test = (xs[cut:], ys[cut:])
     return train, test
+
+
+def prepare_dataset(features: np.ndarray, task: ForecastTask, train_frac: float,
+                    stride: int):
+    """Normalize, window and split a (T, N, C) observation stack.
+
+    Every station and channel is z-scored with statistics from the first
+    ``train_frac`` of the time axis only, so test values never leak into
+    them; discharge scales span orders of magnitude between stations, and
+    pooled statistics would drown the headwaters. Channel 0 is the forecast
+    target. The split drops ceil((alpha + beta) / stride) windows at the
+    boundary so train and test share no raw observation.
+
+    Returns ``((x_train, y_train), (x_test, y_test))``; raises ValueError
+    when either block is empty.
+    """
+    cut = int(features.shape[0] * train_frac)
+    mean = features[:cut].mean(axis=0)
+    std = features[:cut].std(axis=0)
+    std = np.where(std == 0, 1.0, std)
+    features = (features - mean) / std
+    xs, ys = make_windows(features, features[:, :, 0], task, stride=stride)
+    gap = -(-(task.alpha_hist + task.beta_horizon) // stride)
+    (x_tr, y_tr), (x_te, y_te) = chronological_split(xs, ys, train_frac, gap=gap)
+    if x_tr.shape[0] == 0 or x_te.shape[0] == 0:
+        raise ValueError(f"window split left train={x_tr.shape[0]} test={x_te.shape[0]}; "
+                         "series too short for the requested task")
+    return (x_tr, y_tr), (x_te, y_te)
 
 
 def nse_by_horizon(model: ForecastModel, history: np.ndarray,

@@ -73,6 +73,26 @@ class RiverNetwork:
         """True when every node has out-degree <= 1."""
         return all(len(self._out[node]) <= 1 for node in self.nodes)
 
+    def topological_order(self) -> list[int]:
+        """Stations upstream first; among ready stations the smallest id goes first.
+
+        Stations on or downstream of a directed cycle never become ready and
+        are left out, so the order is shorter than ``n`` exactly when the
+        graph has a cycle.
+        """
+        indeg = {node: len(self._in[node]) for node in self.nodes}
+        ready = [node for node, k in indeg.items() if k == 0]
+        heapq.heapify(ready)
+        order: list[int] = []
+        while ready:
+            node = heapq.heappop(ready)
+            order.append(node)
+            for e in self._out[node]:
+                indeg[e.dst] -= 1
+                if indeg[e.dst] == 0:
+                    heapq.heappush(ready, e.dst)
+        return order
+
     def __repr__(self) -> str:
         return f"RiverNetwork(n={self.n}, edges={len(self.edges)})"
 
@@ -133,37 +153,18 @@ def build_network(node_list: Iterable[int], edge_list: Iterable, *,
         pairs.add((e.src, e.dst))
         edges.append(e)
 
-    _check_acyclic(seen, pairs)
-
     ordered = tuple(sorted(seen))
     # canonical edge order: by (src, dst) so permuted inputs build identical networks
     frozen = tuple(sorted(edges, key=lambda e: (e.src, e.dst)))
     net = RiverNetwork(ordered, frozen)
+    order = net.topological_order()
+    if len(order) < net.n:
+        cycle = sorted(seen.difference(order))
+        raise CycleDetected(f"directed cycle through stations {cycle}")
     if require_tree and not net.is_river_tree():
         offenders = [node for node in net.nodes if len(net.out_edges(node)) > 1]
         raise ValueError(f"not a river tree: out-degree > 1 at {offenders}")
     return net
-
-
-def _check_acyclic(nodes: set[int], pairs: set[tuple[int, int]]) -> None:
-    # Kahn peeling; whatever survives sits on a directed cycle.
-    indeg = {node: 0 for node in nodes}
-    succ: dict[int, list[int]] = {node: [] for node in nodes}
-    for src, dst in pairs:
-        indeg[dst] += 1
-        succ[src].append(dst)
-    queue = [node for node, k in indeg.items() if k == 0]
-    removed = 0
-    while queue:
-        node = queue.pop()
-        removed += 1
-        for nxt in succ[node]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                queue.append(nxt)
-    if removed != len(nodes):
-        cycle = sorted(node for node, k in indeg.items() if k > 0)
-        raise CycleDetected(f"directed cycle through stations {cycle}")
 
 
 def topological_distances(net: RiverNetwork) -> DistanceMatrix:

@@ -183,26 +183,10 @@ def extract_subgraph(net: RiverNetwork, keep: Iterable[int]) -> RiverNetwork:
     if unknown:
         raise UnknownStation(f"keep set references unknown stations {sorted(unknown)}")
     current = net
-    for station in _topological_order(net):
+    for station in net.topological_order():
         if station not in keep_set:
             current = bypass_remove(current, station)
     return current
-
-
-def _topological_order(net: RiverNetwork) -> list[int]:
-    # upstream first; deterministic by processing smallest-id heads first
-    indeg = {node: len(net.in_edges(node)) for node in net.nodes}
-    ready = sorted(node for node, k in indeg.items() if k == 0)
-    order: list[int] = []
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        for e in net.out_edges(node):
-            indeg[e.dst] -= 1
-            if indeg[e.dst] == 0:
-                ready.append(e.dst)
-        ready.sort()
-    return order
 
 
 # ---------------------------------------------------------------------------

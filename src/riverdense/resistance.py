@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -111,14 +110,14 @@ def _component_labels(support: np.ndarray) -> np.ndarray:
 def _eigh_pinv(mat: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(mat)
     cutoff = EIG_ZERO_RTOL * max(np.abs(vals).max(), 1e-300)
-    inv = np.where(np.abs(vals) < cutoff, 0.0, np.divide(1.0, vals, where=np.abs(vals) >= cutoff))
+    inv = np.divide(1.0, vals, out=np.zeros_like(vals), where=np.abs(vals) >= cutoff)
     return (vecs * inv) @ vecs.T
 
 
 def _svd_pinv(mat: np.ndarray) -> np.ndarray:
     u, s, vt = np.linalg.svd(mat)
     cutoff = EIG_ZERO_RTOL * max(s.max(initial=0.0), 1e-300)
-    inv = np.where(s < cutoff, 0.0, np.divide(1.0, s, where=s >= cutoff))
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s >= cutoff)
     return (vt.T * inv) @ u.T
 
 
@@ -183,30 +182,12 @@ def effective_resistance(bundle: LaplacianBundle, u: int, v: int) -> float:
     return float(x @ bundle.pseudoinverse @ x)
 
 
-def pairwise_resistances(bundle: LaplacianBundle, threads: int | None = None) -> np.ndarray:
-    """Full resistance matrix; +inf across components, zero diagonal.
-
-    Pair evaluation only reads the immutable bundle, so row blocks can be
-    filled concurrently; ``threads`` bounds that worker pool.
-    """
+def pairwise_resistances(bundle: LaplacianBundle) -> np.ndarray:
+    """Full resistance matrix; +inf across components, zero diagonal."""
     m = bundle.pseudoinverse
     s = bundle.indicator_scale
-    n = bundle.n
     q = np.diag(m) * s * s
-    r = np.empty((n, n))
-
-    def fill(rows: slice) -> None:
-        r[rows] = (q[rows, None] + q[None, :]
-                   - (m[rows] + m.T[rows]) * np.outer(s[rows], s))
-
-    if threads and threads > 1 and n > 2 * threads:
-        step = -(-n // threads)
-        blocks = [slice(k, min(k + step, n)) for k in range(0, n, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, blocks))
-    else:
-        fill(slice(0, n))
-
+    r = q[:, None] + q[None, :] - (m + m.T) * np.outer(s, s)
     np.fill_diagonal(r, 0.0)
     r = np.maximum(r, 0.0)  # clamp -1e-17-style eigensolver noise
     cross = bundle.component_labels[:, None] != bundle.component_labels[None, :]
@@ -214,8 +195,7 @@ def pairwise_resistances(bundle: LaplacianBundle, threads: int | None = None) ->
     return r
 
 
-def resistance_report(adj, mode: str = "symmetric", bins: int = 50,
-                      threads: int | None = None) -> ResistanceReport:
+def resistance_report(adj, mode: str = "symmetric", bins: int = 50) -> ResistanceReport:
     """Evaluate every unordered pair and summarize the distribution.
 
     Disconnected adjacencies are summarized over the largest component; pairs
@@ -224,7 +204,7 @@ def resistance_report(adj, mode: str = "symmetric", bins: int = 50,
     """
     bundle = graph_laplacian(adj, mode=mode)
     n = bundle.n
-    r = pairwise_resistances(bundle, threads=threads)
+    r = pairwise_resistances(bundle)
 
     labels = bundle.component_labels
     sizes = np.bincount(labels)

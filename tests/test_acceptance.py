@@ -14,7 +14,8 @@ import pytest
 import riverdense as rd
 from riverdense.cli import main as cli_main
 
-from util import conductance_matrix, random_connected_graph, random_weighted_tree
+from util import (conductance_matrix, hop_distances, random_connected_graph,
+                  random_weighted_tree)
 
 
 def check(name, ok, detail=""):
@@ -238,7 +239,7 @@ def test_receptive_field_exact_zero_beyond_r_hops():
         model = rd.ForecastModel(task, adj, latent=6, n_layers=layers,
                                  seed=int(rng.integers(1e6)))
         support = model.propagation() != 0
-        hops = _hop_matrix(support)
+        hops = hop_distances(support)
         history = np.abs(rng.normal(size=(3, n, 1))) + 0.1
         for _ in range(6):
             u, v = rng.integers(0, n, size=2)
@@ -248,36 +249,11 @@ def test_receptive_field_exact_zero_beyond_r_hops():
     check("sensitivity exactly 0 beyond r hops (50 random trees)", exact)
 
 
-def _hop_matrix(support):
-    n = support.shape[0]
-    hops = np.full((n, n), np.inf)
-    for source in range(n):
-        hops[source, source] = 0
-        frontier = [source]
-        depth = 0
-        while frontier:
-            depth += 1
-            nxt = []
-            for node in frontier:
-                for receiver in np.flatnonzero(support[:, node]):
-                    if hops[receiver, source] == np.inf:
-                        hops[receiver, source] = depth
-                        nxt.append(int(receiver))
-            frontier = nxt
-    return hops
-
-
 def _rewiring_nse(seed, kind):
     basin = rd.generate_basin(16, seed=seed, hours=4000)
-    feats = basin.feature_tensor()
-    cut = int(feats.shape[0] * 0.7)
-    mean = feats[:cut].mean(axis=0)
-    std = feats[:cut].std(axis=0)
-    std = np.where(std == 0, 1.0, std)
-    feats = (feats - mean) / std
     task = rd.ForecastTask(alpha_hist=24, beta_horizon=12, feature_dim=2)
-    xs, ys = rd.make_windows(feats, feats[:, :, 0], task, stride=2)
-    (x_tr, y_tr), (x_te, y_te) = rd.chronological_split(xs, ys, 0.7, gap=18)
+    (x_tr, y_tr), (x_te, y_te) = rd.prepare_dataset(basin.feature_tensor(), task,
+                                                    train_frac=0.7, stride=2)
     if kind == "isolated":
         adj = rd.AdjacencyMatrix("isolated", np.zeros((16, 16)))
     else:

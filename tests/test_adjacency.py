@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riverdense as rd
-from riverdense.errors import DegenerateSigma, IsolatedRow
+from riverdense.errors import CsvFormatError, DegenerateSigma, IsolatedRow
 from riverdense.network import DistanceMatrix
 
 from util import random_weighted_tree
@@ -212,3 +212,17 @@ def test_adjacency_csv_round_trip(tmp_path):
     meta = meta_path.read_text()
     for key in ('"kind"', '"sigma"', '"n"', '"nnz"'):
         assert key in meta
+
+
+def test_adjacency_csv_duplicate_entry_rejected_at_its_line(tmp_path):
+    path = tmp_path / "adjacency.csv"
+    path.write_text("src,dst,weight\n0,1,0.5\n\n1,0,1.0\n0,1,0.25\n")
+    with pytest.raises(CsvFormatError, match=r"adjacency\.csv:5: duplicate entry \(0,1\)"):
+        rd.read_adjacency_csv(path)
+
+
+def test_adjacency_csv_entry_outside_node_set_reports_its_line(tmp_path):
+    path = tmp_path / "adjacency.csv"
+    path.write_text("src,dst,weight\n0,1,0.5\n1,7,1.0\n")
+    with pytest.raises(CsvFormatError, match=r"adjacency\.csv:3: entry \(1,7\)"):
+        rd.read_adjacency_csv(path, nodes=[0, 1])

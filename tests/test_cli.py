@@ -44,8 +44,12 @@ def test_subcommand_help_lists_flags(capsys):
         assert flag in out
 
 
-def test_unknown_flag_exits_64(capsys):
+def test_unknown_flag_exits_64(capsys, tmp_path):
     assert run_cli("rewire", "--bogus", "x") == 64
+    assert run_cli("qc", "--edges", tmp_path / "e.csv", "--gauges", tmp_path,
+                   "--threads", "2", "--out", tmp_path / "qc") == 64
+    assert run_cli("resist", "--adjacency", tmp_path / "a.csv",
+                   "--threads", "2", "--out", tmp_path / "rs") == 64
 
 
 def test_no_command_exits_64(capsys):
@@ -256,6 +260,8 @@ def test_train_smoke_run(basin8_dir, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 7
     assert manifest["parameters"]["epochs"] == 5
+    assert manifest["input_paths"] == [str(basin8_dir / "edges.csv"),
+                                       str(basin8_dir / "gauges")]
 
 
 def test_train_is_seed_deterministic(basin8_dir, tmp_path):

@@ -147,6 +147,40 @@ def test_build_is_order_insensitive():
         assert net.edges == reference.edges
 
 
+def test_topological_order_puts_every_edge_upstream_first():
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        n = int(rng.integers(2, 30))
+        tree = random_weighted_tree(n, rng)
+        # random_river_tree points every edge to a smaller id, so extra
+        # high -> low shortcuts keep the graph acyclic but not a tree
+        pairs = {(e.src, e.dst) for e in tree.edges}
+        for _ in range(int(rng.integers(0, n))):
+            lo, hi = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+            pairs.add((hi, lo))
+        label = [int(x) for x in rng.permutation(n) * 3]
+        net = rd.build_network(label, [(label[a], label[b], 1.0, 0.0) for a, b in pairs])
+        if n > 2:
+            net = rd.bypass_remove(net, label[int(rng.integers(0, n))])
+        order = net.topological_order()
+        assert sorted(order) == list(net.nodes)
+        pos = {node: k for k, node in enumerate(order)}
+        assert all(pos[e.src] < pos[e.dst] for e in net.edges)
+
+
+def test_topological_order_ties_go_to_smallest_id():
+    net = rd.build_network(range(5), [(3, 0, 1.0, 0.0), (4, 2, 1.0, 0.0)])
+    # 0 becomes ready after 3 and goes ahead of the waiting 4
+    assert net.topological_order() == [1, 3, 0, 4, 2]
+
+
+def test_cycle_names_every_station_it_blocks():
+    edges = [(0, 1, 1.0, 0.0), (1, 2, 1.0, 0.0), (2, 3, 1.0, 0.0),
+             (3, 1, 1.0, 0.0), (3, 4, 1.0, 0.0)]
+    with pytest.raises(CycleDetected, match=r"stations \[1, 2, 3, 4\]"):
+        rd.build_network(range(5), edges)
+
+
 def test_edge_csv_round_trip(tmp_path):
     net = rd.build_network([0, 1, 2], [(0, 1, 2.5, 1.25), (1, 2, 3.0, -0.5)])
     path = tmp_path / "edges.csv"

@@ -202,15 +202,6 @@ def test_tree_resistance_equals_path_length():
         assert np.max(np.abs(r - dist)) < 1e-9
 
 
-def test_pairwise_threaded_matches_serial():
-    rng = np.random.default_rng(37)
-    w = random_connected_graph(60, rng)
-    bundle = rd.graph_laplacian(w)
-    serial = rd.pairwise_resistances(bundle)
-    threaded = rd.pairwise_resistances(bundle, threads=4)
-    assert np.array_equal(serial, threaded)
-
-
 def test_rayleigh_monotonicity():
     rng = np.random.default_rng(19)
     for _ in range(60):
