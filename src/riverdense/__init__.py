@@ -7,8 +7,8 @@ from .errors import (ConstantObserved, CsvFormatError, CycleDetected,
                      NonpositiveLength, RiverDenseError, ShapeMismatch,
                      SingularDegree, UnknownStation)
 from .network import (DistanceMatrix, Edge, RiverNetwork, build_network,
-                      in_degrees, out_degrees, read_edge_csv, read_node_csv,
-                      topological_distances, write_edge_csv)
+                      distance_path, in_degrees, out_degrees, read_edge_csv,
+                      read_node_csv, topological_distances, write_edge_csv)
 from .adjacency import (ADJACENCY_KINDS, AdjacencyMatrix, RewireConfig,
                         build_adjacency, dense_transform, rbf_kernel,
                         read_adjacency_csv, resolve_sigma, write_adjacency_csv,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -196,19 +197,23 @@ def build_adjacency(net: RiverNetwork, D: DistanceMatrix,
 # export / import
 
 def write_adjacency_csv(adj: AdjacencyMatrix, path, nodes: Sequence[int] | None = None) -> None:
-    """Coordinate-list export `src,dst,weight`, row-major by node index."""
+    """Coordinate-list export `src,dst,weight`, row-major by node index.
+
+    Lines are written as :mod:`csv` writes them: ``repr`` weights, ``\\r\\n``
+    endings, so every weight reads back exactly. One matrix row is formatted
+    at a time.
+    """
     path = Path(path)
     n = adj.n
-    ids = list(nodes) if nodes is not None else list(range(n))
+    ids = [str(x) for x in (nodes if nodes is not None else range(n))]
     if len(ids) != n:
         raise ValueError(f"{len(ids)} node ids for an {n}-node adjacency")
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst", "weight"])
-        for i in range(n):
-            for j in range(n):
-                if adj.w[i, j] != 0.0:
-                    writer.writerow([ids[i], ids[j], repr(float(adj.w[i, j]))])
+        fh.write("src,dst,weight\r\n")
+        for src, row in zip(ids, adj.w):
+            cols = np.flatnonzero(row)
+            fh.write("".join([f"{src},{ids[j]},{v!r}\r\n"
+                              for j, v in zip(cols.tolist(), row[cols].tolist())]))
 
 
 def write_adjacency_meta(adj: AdjacencyMatrix, path, *, sigma: float | None,
@@ -232,11 +237,12 @@ def read_adjacency_csv(path, *, nodes: Sequence[int] | None = None) -> tuple[np.
     wrap it in :class:`AdjacencyMatrix` when the kind invariants apply.
     Repeated ``(src, dst)`` entries and, with ``nodes``, entries outside that
     set raise :class:`CsvFormatError` at their line.
+
+    The body is parsed with numpy's C reader. A file it cannot take, or one
+    that fails a check, is read again row by row, which either raises the
+    error at its line or returns the matrix.
     """
     path = Path(path)
-    # one slot per data line, None for blank ones, so slot k sits on line k + 2
-    entries: list[tuple[int, int, float] | None] = []
-    seen: set[int] = set(int(x) for x in nodes) if nodes is not None else set()
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -245,20 +251,60 @@ def read_adjacency_csv(path, *, nodes: Sequence[int] | None = None) -> tuple[np.
             raise CsvFormatError(path, 1, "empty file, expected header src,dst,weight") from None
         if tuple(h.strip() for h in header) != ("src", "dst", "weight"):
             raise CsvFormatError(path, 1, f"bad header {header!r}, expected src,dst,weight")
-        for lineno, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
-                entries.append(None)
-                continue
-            if len(row) != 3:
-                raise CsvFormatError(path, lineno, f"expected 3 columns, got {len(row)}")
-            try:
-                src, dst, weight = int(row[0]), int(row[1]), float(row[2])
-            except ValueError as exc:
-                raise CsvFormatError(path, lineno, str(exc)) from None
-            entries.append((src, dst, weight))
-            if nodes is None:
-                seen.add(src)
-                seen.add(dst)
+        fast = _read_adjacency_body(fh, nodes)
+        if fast is not None:
+            return fast
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
+        return _read_adjacency_rows(path, reader, nodes)
+
+
+def _read_adjacency_body(fh, nodes: Sequence[int] | None) -> tuple[np.ndarray, list[int]] | None:
+    """The matrix and node order of a well-formed body, else None."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. an empty body
+            body = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=1,
+                              dtype=[("src", "i8"), ("dst", "i8"), ("weight", "f8")])
+        ids = np.array(sorted(set(int(x) for x in nodes)), dtype=np.int64) if nodes is not None \
+            else np.unique(np.concatenate([body["src"], body["dst"]]))
+    except (ValueError, OverflowError, Warning):
+        return None
+    n = ids.size
+    if n == 0:
+        return None
+    i = np.minimum(np.searchsorted(ids, body["src"]), n - 1)
+    j = np.minimum(np.searchsorted(ids, body["dst"]), n - 1)
+    if np.any(ids[i] != body["src"]) or np.any(ids[j] != body["dst"]):
+        return None  # outside the declared node set
+    cells = np.sort(i * n + j)
+    if np.any(cells[1:] == cells[:-1]):
+        return None  # repeated entry
+    w = np.zeros((n, n))
+    w[i, j] = body["weight"]
+    return w, ids.tolist()
+
+
+def _read_adjacency_rows(path: Path, reader, nodes: Sequence[int] | None):
+    """Row-by-row parse after the header; reports the line of the first bad row."""
+    # one slot per data line, None for blank ones, so slot k sits on line k + 2
+    entries: list[tuple[int, int, float] | None] = []
+    seen: set[int] = set(int(x) for x in nodes) if nodes is not None else set()
+    for lineno, row in enumerate(reader, start=2):
+        if not "".join(row).strip():
+            entries.append(None)
+            continue
+        if len(row) != 3:
+            raise CsvFormatError(path, lineno, f"expected 3 columns, got {len(row)}")
+        try:
+            src, dst, weight = int(row[0]), int(row[1]), float(row[2])
+        except ValueError as exc:
+            raise CsvFormatError(path, lineno, str(exc)) from None
+        entries.append((src, dst, weight))
+        if nodes is None:
+            seen.add(src)
+            seen.add(dst)
     order = sorted(seen)
     pos = {node: k for k, node in enumerate(order)}
     n = len(order)

@@ -24,7 +24,8 @@ from .errors import (CsvFormatError, CycleDetected, DuplicateEdge,
                      NonpositiveLength, RiverDenseError, UnknownStation)
 from .forecast import (ForecastModel, ForecastTask, TrainConfig, nse_by_horizon,
                        prepare_dataset, save_model, train)
-from .network import read_edge_csv, topological_distances, write_edge_csv
+from .network import (distance_path, read_edge_csv, topological_distances,
+                      write_edge_csv)
 from .preprocess import (DEFAULT_COLUMN_MAP, HOUR, QCReport, _as_datetime64,
                          extract_subgraph, qc_station, read_gauge_csv,
                          write_qc_json)
@@ -229,7 +230,7 @@ def cmd_rewire(args) -> int:
     _write_manifest(out, args, [args.edges],
                     {"kind": args.kind, "sigma": args.sigma,
                      "sigma_resolved": resolved, "prune": args.prune, "n": adj.n,
-                     "nnz": adj.nnz},
+                     "nnz": adj.nnz, "distance_path": distance_path(net)},
                     started)
     return 0
 
@@ -323,6 +324,7 @@ def cmd_train(args) -> int:
                      "train_windows": int(x_tr.shape[0]),
                      "test_windows": int(x_te.shape[0]),
                      "final_train_mae": float(result.losses[-1]),
+                     "distance_path": None if args.adjacency else distance_path(net),
                      "channels": channel_names},
                     started)
     return 0

@@ -567,9 +567,17 @@ def prepare_dataset(features: np.ndarray, task: ForecastTask, train_frac: float,
     boundary so train and test share no raw observation.
 
     Returns ``((x_train, y_train), (x_test, y_test))``; raises ValueError
-    when either block is empty.
+    when ``train_frac`` is outside (0, 1), ``stride`` is below 1, or either
+    block is empty.
     """
+    if not 0 < train_frac < 1:
+        raise ValueError(f"train_frac (--train-frac) must lie in (0, 1), got {train_frac!r}")
+    if stride < 1:
+        raise ValueError(f"stride (--stride) must be at least 1, got {stride!r}")
     cut = int(features.shape[0] * train_frac)
+    if cut == 0:
+        raise ValueError(f"train_frac (--train-frac) {train_frac!r} leaves none of "
+                         f"{features.shape[0]} time steps for training")
     mean = features[:cut].mean(axis=0)
     std = features[:cut].std(axis=0)
     std = np.where(std == 0, 1.0, std)

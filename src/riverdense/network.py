@@ -167,13 +167,77 @@ def build_network(node_list: Iterable[int], edge_list: Iterable, *,
     return net
 
 
+def distance_path(net: RiverNetwork) -> str:
+    """Which method :func:`topological_distances` uses: ``"tree"`` or ``"dijkstra"``."""
+    return "tree" if net.is_river_tree() else "dijkstra"
+
+
 def topological_distances(net: RiverNetwork) -> DistanceMatrix:
     """All-pairs shortest stream distances on the undirected view.
 
     Sibling tributaries have no directed path between them, so distances are
     taken over undirected edges; on a tree this is the unique path length.
-    Dijkstra with a binary heap per source, ties broken by node index.
+    River trees (forests) are filled by propagation along their unique paths
+    in O(n^2) vector work; other DAGs run Dijkstra from every source. Both
+    add a path's lengths in order from the source station, so the two give
+    bitwise the same matrix wherever both apply.
     """
+    if distance_path(net) == "tree":
+        d = _tree_distances(net)
+    else:
+        d = _dijkstra_distances(net)
+    # per-source float summation can differ by an ulp between directions
+    d = np.minimum(d, d.T)
+    d.flags.writeable = False
+    return DistanceMatrix(n=net.n, d=d, nodes=net.nodes)
+
+
+def _tree_distances(net: RiverNetwork) -> np.ndarray:
+    """``d[s, t]``: stream lengths summed from ``s`` to ``t`` along the tree path.
+
+    Stations are placed in preorder from each outlet, so every subtree is one
+    contiguous run; ``e[t, s]`` holds ``d[s, t]``, so each step below is a
+    row slice. Sources in other trees stay at inf, since inf + length = inf.
+    """
+    n = net.n
+    parent = [-1] * n
+    length = [0.0] * n
+    children: list[list[int]] = [[] for _ in range(n)]
+    for edge in net.edges:
+        c, p = net.index(edge.src), net.index(edge.dst)
+        parent[c], length[c] = p, edge.stream_length
+        children[p].append(c)
+
+    order: list[int] = []
+    stack = [k for k in range(n) if parent[k] < 0]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(children[node])
+    pos = [0] * n
+    for a, node in enumerate(order):
+        pos[node] = a
+    up = [pos[parent[node]] if parent[node] >= 0 else -1 for node in order]
+    step = [length[node] for node in order]
+    end = list(range(1, n + 1))  # the subtree of order[a] is order[a:end[a]]
+    for a in reversed(range(n)):
+        if up[a] >= 0:
+            end[up[a]] = max(end[up[a]], end[a])
+
+    e = np.full((n, n), np.inf)
+    np.fill_diagonal(e, 0.0)
+    for a in reversed(range(n)):  # sources inside a subtree reach its parent via its root
+        if up[a] >= 0:
+            e[up[a], a:end[a]] = e[a, a:end[a]] + step[a]
+    for a in range(n):  # every other source reaches the subtree root via the parent
+        if up[a] >= 0:
+            e[a, :a] = e[up[a], :a] + step[a]
+            e[a, end[a]:] = e[up[a], end[a]:] + step[a]
+    return e[np.ix_(pos, pos)].T
+
+
+def _dijkstra_distances(net: RiverNetwork) -> np.ndarray:
+    """Dijkstra with a binary heap per source, ties broken by node index."""
     n = net.n
     adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     for e in net.edges:
@@ -197,10 +261,7 @@ def topological_distances(net: RiverNetwork) -> DistanceMatrix:
                 if dv < dist[v]:
                     dist[v] = dv
                     heapq.heappush(heap, (dv, v))
-    # per-source float summation can differ by an ulp between directions
-    d = np.minimum(d, d.T)
-    d.flags.writeable = False
-    return DistanceMatrix(n=n, d=d, nodes=net.nodes)
+    return d
 
 
 def out_degrees(net: RiverNetwork) -> np.ndarray:

@@ -1,9 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riverdense as rd
+from riverdense.adjacency import _read_adjacency_body, _read_adjacency_rows
 from riverdense.errors import CsvFormatError, DegenerateSigma, IsolatedRow
 from riverdense.network import DistanceMatrix
 
@@ -226,3 +229,82 @@ def test_adjacency_csv_entry_outside_node_set_reports_its_line(tmp_path):
     path.write_text("src,dst,weight\n0,1,0.5\n1,7,1.0\n")
     with pytest.raises(CsvFormatError, match=r"adjacency\.csv:3: entry \(1,7\)"):
         rd.read_adjacency_csv(path, nodes=[0, 1])
+
+
+def test_adjacency_csv_writer_golden_bytes(tmp_path):
+    w = np.array([[0.0, 0.25, 0.75],
+                  [1 / 3, 0.0, 2 / 3],
+                  [1.0, 0.0, 0.0]])
+    path = tmp_path / "adjacency.csv"
+    rd.write_adjacency_csv(rd.AdjacencyMatrix("dense", w), path, nodes=[5, 10, 42])
+    assert path.read_bytes() == (b"src,dst,weight\r\n"
+                                 b"5,10,0.25\r\n"
+                                 b"5,42,0.75\r\n"
+                                 b"10,5,0.3333333333333333\r\n"
+                                 b"10,42,0.6666666666666666\r\n"
+                                 b"42,5,1.0\r\n")
+
+
+def _row_loop(path, nodes=None):
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        return _read_adjacency_rows(path, reader, nodes)
+
+
+def _numpy_body(path, nodes=None):
+    with path.open(newline="", encoding="utf-8") as fh:
+        next(csv.reader(fh))
+        return _read_adjacency_body(fh, nodes)
+
+
+# bodies numpy's parser takes, then bodies it leaves to the row loop
+FAST_BODIES = {
+    "crlf": "0,1,0.5\r\n1,0,1.0\r\n2,0,0.125\r\n",
+    "lf": "0,1,0.5\n1,0,1.0\n2,0,0.125\n",
+    "cr": "0,1,0.5\r1,0,1.0\r2,0,0.125\r",
+    "blank_lines": "\n0,1,0.5\n\n\n1,0,1.0\r\n\r\n2,0,0.125\n\n",
+    "padded": " 0 ,1,  0.5\n1 , 0 ,1.0 \n\t2,0,\t0.125\n",
+    "quoted": '"0","1","0.5"\r\n1,"0",1.0\r\n" 2 ",0,"0.125"\r\n',
+    "one_row": "7,3,0.1\n",
+}
+SLOW_BODIES = {
+    "whitespace_row": "0,1,0.5\n   \n1,0,1.0\n",
+    "empty_cells_row": "0,1,0.5\n , , \n1,0,1.0\n",
+    "underscored_id": "0,1_0,0.5\n1,0,1.0\n",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAST_BODIES) + sorted(SLOW_BODIES))
+@pytest.mark.parametrize("nodes", [None, [0, 1, 2, 3, 7, 10]])
+def test_adjacency_csv_fast_reader_matches_row_loop(tmp_path, name, nodes):
+    path = tmp_path / "adjacency.csv"
+    path.write_text("src,dst,weight\r\n" + {**FAST_BODIES, **SLOW_BODIES}[name],
+                    newline="", encoding="utf-8")
+    w, order = rd.read_adjacency_csv(path, nodes=nodes)
+    w_rows, order_rows = _row_loop(path, nodes)
+    assert order == order_rows
+    assert np.array_equal(w, w_rows)
+    fast = _numpy_body(path, nodes)
+    if name in FAST_BODIES:
+        assert fast is not None
+        assert fast[1] == order_rows and np.array_equal(fast[0], w_rows)
+    else:
+        assert fast is None
+
+
+@pytest.mark.parametrize("body, nodes", [
+    ("0,1,0.5\n0,1,0.5\n", None),            # repeated cell
+    ("0,1,0.5\n1,9,0.5\n", [0, 1]),          # outside the node set
+    ("0,1,0.5\n1.0,0,0.5\n", None),          # float where an id belongs
+    ("0,1,0.5\n1,0\n", None),                # short row
+    ("0,1,0.5\n1,0,0.5,\n", None),           # long row
+    ("0,1,0.5\n# note\n", None),             # numpy would take this as a comment
+])
+def test_adjacency_csv_bad_bodies_go_to_the_row_loop(tmp_path, body, nodes):
+    path = tmp_path / "adjacency.csv"
+    path.write_text("src,dst,weight\n" + body)
+    assert _numpy_body(path, nodes) is None
+    with pytest.raises(CsvFormatError, match=r"adjacency\.csv:3: "):
+        rd.read_adjacency_csv(path, nodes=nodes)

@@ -2,6 +2,7 @@ import csv
 import json
 import shutil
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,18 @@ def test_rewire_dense_rows_sum_to_one(basin8_dir, tmp_path):
     assert meta["kind"] == "dense"
     assert meta["n"] == 8
     assert meta["nnz"] == int(np.count_nonzero(w))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["parameters"]["distance_path"] == "tree"
+
+
+def test_rewire_bypassed_network_records_dijkstra_path(tmp_path):
+    edges = tmp_path / "edges.csv"
+    edges.write_text("src,dst,stream_length_km,elevation_diff_m\n"
+                     "0,1,1.5,0\n3,1,2.0,0\n1,2,2.25,0\n0,2,3.0,0\n")
+    out = tmp_path / "rw"
+    assert run_cli("rewire", "--edges", edges, "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["parameters"]["distance_path"] == "dijkstra"
 
 
 def test_rewire_isolated_empty_coordinate_list(basin8_dir, tmp_path):
@@ -262,6 +275,22 @@ def test_train_smoke_run(basin8_dir, tmp_path):
     assert manifest["parameters"]["epochs"] == 5
     assert manifest["input_paths"] == [str(basin8_dir / "edges.csv"),
                                        str(basin8_dir / "gauges")]
+    assert manifest["parameters"]["distance_path"] == "tree"
+
+
+@pytest.mark.parametrize("flag, value", [("--train-frac", "0"), ("--train-frac", "1.5"),
+                                         ("--stride", "0")])
+def test_train_bad_split_argument_exits_2_naming_it(basin8_dir, tmp_path, capsys,
+                                                    flag, value):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("train", "--edges", basin8_dir / "edges.csv",
+                       "--gauges", basin8_dir / "gauges", "--history", "12",
+                       "--horizon", "4", "--epochs", "1", flag, value,
+                       "--out", tmp_path / "tr")
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert caught == []
 
 
 def test_train_is_seed_deterministic(basin8_dir, tmp_path):
@@ -296,6 +325,8 @@ def test_train_accepts_prebuilt_adjacency(basin8_dir, tmp_path):
                    "--history", "12", "--horizon", "4", "--epochs", "2",
                    "--latent", "8", "--out", out) == 0
     assert (out / "metrics.csv").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["parameters"]["distance_path"] is None
 
 
 def test_commands_write_only_inside_out_dir(basin8_dir, tmp_path, monkeypatch):

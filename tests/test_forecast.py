@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -333,6 +335,20 @@ def test_chronological_split_no_overlap():
     assert xtr.shape[0] == 4
     assert xte.shape[0] == 4
     assert xtr[-1, 0, 0, 0] < xte[0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("train_frac, stride, flag", [
+    (0.0, 1, "--train-frac"), (1.0, 1, "--train-frac"), (-0.5, 1, "--train-frac"),
+    (float("nan"), 1, "--train-frac"), (0.01, 1, "--train-frac"),
+    (0.7, 0, "--stride"), (0.7, -2, "--stride"),
+])
+def test_prepare_dataset_rejects_bad_split_arguments(train_frac, stride, flag):
+    features = np.random.default_rng(0).normal(size=(40, 3, 2))
+    task = rd.ForecastTask(alpha_hist=4, beta_horizon=2, feature_dim=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=flag):
+            rd.prepare_dataset(features, task, train_frac, stride)
 
 
 def test_nse_by_horizon_shape():

@@ -4,7 +4,7 @@ import pytest
 import riverdense as rd
 from riverdense.errors import CsvFormatError, CycleDetected, DuplicateEdge, NonpositiveLength
 
-from util import random_weighted_tree, tree_path_distance
+from util import dijkstra_distances, random_weighted_tree, tree_path_distance
 
 
 def test_minimal_two_node_network():
@@ -134,6 +134,64 @@ def test_tree_distance_matches_path_walk_oracle():
             u, v = rng.integers(0, n, size=2)
             expected = tree_path_distance(net, int(u), int(v))
             assert d[net.index(int(u)), net.index(int(v))] == pytest.approx(expected, abs=1e-9)
+
+
+def random_river_forest(rng: np.random.Generator) -> rd.RiverNetwork:
+    """Several outlets, isolated stations, scattered ids, non-integer lengths."""
+    n = int(rng.integers(1, 90))
+    ids = rng.choice(100_000, size=n, replace=False).tolist()
+    edges = []
+    for k in range(1, n):
+        if rng.random() < 0.75:  # otherwise station k is an outlet
+            downstream = ids[int(rng.integers(0, k))]
+            length = float(rng.choice([rng.uniform(0.05, 40.0), rng.integers(1, 9) / 10]))
+            edges.append((ids[k], downstream, length, 0.0))
+    return rd.build_network(ids, edges, require_tree=True)
+
+
+def test_tree_distances_equal_dijkstra_reference_on_river_forests():
+    rng = np.random.default_rng(31)
+    outlets = isolated = 0
+    for _ in range(300):
+        net = random_river_forest(rng)
+        assert rd.distance_path(net) == "tree"
+        d = rd.topological_distances(net).d
+        assert np.array_equal(d, dijkstra_distances(net))
+        outlets += len(net.outlets()) > 1
+        isolated += any(not net.in_edges(s) and not net.out_edges(s) for s in net.nodes)
+    assert outlets > 100 and isolated > 100
+
+
+def test_bypassed_confluence_takes_dijkstra_path():
+    # station 0 drains through confluence 1 and also along a bypass straight to 2
+    net = rd.build_network([0, 1, 2, 3], [(0, 1, 1.5, 0.0), (3, 1, 2.0, 0.0),
+                                          (1, 2, 2.25, 0.0), (0, 2, 3.0, 0.0)])
+    assert rd.distance_path(net) == "dijkstra"
+    d = rd.topological_distances(net).d
+    expected = np.array([[0.0, 1.5, 3.0, 3.5],
+                         [1.5, 0.0, 2.25, 2.0],
+                         [3.0, 2.25, 0.0, 4.25],
+                         [3.5, 2.0, 4.25, 0.0]])
+    assert np.array_equal(d, expected)
+    assert np.array_equal(d, dijkstra_distances(net))
+
+
+def test_bypassed_forests_equal_dijkstra_reference():
+    rng = np.random.default_rng(32)
+    bypassed = 0
+    for _ in range(100):
+        tree = random_river_forest(rng)
+        edges = [tuple(e) for e in tree.edges]
+        # bypass a downstream station: an extra edge to its own downstream station
+        for e in tree.edges:
+            below = tree.out_edges(e.dst)
+            if below and rng.random() < 0.3:
+                edges.append((e.src, below[0].dst, float(rng.uniform(0.05, 80.0)), 0.0))
+        net = rd.build_network(tree.nodes, edges)
+        bypassed += rd.distance_path(net) == "dijkstra"
+        d = rd.topological_distances(net).d
+        assert np.array_equal(d, dijkstra_distances(net))
+    assert bypassed > 50
 
 
 def test_build_is_order_insensitive():

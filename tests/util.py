@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 import riverdense as rd
@@ -63,6 +65,36 @@ def tree_path_distance(net: rd.RiverNetwork, u: int, v: int) -> float:
         acc += edge.stream_length
         node = edge.dst
     return acc + from_u[node]
+
+
+def dijkstra_distances(net: rd.RiverNetwork) -> np.ndarray:
+    """All-pairs stream distances by a plain-Python Dijkstra from every station.
+
+    Walks the undirected edge list with dicts keyed by station id, then keeps
+    the smaller of the two directions per pair, as the library does; a
+    reference independent of its matrix code.
+    """
+    neighbours: dict[int, list[tuple[int, float]]] = {node: [] for node in net.nodes}
+    for e in net.edges:
+        neighbours[e.src].append((e.dst, e.stream_length))
+        neighbours[e.dst].append((e.src, e.stream_length))
+    d = np.full((net.n, net.n), np.inf)
+    for source in net.nodes:
+        best = {source: 0.0}
+        heap = [(0.0, source)]
+        settled: set[int] = set()
+        while heap:
+            dist, node = heapq.heappop(heap)
+            if node in settled:
+                continue
+            settled.add(node)
+            for other, length in neighbours[node]:
+                if other not in best or dist + length < best[other]:
+                    best[other] = dist + length
+                    heapq.heappush(heap, (best[other], other))
+        for node, dist in best.items():
+            d[net.index(source), net.index(node)] = dist
+    return np.minimum(d, d.T)
 
 
 def floyd_warshall(weights: np.ndarray) -> np.ndarray:
