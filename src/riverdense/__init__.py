@@ -17,11 +17,10 @@ from .resistance import (BoundParams, LaplacianBundle, ResistanceReport,
                          effective_resistance, graph_laplacian, jacobian_bound,
                          pairwise_resistances, report_to_json,
                          resistance_report, write_report_csv, write_report_json)
-from .preprocess import (GaugeSeries, NormStats, QCReport, apply_zscore,
-                         bypass_remove, check_completeness, extract_subgraph,
-                         fit_norm_stats, invert_zscore, parse_timestamp,
+from .preprocess import (GaugeSeries, QCReport, bypass_remove,
+                         check_completeness, extract_subgraph, parse_timestamp,
                          qc_station, read_gauge_csv, screen_discharge,
-                         write_qc_json, zscore)
+                         write_qc_json)
 from .forecast import (ForecastModel, ForecastTask, RoutingCoeff,
                        SyntheticBasin, TrainConfig, TrainResult,
                        basin_to_gauge_csvs, chronological_split, forward,

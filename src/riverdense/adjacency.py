@@ -8,7 +8,6 @@ from the dense support with uniform trainable weights.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass
@@ -18,10 +17,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CsvFormatError, DegenerateSigma, IsolatedRow
-from .network import DistanceMatrix, RiverNetwork
+from .network import DistanceMatrix, RiverNetwork, read_csv_rows
 
 ADJACENCY_KINDS = ("isolated", "topology", "dense", "learned")
 ROW_SUM_TOL = 1e-12
+ADJACENCY_CSV_HEADER = ("src", "dst", "weight")
 
 
 @dataclass(frozen=True)
@@ -209,7 +209,7 @@ def write_adjacency_csv(adj: AdjacencyMatrix, path, nodes: Sequence[int] | None 
     if len(ids) != n:
         raise ValueError(f"{len(ids)} node ids for an {n}-node adjacency")
     with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write("src,dst,weight\r\n")
+        fh.write(",".join(ADJACENCY_CSV_HEADER) + "\r\n")
         for src, row in zip(ids, adj.w):
             cols = np.flatnonzero(row)
             fh.write("".join([f"{src},{ids[j]},{v!r}\r\n"
@@ -244,20 +244,12 @@ def read_adjacency_csv(path, *, nodes: Sequence[int] | None = None) -> tuple[np.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(path, 1, "empty file, expected header src,dst,weight") from None
-        if tuple(h.strip() for h in header) != ("src", "dst", "weight"):
-            raise CsvFormatError(path, 1, f"bad header {header!r}, expected src,dst,weight")
+        read_csv_rows(path, fh, ADJACENCY_CSV_HEADER, ())  # the header; numpy reads the rest
         fast = _read_adjacency_body(fh, nodes)
         if fast is not None:
             return fast
         fh.seek(0)
-        reader = csv.reader(fh)
-        next(reader)
-        return _read_adjacency_rows(path, reader, nodes)
+        return _read_adjacency_rows(path, fh, nodes)
 
 
 def _read_adjacency_body(fh, nodes: Sequence[int] | None) -> tuple[np.ndarray, list[int]] | None:
@@ -286,34 +278,19 @@ def _read_adjacency_body(fh, nodes: Sequence[int] | None) -> tuple[np.ndarray, l
     return w, ids.tolist()
 
 
-def _read_adjacency_rows(path: Path, reader, nodes: Sequence[int] | None):
-    """Row-by-row parse after the header; reports the line of the first bad row."""
-    # one slot per data line, None for blank ones, so slot k sits on line k + 2
-    entries: list[tuple[int, int, float] | None] = []
-    seen: set[int] = set(int(x) for x in nodes) if nodes is not None else set()
-    for lineno, row in enumerate(reader, start=2):
-        if not "".join(row).strip():
-            entries.append(None)
-            continue
-        if len(row) != 3:
-            raise CsvFormatError(path, lineno, f"expected 3 columns, got {len(row)}")
-        try:
-            src, dst, weight = int(row[0]), int(row[1]), float(row[2])
-        except ValueError as exc:
-            raise CsvFormatError(path, lineno, str(exc)) from None
-        entries.append((src, dst, weight))
-        if nodes is None:
-            seen.add(src)
-            seen.add(dst)
-    order = sorted(seen)
+def _read_adjacency_rows(path: Path, fh, nodes: Sequence[int] | None):
+    """Row-by-row parse of the whole file; reports the line of the first bad row."""
+    rows = read_csv_rows(path, fh, ADJACENCY_CSV_HEADER, (int, int, float))
+    entries = [(lineno, *values) for lineno, values in rows]
+    if nodes is not None:
+        order = sorted(set(int(x) for x in nodes))
+    else:
+        order = sorted({node for _, src, dst, _ in entries for node in (src, dst)})
     pos = {node: k for k, node in enumerate(order)}
     n = len(order)
     w = np.zeros((n, n))
     filled = bytearray(n * n)  # row-major flags of the cells set so far
-    for lineno, entry in enumerate(entries, start=2):
-        if entry is None:
-            continue
-        src, dst, weight = entry
+    for lineno, src, dst, weight in entries:
         try:
             i, j = pos[src], pos[dst]
         except KeyError:

@@ -26,9 +26,8 @@ from .forecast import (ForecastModel, ForecastTask, TrainConfig, nse_by_horizon,
                        prepare_dataset, save_model, train)
 from .network import (distance_path, read_edge_csv, topological_distances,
                       write_edge_csv)
-from .preprocess import (DEFAULT_COLUMN_MAP, HOUR, QCReport, _as_datetime64,
-                         extract_subgraph, qc_station, read_gauge_csv,
-                         write_qc_json)
+from .preprocess import (DEFAULT_COLUMN_MAP, GaugeSeries, extract_subgraph,
+                         qc_station, read_gauge_csv, write_qc_json)
 from .resistance import resistance_report, write_report_csv, write_report_json
 
 _INPUT_ERRORS = (CsvFormatError, CycleDetected, DuplicateEdge, NonpositiveLength,
@@ -193,15 +192,10 @@ def cmd_qc(args) -> int:
         period_start = period_start or str(all_min)
         period_end = period_end or str(all_max + np.timedelta64(1, "h"))
 
-    reports = [qc_station(series[s], period_start, period_end) for s in sorted(series)]
-
-    # network nodes without any gauge file fail by vacuous coverage
-    span = int((_as_datetime64(period_end) - _as_datetime64(period_start)) // HOUR)
-    for node in net.nodes:
-        if node not in series:
-            reports.append(QCReport(node, negative_count=0, missing_hours=span))
-    reports.sort(key=lambda r: r.station)
-
+    # a network node without a gauge file fails by vacuous coverage
+    reports = [qc_station(series[s] if s in series else GaugeSeries(s, [], []),
+                          period_start, period_end)
+               for s in sorted(set(series) | set(net.nodes))]
     keep = {r.station for r in reports if r.passed} & set(net.nodes)
     filtered = extract_subgraph(net, keep)
 

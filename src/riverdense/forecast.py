@@ -531,11 +531,14 @@ def make_windows(features: np.ndarray, targets: np.ndarray, task: ForecastTask,
     """Slice (T, N, C) observations into supervised forecasting windows.
 
     Returns history windows (S, alpha, N, C) and target windows (S, beta, N),
-    ordered chronologically.
+    ordered chronologically; raises ValueError when no window fits.
     """
     t_total = features.shape[0]
     alpha, beta = task.alpha_hist, task.beta_horizon
     anchors = range(start + alpha, t_total - beta + 1, stride)
+    if not anchors:
+        raise ValueError(f"alpha_hist (--history) {alpha} + beta_horizon (--horizon) {beta} "
+                         f"do not fit in a series of {t_total - start} time steps")
     xs = np.stack([features[t - alpha:t] for t in anchors])
     ys = np.stack([targets[t:t + beta] for t in anchors])
     return xs, ys

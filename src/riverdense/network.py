@@ -12,7 +12,7 @@ import csv
 import heapq
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -283,6 +283,39 @@ def in_degrees(net: RiverNetwork) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # CSV interfaces
 
+def read_csv_rows(path: Path, fh, header: Sequence[str],
+                  converters: Sequence[Callable[[str], object]]) -> Iterator[tuple[int, list]]:
+    """Check the header line of ``fh`` now; return the converted rows after it.
+
+    The iterator yields ``(line, values)`` for every non-blank row, with
+    ``converters[k]`` applied to column k. A missing or wrong header, a row
+    of the wrong width, or a cell its converter rejects raises
+    :class:`CsvFormatError` at its file:line.
+    """
+    reader = csv.reader(fh)
+    try:
+        first = next(reader)
+    except StopIteration:
+        raise CsvFormatError(path, 1, "empty file, expected header " + ",".join(header)) from None
+    if tuple(h.strip() for h in first) != tuple(header):
+        raise CsvFormatError(path, 1, f"bad header {first!r}, expected " + ",".join(header))
+    return _converted_rows(path, reader, converters)
+
+
+def _converted_rows(path: Path, reader, converters) -> Iterator[tuple[int, list]]:
+    for lineno, row in enumerate(reader, start=2):
+        if not "".join(row).strip():
+            continue
+        if len(row) != len(converters):
+            raise CsvFormatError(path, lineno,
+                                 f"expected {len(converters)} columns, got {len(row)}")
+        try:
+            values = [convert(cell) for convert, cell in zip(converters, row)]
+        except ValueError as exc:
+            raise CsvFormatError(path, lineno, str(exc)) from None
+        yield lineno, values
+
+
 def read_edge_csv(path, extra_nodes: Sequence[int] = ()) -> RiverNetwork:
     """Load a network from an edge CSV (`src,dst,stream_length_km,elevation_diff_m`).
 
@@ -290,30 +323,11 @@ def read_edge_csv(path, extra_nodes: Sequence[int] = ()) -> RiverNetwork:
     stations). Raises :class:`CsvFormatError` with file:line on bad rows.
     """
     path = Path(path)
-    edges: list[Edge] = []
-    endpoints: set[int] = set(int(x) for x in extra_nodes)
+    endpoints = {int(x) for x in extra_nodes}
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(path, 1, "empty file, expected header "
-                                 + ",".join(EDGE_CSV_HEADER)) from None
-        if tuple(h.strip() for h in header) != EDGE_CSV_HEADER:
-            raise CsvFormatError(path, 1, f"bad header {header!r}, expected "
-                                 + ",".join(EDGE_CSV_HEADER))
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 4:
-                raise CsvFormatError(path, lineno, f"expected 4 columns, got {len(row)}")
-            try:
-                e = Edge(int(row[0]), int(row[1]), float(row[2]), float(row[3]))
-            except ValueError as exc:
-                raise CsvFormatError(path, lineno, str(exc)) from None
-            edges.append(e)
-            endpoints.add(e.src)
-            endpoints.add(e.dst)
+        rows = read_csv_rows(path, fh, EDGE_CSV_HEADER, (int, int, float, float))
+        edges = [Edge(*values) for _, values in rows]
+    endpoints.update(node for e in edges for node in (e.src, e.dst))
     return build_network(sorted(endpoints), edges)
 
 

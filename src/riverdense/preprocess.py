@@ -1,4 +1,4 @@
-"""Gauge quality control, station bypass, subgraph extraction, normalization.
+"""Gauge quality control, station bypass and subgraph extraction.
 
 Failing stations are not simply dropped: the bypass mechanism reconnects each
 upstream neighbor to each downstream neighbor and aggregates channel distance
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import warnings
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -50,10 +49,6 @@ class GaugeSeries:
         out.update(self.features)
         return out
 
-    def replace_channels(self, channels: dict[str, np.ndarray]) -> "GaugeSeries":
-        feats = {k: v for k, v in channels.items() if k != "discharge"}
-        return GaugeSeries(self.station, self.timestamps, channels["discharge"], feats)
-
 
 @dataclass(frozen=True)
 class QCReport:
@@ -71,20 +66,6 @@ class QCReport:
     def as_dict(self) -> dict:
         return {"station": self.station, "negative_count": self.negative_count,
                 "missing_hours": self.missing_hours, "passed": self.passed}
-
-
-@dataclass
-class NormStats:
-    """Per-channel mean and population std; kept so transforms invert exactly."""
-
-    mean: dict[str, float]
-    std: dict[str, float]
-
-    def transform(self, values: np.ndarray, channel: str) -> np.ndarray:
-        return (np.asarray(values, dtype=float) - self.mean[channel]) / self.std[channel]
-
-    def inverse(self, values: np.ndarray, channel: str) -> np.ndarray:
-        return np.asarray(values, dtype=float) * self.std[channel] + self.mean[channel]
 
 
 # ---------------------------------------------------------------------------
@@ -187,63 +168,6 @@ def extract_subgraph(net: RiverNetwork, keep: Iterable[int]) -> RiverNetwork:
         if station not in keep_set:
             current = bypass_remove(current, station)
     return current
-
-
-# ---------------------------------------------------------------------------
-# normalization
-
-def fit_norm_stats(series_list: Sequence[GaugeSeries], train_end=None) -> NormStats:
-    """Pool per-channel statistics across stations.
-
-    ``train_end`` restricts the fit to timestamps strictly before it so that
-    test-period values never leak into the statistics.
-    """
-    cutoff = _as_datetime64(train_end) if train_end is not None else None
-    pooled: dict[str, list[np.ndarray]] = {}
-    for series in series_list:
-        mask = (series.timestamps < cutoff) if cutoff is not None else slice(None)
-        for name, vals in series.channels().items():
-            pooled.setdefault(name, []).append(vals[mask])
-
-    mean: dict[str, float] = {}
-    std: dict[str, float] = {}
-    for name, chunks in pooled.items():
-        vals = np.concatenate(chunks)
-        if vals.size < 2:
-            raise ValueError(f"channel {name!r} needs at least 2 values to normalize")
-        mean[name] = float(vals.mean())
-        raw_std = float(vals.std())  # population std
-        if raw_std == 0.0:
-            warnings.warn(f"channel {name!r} has zero variance; passing through unscaled",
-                          stacklevel=2)
-            raw_std = 1.0
-        std[name] = raw_std
-    return NormStats(mean=mean, std=std)
-
-
-def zscore(series_list: Sequence[GaugeSeries],
-           train_end=None) -> tuple[list[GaugeSeries], NormStats]:
-    """Z-score every channel; returns transformed series plus the statistics."""
-    stats = fit_norm_stats(series_list, train_end=train_end)
-    return apply_zscore(series_list, stats), stats
-
-
-def apply_zscore(series_list: Sequence[GaugeSeries], stats: NormStats) -> list[GaugeSeries]:
-    out = []
-    for series in series_list:
-        channels = {name: stats.transform(vals, name)
-                    for name, vals in series.channels().items()}
-        out.append(series.replace_channels(channels))
-    return out
-
-
-def invert_zscore(series_list: Sequence[GaugeSeries], stats: NormStats) -> list[GaugeSeries]:
-    out = []
-    for series in series_list:
-        channels = {name: stats.inverse(vals, name)
-                    for name, vals in series.channels().items()}
-        out.append(series.replace_channels(channels))
-    return out
 
 
 # ---------------------------------------------------------------------------

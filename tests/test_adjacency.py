@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riverdense as rd
+import riverdense.adjacency
 from riverdense.adjacency import _read_adjacency_body, _read_adjacency_rows
 from riverdense.errors import CsvFormatError, DegenerateSigma, IsolatedRow
 from riverdense.network import DistanceMatrix
@@ -247,9 +248,7 @@ def test_adjacency_csv_writer_golden_bytes(tmp_path):
 
 def _row_loop(path, nodes=None):
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return _read_adjacency_rows(path, reader, nodes)
+        return _read_adjacency_rows(path, fh, nodes)
 
 
 def _numpy_body(path, nodes=None):
@@ -292,6 +291,21 @@ def test_adjacency_csv_fast_reader_matches_row_loop(tmp_path, name, nodes):
         assert fast[1] == order_rows and np.array_equal(fast[0], w_rows)
     else:
         assert fast is None
+
+
+@pytest.mark.parametrize("name", sorted(FAST_BODIES))
+def test_adjacency_csv_well_formed_files_skip_the_row_loop(tmp_path, monkeypatch, name):
+    path = tmp_path / "adjacency.csv"
+    path.write_text("src,dst,weight\r\n" + FAST_BODIES[name], newline="", encoding="utf-8")
+    w_rows, order_rows = _row_loop(path)
+
+    def no_row_loop(*args):
+        raise AssertionError("the row loop ran on a well-formed file")
+
+    monkeypatch.setattr(riverdense.adjacency, "_read_adjacency_rows", no_row_loop)
+    w, order = rd.read_adjacency_csv(path)
+    assert order == order_rows
+    assert np.array_equal(w, w_rows)
 
 
 @pytest.mark.parametrize("body, nodes", [

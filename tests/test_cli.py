@@ -99,6 +99,35 @@ def test_qc_negative_station_is_bypassed(basin8_dir, tmp_path):
     assert filtered.edges == expected.edges
 
 
+def test_qc_scores_missing_and_extra_gauges(basin8_dir, tmp_path):
+    gauges = tmp_path / "gauges"
+    shutil.copytree(basin8_dir / "gauges", gauges)
+    net = rd.read_edge_csv(basin8_dir / "edges.csv")
+    absent = next(s for s in net.nodes if net.out_edges(s) and net.in_edges(s))
+    hours = len(rd.read_gauge_csv(gauges / f"{absent}.csv"))
+    (gauges / f"{absent}.csv").unlink()
+    extra = max(net.nodes) + 100
+    shutil.copy(gauges / f"{net.nodes[0]}.csv", gauges / f"{extra}.csv")
+
+    out = tmp_path / "qc"
+    assert run_cli("qc", "--edges", basin8_dir / "edges.csv",
+                   "--gauges", gauges, "--out", out) == 0
+    reports = json.loads((out / "qc_report.json").read_text())
+    assert [r["station"] for r in reports] == sorted(set(net.nodes) | {extra})
+    by_station = {r["station"]: r for r in reports}
+    assert by_station[absent] == {"station": absent, "negative_count": 0,
+                                  "missing_hours": hours, "passed": False}
+    assert by_station[extra]["passed"]
+    filtered = rd.read_edge_csv(out / "network_filtered.csv")
+    expected = rd.bypass_remove(net, absent)
+    assert filtered.nodes == expected.nodes
+    assert filtered.edges == expected.edges
+    assert extra not in filtered
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["parameters"]["stations_in"] == len(net.nodes) + 1
+    assert manifest["parameters"]["stations_kept"] == len(net.nodes) - 1
+
+
 def test_qc_empty_gauge_dir_exits_2(basin8_dir, tmp_path, capsys):
     empty = tmp_path / "nogauges"
     empty.mkdir()
@@ -290,6 +319,18 @@ def test_train_bad_split_argument_exits_2_naming_it(basin8_dir, tmp_path, capsys
                        "--out", tmp_path / "tr")
     assert code == 2
     assert flag in capsys.readouterr().err
+    assert caught == []
+
+
+def test_train_window_longer_than_series_exits_2_naming_flags(basin8_dir, tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("train", "--edges", basin8_dir / "edges.csv",
+                       "--gauges", basin8_dir / "gauges", "--history", "470",
+                       "--horizon", "24", "--epochs", "1", "--out", tmp_path / "tr")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--history" in err and "--horizon" in err and "480" in err
     assert caught == []
 
 

@@ -328,6 +328,25 @@ def test_make_windows_shapes_and_alignment():
     assert np.array_equal(ys[0], targets[5:8])
 
 
+@pytest.mark.parametrize("alpha, beta, t", [(26, 5, 30), (25, 6, 30), (470, 24, 480)])
+def test_make_windows_longer_than_series_names_the_flags(alpha, beta, t):
+    features = np.zeros((t, 2, 1))
+    task = rd.ForecastTask(alpha_hist=alpha, beta_horizon=beta, feature_dim=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"alpha_hist \(--history\) {alpha} \+ "
+                                             rf"beta_horizon \(--horizon\) {beta} .* {t} "):
+            rd.make_windows(features, features[:, :, 0], task)
+
+
+def test_make_windows_exact_fit_gives_one_window():
+    features = np.arange(30, dtype=float).reshape(30, 1, 1)
+    task = rd.ForecastTask(alpha_hist=25, beta_horizon=5, feature_dim=1)
+    xs, ys = rd.make_windows(features, features[:, :, 0], task)
+    assert xs.shape == (1, 25, 1, 1) and ys.shape == (1, 5, 1)
+    assert ys[0, -1, 0] == 29.0
+
+
 def test_chronological_split_no_overlap():
     xs = np.arange(40).reshape(10, 1, 2, 2).astype(float)
     ys = np.arange(20).reshape(10, 1, 2).astype(float)

@@ -262,6 +262,35 @@ def test_edge_csv_bad_row_reports_line(tmp_path):
         rd.read_edge_csv(path)
 
 
+@pytest.mark.parametrize("body, error", [
+    ("", r"edges\.csv:1: empty file, expected header "
+         r"src,dst,stream_length_km,elevation_diff_m$"),
+    ("src,dst,stream_length_km,elevation_diff_m\n0,1,1.0,0.0\n1,2,2.0\n",
+     r"edges\.csv:3: expected 4 columns, got 3$"),
+    ("src,dst,stream_length_km,elevation_diff_m\n\n  \n , ,,\n0,1,1.0,0.0\n1,2,x,0.0\n",
+     r"edges\.csv:6: could not convert string to float: 'x'$"),
+])
+def test_edge_csv_errors_name_file_and_line(tmp_path, body, error):
+    path = tmp_path / "edges.csv"
+    path.write_text(body)
+    with pytest.raises(CsvFormatError, match=error):
+        rd.read_edge_csv(path)
+
+
+@pytest.mark.parametrize("body", [
+    "src,dst,stream_length_km,elevation_diff_m\n0,1,2.5,1.25\n1,2,3.0,-0.5\n",
+    "src,dst,stream_length_km,elevation_diff_m\r\n\r\n0,1,2.5,1.25\r\n   \r\n"
+    " , , , \r\n1,2,3.0,-0.5\r\n\r\n",
+    'src,"dst", stream_length_km ,elevation_diff_m\n"0","1","2.5",1.25\n1," 2 ",3.0,"-0.5"\n',
+])
+def test_edge_csv_skips_blank_rows_and_reads_quoted_fields(tmp_path, body):
+    path = tmp_path / "edges.csv"
+    path.write_text(body, newline="")
+    net = rd.read_edge_csv(path, extra_nodes=[7])
+    assert net.nodes == (0, 1, 2, 7)
+    assert net.edges == (rd.Edge(0, 1, 2.5, 1.25), rd.Edge(1, 2, 3.0, -0.5))
+
+
 def test_node_csv_passthrough(tmp_path):
     path = tmp_path / "nodes.csv"
     path.write_text("gauge_id,area,name\n3,12.5,alpha\n1,7.0,beta\n")

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import riverdense as rd
 from riverdense.errors import CsvFormatError, UnknownStation
@@ -178,53 +176,6 @@ def test_bypass_never_creates_self_loops_or_cycles():
         out = rd.bypass_remove(net, station)  # build_network re-validates
         assert station not in out
         assert all(e.src != e.dst for e in out.edges)
-
-
-# ---------------------------------------------------------------------------
-# normalization
-
-def test_zscore_three_values():
-    series, stats = rd.zscore([hourly_series(1, [1.0, 2.0, 3.0])])
-    assert series[0].discharge == pytest.approx([-1.22474, 0.0, 1.22474], abs=1e-5)
-    assert stats.mean["discharge"] == pytest.approx(2.0)
-    assert stats.std["discharge"] == pytest.approx(np.sqrt(2.0 / 3.0))
-
-
-def test_zscore_constant_passes_through_with_warning():
-    with pytest.warns(UserWarning, match="zero variance"):
-        series, stats = rd.zscore([hourly_series(1, [5.0, 5.0, 5.0])])
-    assert series[0].discharge == pytest.approx([0.0, 0.0, 0.0])
-    assert stats.std["discharge"] == 1.0
-
-
-def test_zscore_round_trip():
-    original = hourly_series(1, [4.0, 8.0, 1.5, 9.25], rain=[0.0, 1.0, 0.5, 2.0])
-    normalized, stats = rd.zscore([original])
-    restored = rd.invert_zscore(normalized, stats)[0]
-    assert np.allclose(restored.discharge, original.discharge, atol=1e-12)
-    assert np.allclose(restored.features["rain"], original.features["rain"], atol=1e-12)
-
-
-def test_zscore_statistics_from_training_window_only():
-    series = hourly_series(1, [1.0, 2.0, 3.0, 100.0, 100.0])
-    stats = rd.fit_norm_stats([series], train_end=T0 + 3 * HOUR)
-    assert stats.mean["discharge"] == pytest.approx(2.0)
-
-
-def test_zscore_needs_two_values():
-    with pytest.raises(ValueError, match="at least 2"):
-        rd.fit_norm_stats([hourly_series(1, [1.0])])
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=50))
-def test_zscore_round_trip_fuzzed(values):
-    series = hourly_series(3, values)
-    if np.std(values) == 0:
-        return
-    normalized, stats = rd.zscore([series])
-    restored = rd.invert_zscore(normalized, stats)[0]
-    assert np.allclose(restored.discharge, values, atol=1e-6 * max(1.0, np.max(np.abs(values))))
 
 
 # ---------------------------------------------------------------------------
