@@ -3,7 +3,7 @@
 Four adjacency kinds are supported. ``isolated`` removes all message paths,
 ``topology`` keeps the physical river edges, ``dense`` applies the RBF
 reachability transform over pairwise stream distances, and ``learned`` starts
-from the dense support with uniform trainable weights.
+from the dense support with uniform weights that training then updates.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class AdjacencyMatrix:
     only carries weight on existing directed edges.
     """
 
-    __slots__ = ("kind", "w", "trainable")
+    __slots__ = ("kind", "w")
 
     def __init__(self, kind: str, w: np.ndarray, *, support: np.ndarray | None = None):
         if kind not in ADJACENCY_KINDS:
@@ -72,7 +72,8 @@ class AdjacencyMatrix:
             rows = w.sum(axis=1)
             if np.any(np.abs(rows - 1.0) > ROW_SUM_TOL):
                 worst = int(np.argmax(np.abs(rows - 1.0)))
-                raise ValueError(f"{kind} adjacency row {worst} sums to {rows[worst]!r}, not 1")
+                raise ValueError(f"{kind} adjacency row {worst} sums to {float(rows[worst])!r}, "
+                                 "not 1")
             if np.any(w > 1.0):
                 raise ValueError(f"{kind} adjacency entries must lie in [0, 1]")
         elif kind == "topology":
@@ -85,7 +86,6 @@ class AdjacencyMatrix:
         w.flags.writeable = False
         self.kind = kind
         self.w = w
-        self.trainable = kind == "learned"
 
     @property
     def n(self) -> int:
@@ -173,9 +173,7 @@ def build_adjacency(net: RiverNetwork, D: DistanceMatrix,
 
     if config.kind == "topology":
         sigma = resolve_sigma(D, config.sigma)
-        support = np.zeros((n, n), dtype=bool)
-        for e in net.edges:
-            support[net.index(e.src), net.index(e.dst)] = True
+        support = net.edge_mask()
         w = np.where(support, rbf_kernel(D.d, sigma), 0.0)
         rows = w.sum(axis=1)
         nonzero = rows > 0
@@ -186,7 +184,7 @@ def build_adjacency(net: RiverNetwork, D: DistanceMatrix,
     if config.kind == "dense":
         return dense
 
-    # learned: uniform initial weights over the dense support, trainable flag set
+    # learned: uniform initial weights over the dense support
     support = dense.w > 0
     counts = support.sum(axis=1)
     w = support / counts[:, None]

@@ -12,14 +12,15 @@ import configparser
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .adjacency import (AdjacencyMatrix, RewireConfig, build_adjacency,
-                        read_adjacency_csv, resolve_sigma, write_adjacency_csv,
-                        write_adjacency_meta)
+from .adjacency import (ADJACENCY_KINDS, AdjacencyMatrix, RewireConfig,
+                        build_adjacency, read_adjacency_csv, resolve_sigma,
+                        write_adjacency_csv, write_adjacency_meta)
 from .errors import (CsvFormatError, CycleDetected, DuplicateEdge,
                      NonpositiveLength, RiverDenseError, UnknownStation)
 from .forecast import (ForecastModel, ForecastTask, TrainConfig, nse_by_horizon,
@@ -58,8 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rw = sub.add_parser("rewire", help="build an adjacency matrix from a network")
     rw.add_argument("--edges", required=True)
-    rw.add_argument("--kind", choices=("isolated", "topology", "dense", "learned"),
-                    default="dense")
+    rw.add_argument("--kind", choices=ADJACENCY_KINDS, default="dense")
     rw.add_argument("--sigma", default="auto", help="kernel bandwidth in km, or 'auto'")
     rw.add_argument("--prune", type=float, default=0.0, help="zero kernel weights below this")
     rw.add_argument("--out", required=True)
@@ -74,8 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--edges", required=True)
     tr.add_argument("--gauges", required=True)
     tr.add_argument("--adjacency", default=None, help="load adjacency CSV instead of building one")
-    tr.add_argument("--kind", choices=("isolated", "topology", "dense", "learned"),
-                    default="dense")
+    tr.add_argument("--kind", choices=ADJACENCY_KINDS, default="dense")
     tr.add_argument("--sigma", default="auto")
     tr.add_argument("--config", default=None)
     tr.add_argument("--history", type=int, default=24, help="input window length (hours)")
@@ -163,6 +162,11 @@ def _read_gauge_dir(gauge_dir, column_map) -> dict[int, object]:
     return series
 
 
+def _sigma(text: str) -> float | str:
+    """The --sigma value: 'auto' or a bandwidth in km."""
+    return text if text == "auto" else float(text)
+
+
 def _column_map(config: configparser.ConfigParser) -> dict[str, str]:
     cmap = dict(DEFAULT_COLUMN_MAP)
     if config.has_section("column_map"):
@@ -187,8 +191,12 @@ def cmd_qc(args) -> int:
     period_end = args.period_end or config.get("period", "end", fallback=None)
     if period_start is None or period_end is None:
         # fall back to the union span of all series, end exclusive
-        all_min = min(s.timestamps.min() for s in series.values() if len(s))
-        all_max = max(s.timestamps.max() for s in series.values() if len(s))
+        spans = [s.timestamps for s in series.values() if len(s)]
+        if not spans:
+            raise ValueError("no gauge file has a data row to take the study period from; "
+                             "pass --period-start and --period-end or set [period] in --config")
+        all_min = min(t.min() for t in spans)
+        all_max = max(t.max() for t in spans)
         period_start = period_start or str(all_min)
         period_end = period_end or str(all_max + np.timedelta64(1, "h"))
 
@@ -214,10 +222,12 @@ def cmd_rewire(args) -> int:
     out = _outdir(args)
     net = read_edge_csv(args.edges)
     distances = topological_distances(net)
-    sigma = args.sigma if args.sigma == "auto" else float(args.sigma)
-    config = RewireConfig(sigma=sigma, kind=args.kind, epsilon_prune=args.prune)
+    config = RewireConfig(sigma=_sigma(args.sigma), kind=args.kind, epsilon_prune=args.prune)
+    resolved = None
+    if args.kind != "isolated":
+        resolved = resolve_sigma(distances, config.sigma)
+        config = replace(config, sigma=resolved)
     adj = build_adjacency(net, distances, config)
-    resolved = None if args.kind == "isolated" else resolve_sigma(distances, sigma)
 
     write_adjacency_csv(adj, out / "adjacency.csv", nodes=net.nodes)
     write_adjacency_meta(adj, out / "adjacency_meta.json", sigma=resolved, nodes=net.nodes)
@@ -286,13 +296,12 @@ def cmd_train(args) -> int:
         if not adj_path.exists():
             raise FileNotFoundError(f"adjacency file {adj_path} does not exist")
         w, _ = read_adjacency_csv(adj_path, nodes=net.nodes)
-        kind = args.kind
-        adj = AdjacencyMatrix(kind, w, support=(w > 0) if kind == "topology" else None)
+        adj = AdjacencyMatrix(args.kind, w,
+                              support=net.edge_mask() if args.kind == "topology" else None)
     else:
         distances = topological_distances(net)
         adj = build_adjacency(net, distances,
-                              RewireConfig(sigma=args.sigma if args.sigma == "auto"
-                                           else float(args.sigma), kind=args.kind))
+                              RewireConfig(sigma=_sigma(args.sigma), kind=args.kind))
 
     (x_tr, y_tr), (x_te, y_te) = prepare_dataset(features, task, args.train_frac,
                                                  args.stride)

@@ -17,10 +17,6 @@ class NonpositiveLength(RiverDenseError):
     """A stream length is zero or negative."""
 
 
-class SingularDegree(RiverDenseError):
-    """A zero out-degree node makes the random-walk Laplacian undefined."""
-
-
 class DifferentComponents(RiverDenseError):
     """Effective resistance requested across disconnected components."""
 

@@ -151,9 +151,6 @@ class ForecastModel:
         # only the dense support is trainable; off-support entries are inert
         return 0.5 * (self.params["adj"] * self._support + np.eye(self.n))
 
-    def trainable_names(self) -> list[str]:
-        return sorted(self.params)
-
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -164,7 +161,7 @@ def _propagation_matrix(adjacency: AdjacencyMatrix) -> np.ndarray:
     n = adjacency.n
     if adjacency.kind == "isolated":
         return np.eye(n)
-    if adjacency.kind in ("dense", "learned"):
+    if adjacency.kind == "dense":
         return 0.5 * (adjacency.w + np.eye(n))
     # topology: symmetric renormalization with self-loops
     sym = 0.5 * (adjacency.w + adjacency.w.T) + np.eye(n)
@@ -283,10 +280,6 @@ def input_jacobian(model: ForecastModel, u: int, v: int,
     return jac
 
 
-def mae_loss(predicted: np.ndarray, target: np.ndarray) -> float:
-    return float(np.mean(np.abs(predicted - target)))
-
-
 def loss_and_gradients(model: ForecastModel, history: np.ndarray,
                        target: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
     """MAE loss over one batch plus analytic gradients for every parameter."""
@@ -389,29 +382,20 @@ def train(model: ForecastModel, data, config: TrainConfig) -> TrainResult:
     return TrainResult(losses=losses, lrs=lrs)
 
 
-def nse(predicted, observed, weights=None) -> float:
+def nse(predicted, observed) -> float:
     """Nash-Sutcliffe efficiency: 1 - sum(p-o)^2 / sum(o-mean)^2.
 
-    1 means a perfect forecast, 0 matches the mean predictor. An optional
-    per-sample weight vector turns this into its weighted variant.
+    1 means a perfect forecast, 0 matches the mean predictor.
     """
     p = np.asarray(predicted, dtype=float).ravel()
     o = np.asarray(observed, dtype=float).ravel()
     if p.shape != o.shape or p.size < 2:
         raise ValueError("predicted and observed must share a length >= 2")
-    if weights is None:
-        w = np.ones_like(o)
-    else:
-        w = np.asarray(weights, dtype=float).ravel()
-        if w.shape != o.shape:
-            raise ValueError("weights must match the series length")
-        if np.any(w < 0) or w.sum() == 0:
-            raise ValueError("weights must be nonnegative with a positive sum")
-    o_mean = float(np.sum(w * o) / np.sum(w))
-    denom = float(np.sum(w * (o - o_mean) ** 2))
+    o_mean = float(np.sum(o) / o.size)
+    denom = float(np.sum((o - o_mean) ** 2))
     if denom == 0.0:
         raise ConstantObserved("observed series has zero variance, NSE undefined")
-    return 1.0 - float(np.sum(w * (p - o) ** 2)) / denom
+    return 1.0 - float(np.sum((p - o) ** 2)) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +511,7 @@ def generate_basin(size: int, seed: int, hours: int = 2400,
 # windowing and evaluation
 
 def make_windows(features: np.ndarray, targets: np.ndarray, task: ForecastTask,
-                 stride: int = 1, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+                 stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Slice (T, N, C) observations into supervised forecasting windows.
 
     Returns history windows (S, alpha, N, C) and target windows (S, beta, N),
@@ -535,10 +519,10 @@ def make_windows(features: np.ndarray, targets: np.ndarray, task: ForecastTask,
     """
     t_total = features.shape[0]
     alpha, beta = task.alpha_hist, task.beta_horizon
-    anchors = range(start + alpha, t_total - beta + 1, stride)
+    anchors = range(alpha, t_total - beta + 1, stride)
     if not anchors:
         raise ValueError(f"alpha_hist (--history) {alpha} + beta_horizon (--horizon) {beta} "
-                         f"do not fit in a series of {t_total - start} time steps")
+                         f"do not fit in a series of {t_total} time steps")
     xs = np.stack([features[t - alpha:t] for t in anchors])
     ys = np.stack([targets[t:t + beta] for t in anchors])
     return xs, ys

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import CsvFormatError, CycleDetected, DuplicateEdge, NonpositiveLength
 
 EDGE_CSV_HEADER = ("src", "dst", "stream_length_km", "elevation_diff_m")
-NODE_CSV_ID_COLUMN = "gauge_id"
 
 
 class Edge(NamedTuple):
@@ -73,6 +72,13 @@ class RiverNetwork:
         """True when every node has out-degree <= 1."""
         return all(len(self._out[node]) <= 1 for node in self.nodes)
 
+    def edge_mask(self) -> np.ndarray:
+        """(n, n) bool matrix, True at [index(src), index(dst)] for every edge."""
+        mask = np.zeros((self.n, self.n), dtype=bool)
+        for e in self.edges:
+            mask[self._pos[e.src], self._pos[e.dst]] = True
+        return mask
+
     def topological_order(self) -> list[int]:
         """Stations upstream first; among ready stations the smallest id goes first.
 
@@ -109,8 +115,7 @@ class DistanceMatrix:
     nodes: tuple[int, ...]
 
 
-def build_network(node_list: Iterable[int], edge_list: Iterable, *,
-                  require_tree: bool = False) -> RiverNetwork:
+def build_network(node_list: Iterable[int], edge_list: Iterable) -> RiverNetwork:
     """Validate and freeze a river network.
 
     Parameters
@@ -119,9 +124,6 @@ def build_network(node_list: Iterable[int], edge_list: Iterable, *,
         Unique non-negative station identifiers. May include isolated nodes.
     edge_list : iterable
         ``Edge`` tuples or plain ``(src, dst, stream_length, elevation_diff)``.
-    require_tree : bool
-        Additionally enforce out-degree <= 1 on every node. Off by default
-        because preprocessing passes intermediate non-tree states through.
 
     Raises
     ------
@@ -161,9 +163,6 @@ def build_network(node_list: Iterable[int], edge_list: Iterable, *,
     if len(order) < net.n:
         cycle = sorted(seen.difference(order))
         raise CycleDetected(f"directed cycle through stations {cycle}")
-    if require_tree and not net.is_river_tree():
-        offenders = [node for node in net.nodes if len(net.out_edges(node)) > 1]
-        raise ValueError(f"not a river tree: out-degree > 1 at {offenders}")
     return net
 
 
@@ -264,22 +263,6 @@ def _dijkstra_distances(net: RiverNetwork) -> np.ndarray:
     return d
 
 
-def out_degrees(net: RiverNetwork) -> np.ndarray:
-    """Out-degree per node in sorted-id order."""
-    deg = np.zeros(net.n, dtype=int)
-    for e in net.edges:
-        deg[net.index(e.src)] += 1
-    return deg
-
-
-def in_degrees(net: RiverNetwork) -> np.ndarray:
-    """In-degree per node in sorted-id order."""
-    deg = np.zeros(net.n, dtype=int)
-    for e in net.edges:
-        deg[net.index(e.dst)] += 1
-    return deg
-
-
 # ---------------------------------------------------------------------------
 # CSV interfaces
 
@@ -339,25 +322,3 @@ def write_edge_csv(net: RiverNetwork, path) -> None:
         for e in net.edges:
             writer.writerow([e.src, e.dst, repr(e.stream_length), repr(e.elevation_diff)])
 
-
-def read_node_csv(path) -> tuple[list[int], dict[int, dict[str, str]]]:
-    """Read a node CSV (`gauge_id` plus passthrough attribute columns).
-
-    Returns the id list in file order and a per-id dict of untouched
-    attribute strings.
-    """
-    path = Path(path)
-    ids: list[int] = []
-    attrs: dict[int, dict[str, str]] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or NODE_CSV_ID_COLUMN not in reader.fieldnames:
-            raise CsvFormatError(path, 1, f"missing required column {NODE_CSV_ID_COLUMN!r}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                gid = int(row[NODE_CSV_ID_COLUMN])
-            except (TypeError, ValueError):
-                raise CsvFormatError(path, lineno, "gauge_id must be an integer") from None
-            ids.append(gid)
-            attrs[gid] = {k: v for k, v in row.items() if k != NODE_CSV_ID_COLUMN}
-    return ids, attrs

@@ -71,18 +71,14 @@ class QCReport:
 # ---------------------------------------------------------------------------
 # quality control
 
-def screen_discharge(series: GaugeSeries) -> QCReport:
-    """Count strictly negative discharge values; zero is a valid reading."""
-    negative = int(np.sum(series.discharge < 0))
-    return QCReport(series.station, negative_count=negative, missing_hours=0)
+def qc_station(series: GaugeSeries, period_start, period_end) -> QCReport:
+    """Count negative discharge values and missing hourly slots.
 
-
-def check_completeness(series: GaugeSeries, period_start, period_end) -> QCReport:
-    """Count missing hourly slots over [period_start, period_end).
-
-    A slot counts as present only when an exactly grid-aligned timestamp
-    exists; duplicated timestamps are counted as gaps on top, so a series
-    that repeats an hour can never pass.
+    Only strictly negative values count; zero is a valid reading. Missing
+    slots are counted over [period_start, period_end): a slot counts as
+    present only when an exactly grid-aligned timestamp exists; duplicated
+    timestamps are counted as gaps on top, so a series that repeats an hour
+    can never pass.
     """
     start = _as_datetime64(period_start)
     end = _as_datetime64(period_end)
@@ -97,14 +93,8 @@ def check_completeness(series: GaugeSeries, period_start, period_end) -> QCRepor
     offsets = (in_window - start) // HOUR
     aligned = in_window[start + offsets * HOUR == in_window]
     missing = expected - aligned.size + duplicates
-    return QCReport(series.station, negative_count=0, missing_hours=missing)
-
-
-def qc_station(series: GaugeSeries, period_start, period_end) -> QCReport:
-    """Combined negative-value screen and completeness check."""
-    neg = screen_discharge(series).negative_count
-    missing = check_completeness(series, period_start, period_end).missing_hours
-    return QCReport(series.station, negative_count=neg, missing_hours=missing)
+    negative = int(np.sum(series.discharge < 0))
+    return QCReport(series.station, negative_count=negative, missing_hours=missing)
 
 
 def _as_datetime64(value) -> np.datetime64:
@@ -198,14 +188,14 @@ def read_gauge_csv(path, column_map: dict[str, str] | None = None) -> GaugeSerie
             if required not in fields:
                 raise CsvFormatError(path, 1, f"missing column {required!r} in header {fields!r}")
         feature_cols = [c for c in fields if c not in (cmap["timestamp"], cmap["discharge"])]
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             try:
                 stamps.append(parse_timestamp(row[cmap["timestamp"]]))
                 discharge.append(float(row[cmap["discharge"]]))
                 for col in feature_cols:
                     extras.setdefault(col, []).append(float(row[col]))
             except (ValueError, TypeError) as exc:
-                raise CsvFormatError(path, lineno, str(exc)) from None
+                raise CsvFormatError(path, reader.line_num, str(exc)) from None
     return GaugeSeries(station, stamps, discharge, extras)
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .adjacency import AdjacencyMatrix
-from .errors import DifferentComponents, MuOutOfRange, SingularDegree
+from .errors import DifferentComponents, MuOutOfRange
 
 EIG_ZERO_RTOL = 1e-10
 
@@ -121,8 +121,7 @@ def _svd_pinv(mat: np.ndarray) -> np.ndarray:
     return (vt.T * inv) @ u.T
 
 
-def graph_laplacian(adj, mode: str = "symmetric",
-                    zero_outdegree: str = "unit") -> LaplacianBundle:
+def graph_laplacian(adj, mode: str = "symmetric") -> LaplacianBundle:
     """Build the Laplacian and its Moore-Penrose pseudoinverse.
 
     Parameters
@@ -132,11 +131,8 @@ def graph_laplacian(adj, mode: str = "symmetric",
     mode : {'symmetric', 'random-walk'}
         'symmetric' uses L = D - (W + W^T)/2 and an eigendecomposition;
         'random-walk' uses L_rw = I - D_out^{-1} W and an SVD, since L_rw is
-        asymmetric.
-    zero_outdegree : {'unit', 'error'}
-        In random-walk mode the outlet has no outgoing weight. 'unit' treats
-        its out-degree as 1 (both in D_out^{-1} and in indicator scaling);
-        'error' raises :class:`SingularDegree` instead.
+        asymmetric. The outlet has no outgoing weight; a zero out-degree
+        always counts as 1, both in D_out^{-1} and in indicator scaling.
     """
     w = _weights(adj)
     n = w.shape[0]
@@ -149,12 +145,7 @@ def graph_laplacian(adj, mode: str = "symmetric",
         scale = np.ones(n)
     elif mode == "random-walk":
         d_out = w.sum(axis=1)
-        sinks = d_out == 0
-        if np.any(sinks):
-            if zero_outdegree == "error":
-                raise SingularDegree(
-                    f"zero out-degree at rows {np.flatnonzero(sinks).tolist()}")
-            d_out = np.where(sinks, 1.0, d_out)
+        d_out = np.where(d_out == 0, 1.0, d_out)
         lap = np.eye(n) - w / d_out[:, None]
         pinv = _svd_pinv(lap)
         scale = 1.0 / np.sqrt(d_out)

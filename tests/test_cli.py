@@ -148,6 +148,22 @@ def test_qc_malformed_gauge_row_exits_2(basin8_dir, tmp_path, capsys):
     assert "3.csv:2" in capsys.readouterr().err
 
 
+def test_qc_header_only_gauges_without_period_exits_2_naming_flags(basin8_dir, tmp_path,
+                                                                   capsys):
+    gauges = tmp_path / "gauges"
+    gauges.mkdir()
+    for src in (basin8_dir / "gauges").glob("*.csv"):
+        (gauges / src.name).write_text("timestamp,qobs\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("qc", "--edges", basin8_dir / "edges.csv",
+                       "--gauges", gauges, "--out", tmp_path / "qc")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--period-start" in err and "[period]" in err
+    assert caught == []
+
+
 def test_qc_honors_config_column_map(basin8_dir, tmp_path):
     gauges = tmp_path / "gauges"
     gauges.mkdir()
@@ -368,6 +384,20 @@ def test_train_accepts_prebuilt_adjacency(basin8_dir, tmp_path):
     assert (out / "metrics.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["parameters"]["distance_path"] is None
+
+
+@pytest.mark.parametrize("built, code", [("topology", 0), ("dense", 2)])
+def test_train_topology_adjacency_must_stay_on_the_edge_set(basin8_dir, tmp_path, capsys,
+                                                            built, code):
+    rw_dir = tmp_path / "rw"
+    assert run_cli("rewire", "--edges", basin8_dir / "edges.csv",
+                   "--kind", built, "--out", rw_dir) == 0
+    assert run_cli("train", "--edges", basin8_dir / "edges.csv",
+                   "--gauges", basin8_dir / "gauges",
+                   "--adjacency", rw_dir / "adjacency.csv", "--kind", "topology",
+                   "--history", "12", "--horizon", "4", "--epochs", "1",
+                   "--latent", "8", "--out", tmp_path / "tr") == code
+    assert ("off the directed edge set" in capsys.readouterr().err) == (code == 2)
 
 
 def test_commands_write_only_inside_out_dir(basin8_dir, tmp_path, monkeypatch):

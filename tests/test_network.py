@@ -55,13 +55,6 @@ def test_bad_station_ids_rejected():
         rd.build_network([0, 0], [])
 
 
-def test_require_tree_flag():
-    edges = [(0, 1, 1.0, 0.0), (0, 2, 1.0, 0.0)]  # out-degree 2 at node 0
-    rd.build_network([0, 1, 2], edges)  # fine by default
-    with pytest.raises(ValueError, match="out-degree"):
-        rd.build_network([0, 1, 2], edges, require_tree=True)
-
-
 def test_chain_distances():
     net = rd.build_network([0, 1, 2], [(0, 1, 2.0, 0.0), (1, 2, 3.0, 0.0)])
     d = rd.topological_distances(net).d
@@ -84,24 +77,6 @@ def test_star_leaf_to_leaf_distance():
                            [(1, 0, 1.0, 0.0), (2, 0, 2.0, 0.0), (3, 0, 4.0, 0.0)])
     d = rd.topological_distances(net).d
     assert d[net.index(1), net.index(3)] == pytest.approx(5.0)
-
-
-def test_degrees_on_chain():
-    net = rd.build_network([0, 1, 2], [(0, 1, 1.0, 0.0), (1, 2, 1.0, 0.0)])
-    assert rd.out_degrees(net).tolist() == [1, 1, 0]
-    assert rd.in_degrees(net).tolist() == [0, 1, 1]
-
-
-def test_degrees_at_confluence():
-    net = rd.build_network([0, 1, 2], [(0, 2, 1.0, 0.0), (1, 2, 1.0, 0.0)])
-    assert rd.in_degrees(net)[2] == 2
-    assert rd.out_degrees(net)[2] == 0
-
-
-def test_degrees_isolated_node():
-    net = rd.build_network([0, 1, 5], [(0, 1, 1.0, 0.0)])
-    assert rd.out_degrees(net)[net.index(5)] == 0
-    assert rd.in_degrees(net)[net.index(5)] == 0
 
 
 def test_distance_matrix_is_immutable():
@@ -146,7 +121,9 @@ def random_river_forest(rng: np.random.Generator) -> rd.RiverNetwork:
             downstream = ids[int(rng.integers(0, k))]
             length = float(rng.choice([rng.uniform(0.05, 40.0), rng.integers(1, 9) / 10]))
             edges.append((ids[k], downstream, length, 0.0))
-    return rd.build_network(ids, edges, require_tree=True)
+    net = rd.build_network(ids, edges)
+    assert net.is_river_tree()
+    return net
 
 
 def test_tree_distances_equal_dijkstra_reference_on_river_forests():
@@ -290,11 +267,3 @@ def test_edge_csv_skips_blank_rows_and_reads_quoted_fields(tmp_path, body):
     assert net.nodes == (0, 1, 2, 7)
     assert net.edges == (rd.Edge(0, 1, 2.5, 1.25), rd.Edge(1, 2, 3.0, -0.5))
 
-
-def test_node_csv_passthrough(tmp_path):
-    path = tmp_path / "nodes.csv"
-    path.write_text("gauge_id,area,name\n3,12.5,alpha\n1,7.0,beta\n")
-    ids, attrs = rd.read_node_csv(path)
-    assert ids == [3, 1]
-    assert attrs[3] == {"area": "12.5", "name": "alpha"}
-    assert attrs[1]["name"] == "beta"

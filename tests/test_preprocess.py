@@ -16,13 +16,13 @@ def hourly_series(station, values, start=T0, **features):
 
 
 def test_screen_zero_is_not_negative():
-    report = rd.screen_discharge(hourly_series(1, [1.0, 2.0, 0.0]))
+    report = rd.qc_station(hourly_series(1, [1.0, 2.0, 0.0]), T0, T0 + 3 * HOUR)
     assert report.negative_count == 0
     assert report.passed
 
 
 def test_screen_flags_negative():
-    report = rd.screen_discharge(hourly_series(1, [1.0, -0.1]))
+    report = rd.qc_station(hourly_series(1, [1.0, -0.1]), T0, T0 + 2 * HOUR)
     assert report.negative_count == 1
     assert not report.passed
 
@@ -35,7 +35,7 @@ def test_empty_series_fails_by_vacuous_coverage():
 
 
 def test_completeness_full_window():
-    report = rd.check_completeness(hourly_series(1, np.ones(48)), T0, T0 + 48 * HOUR)
+    report = rd.qc_station(hourly_series(1, np.ones(48)), T0, T0 + 48 * HOUR)
     assert report.missing_hours == 0
     assert report.passed
 
@@ -43,7 +43,7 @@ def test_completeness_full_window():
 def test_completeness_one_missing_hour():
     stamps = np.concatenate([np.arange(10), np.arange(11, 48)]) * HOUR + T0
     series = rd.GaugeSeries(1, stamps, np.ones(47))
-    report = rd.check_completeness(series, T0, T0 + 48 * HOUR)
+    report = rd.qc_station(series, T0, T0 + 48 * HOUR)
     assert report.missing_hours == 1
     assert not report.passed
 
@@ -51,7 +51,7 @@ def test_completeness_one_missing_hour():
 def test_completeness_duplicate_counts_as_gap():
     stamps = np.concatenate([np.arange(48), [5]]) * HOUR + T0
     series = rd.GaugeSeries(1, np.sort(stamps), np.ones(49))
-    report = rd.check_completeness(series, T0, T0 + 48 * HOUR)
+    report = rd.qc_station(series, T0, T0 + 48 * HOUR)
     assert report.missing_hours == 1
     assert not report.passed
 
@@ -60,7 +60,7 @@ def test_completeness_off_grid_stamp_does_not_count():
     stamps = T0 + np.arange(48) * HOUR
     stamps[7] = stamps[7] + np.timedelta64(30, "m")
     series = rd.GaugeSeries(1, stamps, np.ones(48))
-    report = rd.check_completeness(series, T0, T0 + 48 * HOUR)
+    report = rd.qc_station(series, T0, T0 + 48 * HOUR)
     assert report.missing_hours == 1
 
 
@@ -209,6 +209,18 @@ def test_read_gauge_csv_errors(tmp_path):
     bad_row.write_text("timestamp,qobs\n2000-01-01T00:00:00Z,abc\n")
     with pytest.raises(CsvFormatError, match=r"4\.csv:2"):
         rd.read_gauge_csv(bad_row)
+
+
+@pytest.mark.parametrize("body, line", [
+    ("timestamp,qobs\n2000-01-01T00:00:00Z,1.0\n\n2000-01-01T01:00:00Z,2.0\n\nbad,3.0\n", 6),
+    ("timestamp,qobs\r\n\r\n\r\n2000-01-01T00:00:00Z,1.0\r\n2000-01-01T01:00:00Z,x\r\n", 5),
+    ("timestamp,qobs,rain\n2000-01-01T00:00:00Z,1.0,0.0\n2000-01-01T01:00:00Z,2.0,\n", 3),
+])
+def test_read_gauge_csv_error_names_the_file_line_past_blank_rows(tmp_path, body, line):
+    path = tmp_path / "5.csv"
+    path.write_text(body, newline="")
+    with pytest.raises(CsvFormatError, match=rf"5\.csv:{line}:"):
+        rd.read_gauge_csv(path)
 
 
 def test_parse_timestamp_variants():
