@@ -98,6 +98,9 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 64
+    conflict = _ignored_flag(args)
+    if conflict:
+        parser.error(conflict)
     handler = {"qc": cmd_qc, "rewire": cmd_rewire,
                "resist": cmd_resist, "train": cmd_train}[args.command]
     try:
@@ -162,9 +165,27 @@ def _read_gauge_dir(gauge_dir, column_map) -> dict[int, object]:
     return series
 
 
-def _sigma(text: str) -> float | str:
-    """The --sigma value: 'auto' or a bandwidth in km."""
-    return text if text == "auto" else float(text)
+def _ignored_flag(args) -> str | None:
+    """A usage error for a flag the chosen mode would silently ignore."""
+    if args.command == "rewire" and args.kind in ("topology", "isolated") and args.prune > 0:
+        return f"--prune applies to the dense and learned kinds, not --kind {args.kind}"
+    if args.command == "train" and args.adjacency and args.sigma != "auto":
+        return "--sigma cannot be combined with --adjacency, whose weights are used as loaded"
+    return None
+
+
+def _rewire(net, kind: str, sigma: str,
+            prune: float = 0.0) -> tuple[AdjacencyMatrix, float | None]:
+    """The adjacency of one kind plus the bandwidth it used, resolved once;
+    None for the isolated kind, which has no kernel."""
+    distances = topological_distances(net)
+    config = RewireConfig(sigma=sigma if sigma == "auto" else float(sigma), kind=kind,
+                          epsilon_prune=prune)
+    resolved = None
+    if kind != "isolated":
+        resolved = resolve_sigma(distances, config.sigma)
+        config = replace(config, sigma=resolved)
+    return build_adjacency(net, distances, config), resolved
 
 
 def _column_map(config: configparser.ConfigParser) -> dict[str, str]:
@@ -221,13 +242,7 @@ def cmd_rewire(args) -> int:
     started = time.perf_counter()
     out = _outdir(args)
     net = read_edge_csv(args.edges)
-    distances = topological_distances(net)
-    config = RewireConfig(sigma=_sigma(args.sigma), kind=args.kind, epsilon_prune=args.prune)
-    resolved = None
-    if args.kind != "isolated":
-        resolved = resolve_sigma(distances, config.sigma)
-        config = replace(config, sigma=resolved)
-    adj = build_adjacency(net, distances, config)
+    adj, resolved = _rewire(net, args.kind, args.sigma, args.prune)
 
     write_adjacency_csv(adj, out / "adjacency.csv", nodes=net.nodes)
     write_adjacency_meta(adj, out / "adjacency_meta.json", sigma=resolved, nodes=net.nodes)
@@ -298,10 +313,9 @@ def cmd_train(args) -> int:
         w, _ = read_adjacency_csv(adj_path, nodes=net.nodes)
         adj = AdjacencyMatrix(args.kind, w,
                               support=net.edge_mask() if args.kind == "topology" else None)
+        sigma_resolved = None
     else:
-        distances = topological_distances(net)
-        adj = build_adjacency(net, distances,
-                              RewireConfig(sigma=_sigma(args.sigma), kind=args.kind))
+        adj, sigma_resolved = _rewire(net, args.kind, args.sigma)
 
     (x_tr, y_tr), (x_te, y_te) = prepare_dataset(features, task, args.train_frac,
                                                  args.stride)
@@ -317,9 +331,16 @@ def cmd_train(args) -> int:
         fh.write("horizon,adjacency_kind,seed,nse\n")
         for step, score in enumerate(horizon_nse, start=1):
             fh.write(f"{step},{adj.kind},{args.seed},{repr(float(score))}\n")
+    with (out / "train_log.csv").open("w", newline="", encoding="utf-8") as fh:
+        fh.write("epoch,lr,mae,clipped_batches\n")
+        for epoch, (lr, mae, clipped) in enumerate(
+                zip(result.lrs.tolist(), result.losses.tolist(), result.clipped.tolist()),
+                start=1):
+            fh.write(f"{epoch},{lr!r},{mae!r},{clipped}\n")
     save_model(model, out / "checkpoint.json")
     _write_manifest(out, args, [p for p in (args.edges, args.gauges, args.adjacency) if p],
-                    {"kind": adj.kind, "history": args.history, "horizon": args.horizon,
+                    {"kind": adj.kind, "sigma_resolved": sigma_resolved,
+                     "history": args.history, "horizon": args.horizon,
                      "latent": args.latent, "layers": args.layers,
                      "epochs": args.epochs, "lr": args.lr,
                      "optimizer": args.optimizer, "stride": args.stride,

@@ -6,6 +6,16 @@ propagation layers H' = relu(A_hat @ H @ W), and a linear output head that
 emits one value per forecast step. Gradients are hand-derived backprop, which
 keeps training deterministic and lets sensitivities be computed analytically.
 
+Activations are node-major: a batch of S windows over N nodes is held as
+(N*S, latent) rows, row n*S + k for node n in window k. Every weight product
+is then one GEMM over all rows, propagation is one GEMM of the (N, N)
+operator with the same memory viewed as (N, S*latent), and the backward pass
+is the same handful of GEMMs transposed. ``train`` moves its windows to
+node-major order once per call and gathers each batch into a reused array;
+``loss_and_gradients`` writes activations into buffers the model keeps for
+the last two batch sizes (the full batch and the ragged last one), so a
+training step allocates only the small gradient arrays it returns.
+
 Propagation operator per adjacency kind:
   isolated -> identity (no message paths, the model degenerates to an MLP)
   dense / learned -> (W + I) / 2, the row-stochastic matrix averaged with a
@@ -92,6 +102,7 @@ class TrainConfig:
 class TrainResult:
     losses: np.ndarray   # epoch-mean MAE
     lrs: np.ndarray
+    clipped: np.ndarray  # batches per epoch whose gradient norm was clipped
 
 
 class ForecastModel:
@@ -137,6 +148,7 @@ class ForecastModel:
         self.params["w_out"] = _glorot(rng, latent, task.beta_horizon)
         self.params["b_out"] = rng.uniform(-0.05, 0.05, size=task.beta_horizon)
 
+        self._buffers: dict[int, _Buffers] = {}
         self._support = None
         if adjacency.kind == "learned":
             self._support = adjacency.w > 0
@@ -169,14 +181,47 @@ def _propagation_matrix(adjacency: AdjacencyMatrix) -> np.ndarray:
     return sym * np.outer(inv_sqrt, inv_sqrt)
 
 
+class _Buffers:
+    """Activations of one batch of ``s`` windows, plus its backward buffers.
+
+    Rows are node-major: row ``n * s + k`` holds node n in window k, so a
+    (N*S, L) state viewed as (N, S*L) is the operand of one propagation GEMM.
+    """
+
+    def __init__(self, model: ForecastModel, s: int, backward: bool):
+        rows, latent = model.n * s, model.latent
+        self.h = [np.empty((rows, latent)) for _ in range(model.n_layers + 1)]
+        self.m = [np.empty((rows, latent)) for _ in range(model.n_layers)]
+        self.y = np.empty((rows, model.task.beta_horizon))
+        if backward:
+            self.dy = np.empty_like(self.y)
+            self.dh = np.empty((rows, latent))
+            self.dm = np.empty((rows, latent))
+
+
+def _batch_buffers(model: ForecastModel, s: int) -> _Buffers:
+    """The model's reused buffers for s-window batches. ``train`` asks for two
+    sizes, the full batch and the ragged last one, so two are kept."""
+    cache = model._buffers
+    if s not in cache:
+        if len(cache) == 2:
+            del cache[next(iter(cache))]
+        cache[s] = _Buffers(model, s, backward=True)
+    return cache[s]
+
+
 def _flatten_history(model: ForecastModel, history: np.ndarray) -> np.ndarray:
-    """(S, alpha, N, C) -> (S, N, alpha*C [+ static]) node-feature matrix."""
+    """(S, alpha, N, C) -> node-major (N*S, alpha*C [+ static]) input rows.
+
+    No copy is made when ``history`` is a view of node-major memory, as the
+    batches ``train`` gathers are.
+    """
     task = model.task
     s = history.shape[0]
-    x = np.transpose(history, (0, 2, 1, 3)).reshape(s, model.n, task.alpha_hist * task.feature_dim)
+    x = np.transpose(history, (2, 0, 1, 3)).reshape(model.n * s,
+                                                    task.alpha_hist * task.feature_dim)
     if model.static_features is not None:
-        static = np.broadcast_to(model.static_features, (s, model.n, task.static_dim))
-        x = np.concatenate([x, static], axis=2)
+        x = np.concatenate([x, np.repeat(model.static_features, s, axis=0)], axis=1)
     return x
 
 
@@ -192,59 +237,80 @@ def _check_history(model: ForecastModel, history: np.ndarray) -> tuple[np.ndarra
     return history, single
 
 
-def _forward_cached(model: ForecastModel, x: np.ndarray) -> tuple[np.ndarray, dict]:
+def _check_batch(model: ForecastModel, history: np.ndarray,
+                 target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (S, alpha, N, C) history and (S, beta, N) target arrays."""
+    history, single = _check_history(model, history)
+    target = np.asarray(target, dtype=float)
+    if single:
+        target = target[None]
+    expected = (history.shape[0], model.task.beta_horizon, model.n)
+    if target.shape != expected:
+        raise ShapeMismatch(f"target shape {target.shape}, expected {expected}")
+    return history, target
+
+
+def _forward(model: ForecastModel, x: np.ndarray, buf: _Buffers) -> np.ndarray:
+    """Fill ``buf`` from node-major input rows x; returns the operator used."""
     a_hat = model.propagation()
-    cache: dict[str, np.ndarray] = {"x": x, "a": a_hat}
-    z = x @ model.params["w_in"] + model.params["b_in"]
-    h = np.maximum(z, 0.0)
-    cache["z0"], cache["h0"] = z, h
+    params = model.params
+    n = model.n
+    h = buf.h[0]
+    np.matmul(x, params["w_in"], out=h)
+    h += params["b_in"]
+    np.maximum(h, 0.0, out=h)
     for layer in range(1, model.n_layers + 1):
-        m = np.matmul(a_hat, h)
-        z = m @ model.params[f"w_l{layer}"] + model.params[f"b_l{layer}"]
-        h = np.maximum(z, 0.0)
-        cache[f"m{layer}"], cache[f"z{layer}"], cache[f"h{layer}"] = m, z, h
-    y = h @ model.params["w_out"] + model.params["b_out"]  # (S, N, beta)
-    return y, cache
+        m, h = buf.m[layer - 1], buf.h[layer]
+        np.matmul(a_hat, buf.h[layer - 1].reshape(n, -1), out=m.reshape(n, -1))
+        np.matmul(m, params[f"w_l{layer}"], out=h)
+        h += params[f"b_l{layer}"]
+        np.maximum(h, 0.0, out=h)
+    np.matmul(h, params["w_out"], out=buf.y)
+    buf.y += params["b_out"]
+    return a_hat
 
 
-def _backward(model: ForecastModel, cache: dict, dy: np.ndarray,
+def _backward(model: ForecastModel, x: np.ndarray, buf: _Buffers, a_hat: np.ndarray,
               with_params: bool = True) -> tuple[dict | None, np.ndarray]:
-    """Backprop from dLoss/dY (S, N, beta) to parameter grads and dLoss/dX."""
+    """Backprop from dLoss/dY in ``buf.dy`` to parameter grads and dLoss/dZ0.
+
+    The returned dLoss/dZ0 is ``buf.dh``; the gradients are fresh arrays.
+    """
     grads: dict[str, np.ndarray] | None = {} if with_params else None
-    a_hat = cache["a"]
-    h_last = cache[f"h{model.n_layers}"]
+    params = model.params
+    n = model.n
+    dh, dm = buf.dh, buf.dm
     if with_params:
-        grads["w_out"] = np.einsum("snl,snb->lb", h_last, dy)
-        grads["b_out"] = dy.sum(axis=(0, 1))
-    dh = dy @ model.params["w_out"].T
-    d_adj = np.zeros_like(a_hat) if (with_params and model._support is not None) else None
+        grads["w_out"] = buf.h[model.n_layers].T @ buf.dy
+        grads["b_out"] = buf.dy.sum(axis=0)
+    np.matmul(buf.dy, params["w_out"].T, out=dh)
+    d_adj = np.zeros((n, n)) if (with_params and model._support is not None) else None
     for layer in range(model.n_layers, 0, -1):
-        dz = dh * (cache[f"z{layer}"] > 0)
+        dh *= buf.h[layer] > 0  # now dLoss/dZ; relu(z) > 0 exactly where z > 0
         if with_params:
-            grads[f"w_l{layer}"] = np.einsum("snl,snk->lk", cache[f"m{layer}"], dz)
-            grads[f"b_l{layer}"] = dz.sum(axis=(0, 1))
-        dm = dz @ model.params[f"w_l{layer}"].T
+            grads[f"w_l{layer}"] = buf.m[layer - 1].T @ dh
+            grads[f"b_l{layer}"] = dh.sum(axis=0)
+        np.matmul(dh, params[f"w_l{layer}"].T, out=dm)
         if d_adj is not None:
-            prev = cache[f"h{layer - 1}"] if layer > 1 else cache["h0"]
-            d_adj += np.einsum("snk,smk->nm", dm, prev)
-        dh = np.matmul(a_hat.T, dm)
-    dz0 = dh * (cache["z0"] > 0)
+            d_adj += dm.reshape(n, -1) @ buf.h[layer - 1].reshape(n, -1).T
+        np.matmul(a_hat.T, dm.reshape(n, -1), out=dh.reshape(n, -1))
+    dh *= buf.h[0] > 0
     if with_params:
-        grads["w_in"] = np.einsum("snf,snl->fl", cache["x"], dz0)
-        grads["b_in"] = dz0.sum(axis=(0, 1))
+        grads["w_in"] = x.T @ dh
+        grads["b_in"] = dh.sum(axis=0)
         if d_adj is not None:
             # operator is (P + I)/2, so dL/dP carries the 1/2 factor
             grads["adj"] = 0.5 * d_adj * model._support
-    dx = dz0 @ model.params["w_in"].T
-    return grads, dx
+    return grads, dh
 
 
 def forward(model: ForecastModel, history: np.ndarray) -> np.ndarray:
     """Predict discharge; (alpha, N, C) -> (beta, N), batches add a lead axis."""
     history, single = _check_history(model, history)
-    x = _flatten_history(model, history)
-    y, _ = _forward_cached(model, x)
-    out = np.transpose(y, (0, 2, 1))  # (S, beta, N)
+    s = history.shape[0]
+    buf = _Buffers(model, s, backward=False)
+    _forward(model, _flatten_history(model, history), buf)
+    out = buf.y.reshape(model.n, s, -1).transpose(1, 2, 0)  # (S, beta, N)
     return out[0] if single else out
 
 
@@ -261,51 +327,61 @@ def sensitivity(model: ForecastModel, u: int, v: int,
 
 def input_jacobian(model: ForecastModel, u: int, v: int,
                    history: np.ndarray | None = None) -> np.ndarray:
-    """Full (beta, alpha*C) Jacobian block of node u's forecast w.r.t. node v."""
+    """Full (beta, alpha*C) Jacobian block of node u's forecast w.r.t. node v.
+
+    One backward pass: the window is tiled beta times on the batch axis and
+    copy k seeds d(forecast step k at node u), so copy k's input gradient at
+    node v is Jacobian row k.
+    """
     task = model.task
+    beta = task.beta_horizon
     if history is None:
         history = np.ones((task.alpha_hist, model.n, task.feature_dim))
     history, single = _check_history(model, history)
     if not single:
         raise ShapeMismatch("input_jacobian expects a single window, not a batch")
-    x = _flatten_history(model, history)
-    _, cache = _forward_cached(model, x)
+    x = _flatten_history(model, np.broadcast_to(history, (beta,) + history.shape[1:]))
+    buf = _Buffers(model, beta, backward=True)
+    a_hat = _forward(model, x, buf)
+    buf.dy.fill(0.0)
+    steps = np.arange(beta)
+    buf.dy.reshape(model.n, beta, beta)[u, steps, steps] = 1.0
+    _, dz0 = _backward(model, x, buf, a_hat, with_params=False)
     width = task.alpha_hist * task.feature_dim
-    jac = np.empty((task.beta_horizon, width))
-    for step in range(task.beta_horizon):
-        dy = np.zeros((1, model.n, task.beta_horizon))
-        dy[0, u, step] = 1.0
-        _, dx = _backward(model, cache, dy, with_params=False)
-        jac[step] = dx[0, v, :width]
-    return jac
+    return dz0.reshape(model.n, beta, -1)[v] @ model.params["w_in"][:width].T
 
 
 def loss_and_gradients(model: ForecastModel, history: np.ndarray,
                        target: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
-    """MAE loss over one batch plus analytic gradients for every parameter."""
-    history, single = _check_history(model, history)
-    target = np.asarray(target, dtype=float)
-    if single:
-        target = target[None]
-    expected = (history.shape[0], model.task.beta_horizon, model.n)
-    if target.shape != expected:
-        raise ShapeMismatch(f"target shape {target.shape}, expected {expected}")
+    """MAE loss over one batch plus analytic gradients for every parameter.
+
+    Activations go to buffers the model keeps per batch size, so one model
+    must not run this from two threads at once; the returned gradients are
+    fresh arrays.
+    """
+    history, target = _check_batch(model, history, target)
+    s = history.shape[0]
     x = _flatten_history(model, history)
-    y, cache = _forward_cached(model, x)
-    t = np.transpose(target, (0, 2, 1))  # (S, N, beta)
-    diff = y - t
-    loss = float(np.mean(np.abs(diff)))
-    dy = np.sign(diff) / diff.size
-    grads, _ = _backward(model, cache, dy, with_params=True)
+    buf = _batch_buffers(model, s)
+    a_hat = _forward(model, x, buf)
+    diff = np.subtract(buf.y, np.transpose(target, (2, 0, 1)).reshape(buf.y.shape),
+                       out=buf.dy)
+    loss = float(np.mean(np.abs(diff, out=buf.y)))  # y is spent once diff exists
+    np.sign(diff, out=buf.dy)
+    buf.dy /= diff.size
+    grads, _ = _backward(model, x, buf, a_hat, with_params=True)
     return loss, grads
 
 
-def _clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> None:
+def _clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> bool:
+    """Scale ``grads`` in place to ``max_norm``; True when they were clipped."""
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total
         for g in grads.values():
             g *= scale
+        return True
+    return False
 
 
 def train(model: ForecastModel, data, config: TrainConfig) -> TrainResult:
@@ -324,7 +400,8 @@ def train(model: ForecastModel, data, config: TrainConfig) -> TrainResult:
     Returns
     -------
     TrainResult
-        Epoch-mean MAE curve and the learning rate actually used per epoch.
+        Epoch-mean MAE curve, the learning rate actually used per epoch and
+        the number of batches per epoch whose gradients were clipped.
 
     Raises
     ------
@@ -332,17 +409,21 @@ def train(model: ForecastModel, data, config: TrainConfig) -> TrainResult:
         A batch produced a NaN or infinite loss; message carries epoch,
         batch index and the learning rate in effect.
     """
-    history, target = data
-    history = np.asarray(history, dtype=float)
-    target = np.asarray(target, dtype=float)
+    history, target = _check_batch(model, *data)
     n_samples = history.shape[0]
     if n_samples == 0:
         raise ValueError("empty training set")
+    # node-major once: a batch gathered along axis 1 is then, seen through a
+    # transposed view, a history loss_and_gradients flattens without a copy
+    x_nodes = np.ascontiguousarray(np.transpose(history, (2, 0, 1, 3)))
+    t_nodes = np.ascontiguousarray(np.transpose(target, (2, 0, 1)))
+    gathered: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     rng = np.random.default_rng(config.seed)
     decayed = [name for name in model.params if name.startswith("w_") or name == "adj"]
     losses = np.empty(config.epochs)
     lrs = np.empty(config.epochs)
+    clipped = np.zeros(config.epochs, dtype=int)
 
     adam = config.optimizer == "adam"
     if adam:
@@ -357,12 +438,20 @@ def train(model: ForecastModel, data, config: TrainConfig) -> TrainResult:
         epoch_abs_sum = 0.0
         for start in range(0, n_samples, config.batch_size):
             batch = order[start:start + config.batch_size]
-            loss, grads = loss_and_gradients(model, history[batch], target[batch])
+            if batch.size not in gathered:
+                gathered[batch.size] = (np.empty_like(x_nodes[:, :batch.size]),
+                                        np.empty_like(t_nodes[:, :batch.size]))
+            x_batch, t_batch = gathered[batch.size]
+            # mode="clip" takes the unbuffered path; a permutation is in range
+            np.take(x_nodes, batch, axis=1, out=x_batch, mode="clip")
+            np.take(t_nodes, batch, axis=1, out=t_batch, mode="clip")
+            loss, grads = loss_and_gradients(model, np.transpose(x_batch, (1, 2, 0, 3)),
+                                             np.transpose(t_batch, (1, 2, 0)))
             if not np.isfinite(loss):
                 raise NonfiniteLoss(f"non-finite loss at epoch {epoch}, "
                                     f"batch {start // config.batch_size}, lr {lr}")
             epoch_abs_sum += loss * batch.size
-            _clip_global_norm(grads, config.clip_norm)
+            clipped[epoch - 1] += _clip_global_norm(grads, config.clip_norm)
             if adam:
                 steps += 1
                 for name, grad in grads.items():
@@ -379,7 +468,7 @@ def train(model: ForecastModel, data, config: TrainConfig) -> TrainResult:
                     model.params[name] -= lr * config.weight_decay * model.params[name]
         losses[epoch - 1] = epoch_abs_sum / n_samples
         lrs[epoch - 1] = lr
-    return TrainResult(losses=losses, lrs=lrs)
+    return TrainResult(losses=losses, lrs=lrs, clipped=clipped)
 
 
 def nse(predicted, observed) -> float:

@@ -241,6 +241,17 @@ def test_rewire_degenerate_sigma_exits_3(tmp_path, capsys):
     assert code == 3  # a single pair has zero distance spread
 
 
+@pytest.mark.parametrize("kind, code", [("topology", 64), ("isolated", 64),
+                                        ("dense", 0), ("learned", 0)])
+def test_rewire_prune_is_refused_where_no_kernel_is_pruned(basin8_dir, tmp_path, capsys,
+                                                           kind, code):
+    out = tmp_path / "rw"
+    assert run_cli("rewire", "--edges", basin8_dir / "edges.csv", "--kind", kind,
+                   "--prune", "0.01", "--out", out) == code
+    assert ("--prune" in capsys.readouterr().err) == (code == 64)
+    assert out.exists() == (code == 0)
+
+
 def test_rewire_missing_edges_file_exits_2(tmp_path):
     assert run_cli("rewire", "--edges", tmp_path / "nope.csv",
                    "--out", tmp_path / "rw") == 2
@@ -309,6 +320,11 @@ def test_train_smoke_run(basin8_dir, tmp_path):
     elapsed = time.perf_counter() - started
     assert code == 0
     assert elapsed < 60
+    with open(out / "train_log.csv", newline="") as fh:
+        log = list(csv.DictReader(fh))
+    assert [r["epoch"] for r in log] == [str(e) for e in range(1, 6)]
+    assert set(log[0]) == {"epoch", "lr", "mae", "clipped_batches"}
+    assert all(0 <= int(r["clipped_batches"]) and float(r["lr"]) > 0 for r in log)
     rows = read_metrics(out / "metrics.csv")
     assert [r["horizon"] for r in rows] == [str(h) for h in range(1, 7)]
     assert all(r["adjacency_kind"] == "dense" and r["seed"] == "7" for r in rows)
@@ -321,6 +337,10 @@ def test_train_smoke_run(basin8_dir, tmp_path):
     assert manifest["input_paths"] == [str(basin8_dir / "edges.csv"),
                                        str(basin8_dir / "gauges")]
     assert manifest["parameters"]["distance_path"] == "tree"
+    assert float(log[-1]["mae"]) == manifest["parameters"]["final_train_mae"]
+    net = rd.read_edge_csv(basin8_dir / "edges.csv")
+    assert manifest["parameters"]["sigma_resolved"] == rd.resolve_sigma(
+        rd.topological_distances(net), "auto")
 
 
 @pytest.mark.parametrize("flag, value", [("--train-frac", "0"), ("--train-frac", "1.5"),
@@ -384,6 +404,21 @@ def test_train_accepts_prebuilt_adjacency(basin8_dir, tmp_path):
     assert (out / "metrics.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["parameters"]["distance_path"] is None
+    assert manifest["parameters"]["sigma_resolved"] is None
+
+
+def test_train_refuses_sigma_with_a_loaded_adjacency(basin8_dir, tmp_path, capsys):
+    rw_dir = tmp_path / "rw"
+    assert run_cli("rewire", "--edges", basin8_dir / "edges.csv",
+                   "--kind", "dense", "--out", rw_dir) == 0
+    out = tmp_path / "tr"
+    assert run_cli("train", "--edges", basin8_dir / "edges.csv",
+                   "--gauges", basin8_dir / "gauges",
+                   "--adjacency", rw_dir / "adjacency.csv", "--sigma", "0.001",
+                   "--history", "12", "--horizon", "4", "--epochs", "1",
+                   "--out", out) == 64
+    assert "--sigma" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("built, code", [("topology", 0), ("dense", 2)])

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import riverdense as rd
 from riverdense.errors import ConstantObserved, NonfiniteLoss, ShapeMismatch
 
-from util import hop_distances, random_weighted_tree
+from util import (hop_distances, random_weighted_tree, reference_input_jacobian,
+                  reference_loss_and_gradients)
 
 
 def isolated_adj(n):
@@ -32,6 +33,15 @@ def path_net(n):
 def small_model(adj, alpha=4, beta=3, c=2, latent=6, layers=3, seed=0):
     task = rd.ForecastTask(alpha_hist=alpha, beta_horizon=beta, feature_dim=c)
     return rd.ForecastModel(task, adj, latent=latent, n_layers=layers, seed=seed)
+
+
+KINDS = ("isolated", "topology", "dense", "learned")
+
+
+def adj_of_kind(net, kind):
+    if kind == "isolated":
+        return isolated_adj(net.n)
+    return rd.build_adjacency(net, rd.topological_distances(net), rd.RewireConfig(kind=kind))
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +140,88 @@ def test_sensitivity_matches_finite_differences():
     assert np.linalg.norm(analytic - fd) / denom < 1e-4
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_input_jacobian_one_pass_matches_per_step_loop(kind):
+    rng = np.random.default_rng(41)
+    net = random_weighted_tree(7, rng)
+    model = small_model(adj_of_kind(net, kind), alpha=5, beta=4, c=2, latent=6, seed=43)
+    history = rng.normal(size=(5, 7, 2))
+    for u, v in ((0, 0), (2, 5), (6, 1)):
+        jac = rd.input_jacobian(model, u, v, history)
+        assert jac.shape == (4, 10)
+        assert np.max(np.abs(jac - reference_input_jacobian(model, u, v, history))) < 1e-12
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_loss_and_gradients_match_einsum_reference(kind):
+    rng = np.random.default_rng(47)
+    net = random_weighted_tree(6, rng)
+    model = small_model(adj_of_kind(net, kind), seed=53)
+    x = rng.normal(size=(13, 4, 6, 2))
+    y = rng.normal(size=(13, 3, 6))
+    # batches of 5, 5 and a ragged 3, twice: both buffer shapes are reused
+    for start in (0, 5, 10, 0, 5, 10):
+        batch = slice(start, start + 5)
+        loss, grads = rd.loss_and_gradients(model, x[batch], y[batch])
+        ref_loss, ref_grads = reference_loss_and_gradients(model, x[batch], y[batch])
+        assert abs(loss - ref_loss) < 1e-12
+        assert grads.keys() == ref_grads.keys()
+        for name, grad in grads.items():
+            assert grad.shape == model.params[name].shape
+            assert np.max(np.abs(grad - ref_grads[name])) < 1e-12, name
+
+
+def test_static_features_gradients_match_einsum_reference():
+    rng = np.random.default_rng(59)
+    net = path_net(4)
+    task = rd.ForecastTask(alpha_hist=3, beta_horizon=2, feature_dim=1, static_dim=2)
+    model = rd.ForecastModel(task, dense_adj_for(net), latent=5, seed=61,
+                             static_features=rng.normal(size=(4, 2)))
+    x = rng.normal(size=(6, 3, 4, 1))
+    y = rng.normal(size=(6, 2, 4))
+    _, grads = rd.loss_and_gradients(model, x, y)
+    _, ref_grads = reference_loss_and_gradients(model, x, y)
+    assert max(np.max(np.abs(grads[k] - ref_grads[k])) for k in grads) < 1e-12
+
+
+def test_returned_gradients_do_not_alias_reused_buffers():
+    rng = np.random.default_rng(67)
+    net = random_weighted_tree(5, rng)
+    model = small_model(adj_of_kind(net, "learned"), seed=71)
+    x = rng.normal(size=(2, 8, 4, 5, 2))
+    y = rng.normal(size=(2, 8, 3, 5))
+    _, first = rd.loss_and_gradients(model, x[0], y[0])
+    kept = {name: grad.copy() for name, grad in first.items()}
+    _, second = rd.loss_and_gradients(model, x[1], y[1])
+    for name in kept:
+        assert np.array_equal(first[name], kept[name]), name
+        assert not np.shares_memory(first[name], second[name]), name
+
+
+def test_train_hands_each_shuffled_batch_to_loss_and_gradients(monkeypatch):
+    rng = np.random.default_rng(73)
+    net = random_weighted_tree(5, rng)
+    model = small_model(dense_adj_for(net), seed=79)
+    x = rng.normal(size=(11, 4, 5, 2))
+    y = rng.normal(size=(11, 3, 5))
+    seen = []
+    real = rd.forecast.loss_and_gradients
+
+    def recording(model, history, target):
+        seen.append((np.array(history), np.array(target)))
+        return real(model, history, target)
+
+    monkeypatch.setattr(rd.forecast, "loss_and_gradients", recording)
+    rd.train(model, (x, y), rd.TrainConfig(epochs=2, batch_size=4, seed=83))
+    order = np.random.default_rng(83)
+    expected = [perm[i:i + 4] for perm in (order.permutation(11), order.permutation(11))
+                for i in range(0, 11, 4)]
+    assert [len(h) for h, _ in seen] == [4, 4, 3, 4, 4, 3]
+    for (history, target), batch in zip(seen, expected):
+        assert np.array_equal(history, x[batch])
+        assert np.array_equal(target, y[batch])
+
+
 def test_parameter_gradients_match_finite_differences():
     rng = np.random.default_rng(19)
     net = random_weighted_tree(5, rng)
@@ -165,6 +257,7 @@ def test_zero_targets_zero_init_keeps_zero_loss():
     y = np.zeros((8, 3, 3))
     result = rd.train(model, (x, y), rd.TrainConfig(epochs=1, seed=0))
     assert result.losses[0] == 0.0
+    assert result.clipped.tolist() == [0]
     assert all(not np.any(p) for p in model.params.values())
 
 
@@ -218,7 +311,8 @@ def test_gradient_clipping_bounds_update_norm():
     y = rng.normal(size=(4, 3, 3)) * 1e4
     before = {k: v.copy() for k, v in model.params.items()}
     config = rd.TrainConfig(epochs=1, weight_decay=0.0, clip_norm=5.0, batch_size=4)
-    rd.train(model, (x, y), config)
+    result = rd.train(model, (x, y), config)
+    assert result.clipped.tolist() == [1]
     total = np.sqrt(sum(np.sum((model.params[k] - before[k]) ** 2) for k in before))
     assert total <= config.lr * 5.0 + 1e-9
 

@@ -133,3 +133,85 @@ def hop_distances(support: np.ndarray) -> np.ndarray:
                         nxt.append(int(receiver))
             frontier = nxt
     return dist
+
+
+# ---------------------------------------------------------------------------
+# forecaster reference: the sample-major einsum forward/backward
+
+def _reference_forward(model: rd.ForecastModel, history: np.ndarray):
+    """Forward pass over (S, N, .) activations with batched propagation."""
+    task = model.task
+    s = history.shape[0]
+    x = np.transpose(history, (0, 2, 1, 3)).reshape(s, model.n,
+                                                    task.alpha_hist * task.feature_dim)
+    if model.static_features is not None:
+        static = np.broadcast_to(model.static_features, (s, model.n, task.static_dim))
+        x = np.concatenate([x, static], axis=2)
+    a_hat = model.propagation()
+    cache = {"x": x, "a": a_hat}
+    z = x @ model.params["w_in"] + model.params["b_in"]
+    h = np.maximum(z, 0.0)
+    cache["z0"], cache["h0"] = z, h
+    for layer in range(1, model.n_layers + 1):
+        m = np.matmul(a_hat, h)
+        z = m @ model.params[f"w_l{layer}"] + model.params[f"b_l{layer}"]
+        h = np.maximum(z, 0.0)
+        cache[f"m{layer}"], cache[f"z{layer}"], cache[f"h{layer}"] = m, z, h
+    y = h @ model.params["w_out"] + model.params["b_out"]  # (S, N, beta)
+    return y, cache
+
+
+def _reference_backward(model: rd.ForecastModel, cache: dict, dy: np.ndarray,
+                        with_params: bool = True):
+    """Backprop from dLoss/dY (S, N, beta) to parameter grads and dLoss/dX."""
+    grads = {} if with_params else None
+    a_hat = cache["a"]
+    h_last = cache[f"h{model.n_layers}"]
+    if with_params:
+        grads["w_out"] = np.einsum("snl,snb->lb", h_last, dy)
+        grads["b_out"] = dy.sum(axis=(0, 1))
+    dh = dy @ model.params["w_out"].T
+    support = model.adjacency.w > 0 if model.adjacency.kind == "learned" else None
+    d_adj = np.zeros_like(a_hat) if (with_params and support is not None) else None
+    for layer in range(model.n_layers, 0, -1):
+        dz = dh * (cache[f"z{layer}"] > 0)
+        if with_params:
+            grads[f"w_l{layer}"] = np.einsum("snl,snk->lk", cache[f"m{layer}"], dz)
+            grads[f"b_l{layer}"] = dz.sum(axis=(0, 1))
+        dm = dz @ model.params[f"w_l{layer}"].T
+        if d_adj is not None:
+            d_adj += np.einsum("snk,smk->nm", dm, cache[f"h{layer - 1}"])
+        dh = np.matmul(a_hat.T, dm)
+    dz0 = dh * (cache["z0"] > 0)
+    if with_params:
+        grads["w_in"] = np.einsum("snf,snl->fl", cache["x"], dz0)
+        grads["b_in"] = dz0.sum(axis=(0, 1))
+        if d_adj is not None:
+            grads["adj"] = 0.5 * d_adj * support
+    dx = dz0 @ model.params["w_in"].T
+    return grads, dx
+
+
+def reference_loss_and_gradients(model: rd.ForecastModel, history: np.ndarray,
+                                 target: np.ndarray):
+    """MAE loss and gradients of a (S, alpha, N, C) batch, computed sample-major."""
+    y, cache = _reference_forward(model, history)
+    diff = y - np.transpose(target, (0, 2, 1))
+    dy = np.sign(diff) / diff.size
+    grads, _ = _reference_backward(model, cache, dy)
+    return float(np.mean(np.abs(diff))), grads
+
+
+def reference_input_jacobian(model: rd.ForecastModel, u: int, v: int,
+                             history: np.ndarray) -> np.ndarray:
+    """(beta, alpha*C) Jacobian by one backward pass per forecast step."""
+    task = model.task
+    _, cache = _reference_forward(model, history[None])
+    width = task.alpha_hist * task.feature_dim
+    jac = np.empty((task.beta_horizon, width))
+    for step in range(task.beta_horizon):
+        dy = np.zeros((1, model.n, task.beta_horizon))
+        dy[0, u, step] = 1.0
+        _, dx = _reference_backward(model, cache, dy, with_params=False)
+        jac[step] = dx[0, v, :width]
+    return jac
