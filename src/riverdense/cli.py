@@ -151,18 +151,21 @@ def _write_manifest(out: Path, args, inputs: list, parameters: dict, started: fl
                                        encoding="utf-8")
 
 
-def _read_gauge_dir(gauge_dir, column_map) -> dict[int, object]:
+def _read_gauge_dir(gauge_dir, column_map) -> tuple[dict[int, GaugeSeries], dict]:
+    """Every station's series, plus the manifest's ingest counts: rows read
+    and files that took the row-by-row reader."""
     gauge_dir = Path(gauge_dir)
     if not gauge_dir.is_dir():
         raise NotADirectoryError(f"gauge directory {gauge_dir} does not exist")
     files = sorted(gauge_dir.glob("*.csv"))
     if not files:
         raise FileNotFoundError(f"no stations found in {gauge_dir}")
-    series = {}
+    series, rows, fallbacks = {}, 0, []
     for path in files:
-        gauge = read_gauge_csv(path, column_map)
+        gauge = read_gauge_csv(path, column_map, fallbacks=fallbacks)
         series[gauge.station] = gauge
-    return series
+        rows += len(gauge)
+    return series, {"rows_ingested": rows, "row_loop_files": len(fallbacks)}
 
 
 def _ignored_flag(args) -> str | None:
@@ -206,7 +209,7 @@ def cmd_qc(args) -> int:
     config = _load_config(args.config)
     cmap = _column_map(config)
     net = read_edge_csv(args.edges)
-    series = _read_gauge_dir(args.gauges, cmap)
+    series, ingest = _read_gauge_dir(args.gauges, cmap)
 
     period_start = args.period_start or config.get("period", "start", fallback=None)
     period_end = args.period_end or config.get("period", "end", fallback=None)
@@ -233,7 +236,7 @@ def cmd_qc(args) -> int:
     _write_manifest(out, args, [args.edges, args.gauges],
                     {"period_start": str(period_start), "period_end": str(period_end),
                      "column_map": cmap,
-                     "stations_in": len(reports), "stations_kept": len(keep)},
+                     "stations_in": len(reports), "stations_kept": len(keep), **ingest},
                     started)
     return 0
 
@@ -286,7 +289,7 @@ def cmd_train(args) -> int:
     config = _load_config(args.config)
     cmap = _column_map(config)
     net = read_edge_csv(args.edges)
-    series = _read_gauge_dir(args.gauges, cmap)
+    series, ingest = _read_gauge_dir(args.gauges, cmap)
 
     missing = [node for node in net.nodes if node not in series]
     if missing:
@@ -349,6 +352,6 @@ def cmd_train(args) -> int:
                      "test_windows": int(x_te.shape[0]),
                      "final_train_mae": float(result.losses[-1]),
                      "distance_path": None if args.adjacency else distance_path(net),
-                     "channels": channel_names},
+                     "channels": channel_names, **ingest},
                     started)
     return 0

@@ -29,7 +29,6 @@ Propagation operator per adjacency kind:
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -740,21 +739,23 @@ def load_model(path) -> ForecastModel:
 
 def basin_to_gauge_csvs(basin: SyntheticBasin, directory,
                         start: str = "2000-01-01T00:00:00Z") -> list[Path]:
-    """Write one `timestamp,qobs,rain` CSV per station, hourly from ``start``."""
+    """Write one `timestamp,qobs,rain` CSV per station, hourly from ``start``.
+
+    Lines are written as :mod:`csv` writes them: ``repr`` values and ``\\r\\n``
+    endings.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     t0 = np.datetime64(start.replace("Z", ""), "s")
-    stamps = t0 + np.arange(basin.hours) * np.timedelta64(1, "h")
+    hours = t0 + np.arange(basin.hours) * np.timedelta64(1, "h")
+    stamps = [f"{stamp}Z" for stamp in np.datetime_as_string(hours).tolist()]
     written = []
     for station in basin.network.nodes:
         k = basin.network.index(station)
         path = directory / f"{station}.csv"
         with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["timestamp", "qobs", "rain"])
-            for t in range(basin.hours):
-                writer.writerow([f"{stamps[t]}Z",
-                                 repr(float(basin.discharge[t, k])),
-                                 repr(float(basin.rainfall[t, k]))])
+            fh.write("timestamp,qobs,rain\r\n")
+            fh.write("".join([f"{stamp},{q!r},{r!r}\r\n" for stamp, q, r in zip(
+                stamps, basin.discharge[:, k].tolist(), basin.rainfall[:, k].tolist())]))
         written.append(path)
     return written

@@ -9,7 +9,10 @@ keeps its connectivity and total channel distances.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import re
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -101,18 +104,26 @@ def _as_datetime64(value) -> np.datetime64:
     if isinstance(value, np.datetime64):
         return value.astype("datetime64[s]")
     if isinstance(value, datetime):
-        return np.datetime64(value.replace(tzinfo=None), "s")
-    return np.datetime64(parse_timestamp(str(value)), "s")
+        return _whole_utc_second(value, value.isoformat())
+    return parse_timestamp(str(value))
 
 
 def parse_timestamp(text: str) -> np.datetime64:
-    """Parse an ISO-8601 UTC instant ('Z' or '+00:00' suffix or naive)."""
+    """Parse an ISO-8601 UTC instant ('Z' or '+00:00' suffix or naive) to the second.
+
+    Another offset, or a nonzero fraction of a second, raises ``ValueError``.
+    """
     cleaned = text.strip().replace("Z", "+00:00")
-    dt = datetime.fromisoformat(cleaned)
+    return _whole_utc_second(datetime.fromisoformat(cleaned), text)
+
+
+def _whole_utc_second(dt: datetime, text: str) -> np.datetime64:
     if dt.tzinfo is not None:
-        if dt.utcoffset().total_seconds() != 0:
+        if dt.utcoffset():
             raise ValueError(f"timestamp {text!r} is not UTC")
         dt = dt.replace(tzinfo=None)
+    if dt.microsecond:
+        raise ValueError(f"timestamp {text!r} has a fraction of a second")
     return np.datetime64(dt, "s")
 
 
@@ -163,11 +174,19 @@ def extract_subgraph(net: RiverNetwork, keep: Iterable[int]) -> RiverNetwork:
 # ---------------------------------------------------------------------------
 # gauge CSV ingestion
 
-def read_gauge_csv(path, column_map: dict[str, str] | None = None) -> GaugeSeries:
+def read_gauge_csv(path, column_map: dict[str, str] | None = None, *,
+                   fallbacks: list | None = None) -> GaugeSeries:
     """Read one station's hourly series; the station id is the file stem.
 
     The default header is `timestamp,qobs`; ``column_map`` renames the two
     required columns. Any other columns become named feature channels.
+
+    The body is parsed in one pass by numpy's C reader. A file that parse
+    cannot take exactly (quotes, a NUL, a ragged or blank-only body, a stamp
+    other than ``YYYY-MM-DDTHH:MM:SS`` with an optional ``Z`` or ``+00:00``)
+    is read again row by row, which returns the same arrays or raises
+    :class:`CsvFormatError` at its file:line. The path of such a file is
+    appended to ``fallbacks`` when one is given.
     """
     path = Path(path)
     cmap = dict(DEFAULT_COLUMN_MAP)
@@ -178,6 +197,78 @@ def read_gauge_csv(path, column_map: dict[str, str] | None = None) -> GaugeSerie
     except ValueError:
         raise CsvFormatError(path, 0, f"file stem {path.stem!r} is not an integer gauge id") from None
 
+    series = _read_gauge_columns(path, station, cmap)
+    if series is None:
+        if fallbacks is not None:
+            fallbacks.append(path)
+        series = _read_gauge_rows(path, station, cmap)
+    return series
+
+
+_STAMP = np.dtype("S32")  # wide enough that a truncated field never looks canonical
+_FIRST_SECOND = np.datetime64("0001-01-01T00:00:00", "s")  # datetime.MINYEAR
+_TEXT = re.compile(rb"[^\r\n]")
+_ROUND_TRIP_ROWS = 1024  # datetime_as_string makes 152-byte U38 strings; bounds the peak
+
+
+def _read_gauge_columns(path: Path, station: int, cmap: dict[str, str]) -> GaugeSeries | None:
+    """The series of a file numpy can parse exactly, else None."""
+    data = path.read_bytes()
+    if b'"' in data or b"\0" in data:
+        return None  # quoting and NULs follow the csv module's rules, not numpy's
+    try:
+        with path.open(newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy reading an offset
+            header = fh.readline()
+            fields = next(csv.reader([header]), [])
+            ts_name, q_name = cmap["timestamp"], cmap["discharge"]
+            if (ts_name == q_name or ts_name not in fields or q_name not in fields
+                    or len(set(fields)) != len(fields)):
+                return None
+            if _TEXT.search(data, len(header.encode("utf-8"))) is None:
+                return GaugeSeries(station, [], [])  # no line after the header has text
+            del data  # freed before numpy reads the body
+            ts = fields.index(ts_name)
+            dtype = np.dtype([(f"c{k}", _STAMP if k == ts else "f8")
+                              for k in range(len(fields))])
+            body = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            stamps = _canonical_utc_stamps(body, f"c{ts}")
+    except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+        return None
+    if stamps is None:
+        return None
+    # contiguous copies, so the record array (and its stamp text) is freed
+    columns = {name: np.ascontiguousarray(body[f"c{k}"])
+               for k, name in enumerate(fields) if k != ts}
+    discharge = columns.pop(q_name)
+    return GaugeSeries(station, stamps, discharge, columns)
+
+
+def _canonical_utc_stamps(body: np.ndarray, field: str) -> np.ndarray | None:
+    """The ``field`` column of the record array ``body`` as datetime64[s] when
+    every stamp reads ``YYYY-MM-DDTHH:MM:SS``, optionally followed by ``Z`` or
+    ``+00:00``; None when any is written another way, so that parse_timestamp
+    decides it. Raises ValueError where numpy cannot read one."""
+    offset = body.dtype.fields[field][1]
+    raw = body.view(np.uint8).reshape(body.size, body.dtype.itemsize)  # no copies
+    head = raw[:, offset:offset + 19].view("S19")[:, 0]
+    tail = raw[:, offset + 19:offset + _STAMP.itemsize].view(f"S{_STAMP.itemsize - 19}")[:, 0]
+    if not np.all((tail == b"") | (tail == b"Z") | (tail == b"+00:00")):
+        return None
+    stamps = head.astype("datetime64[s]")
+    # numpy also reads year 0, negative years and "NaT", which datetime rejects
+    if not np.all(stamps >= _FIRST_SECOND):
+        return None
+    for lo in range(0, stamps.size, _ROUND_TRIP_ROWS):
+        text = np.datetime_as_string(stamps[lo:lo + _ROUND_TRIP_ROWS], unit="s")
+        # one byte wider than the head, so a five-digit year never matches it
+        if not np.array_equal(text.astype("S20"), head[lo:lo + _ROUND_TRIP_ROWS]):
+            return None
+    return stamps
+
+
+def _read_gauge_rows(path: Path, station: int, cmap: dict[str, str]) -> GaugeSeries:
+    """Row-by-row parse of the whole file; reports the line of the first bad row."""
     stamps: list[np.datetime64] = []
     discharge: list[float] = []
     extras: dict[str, list[float]] = {}
@@ -187,14 +278,20 @@ def read_gauge_csv(path, column_map: dict[str, str] | None = None) -> GaugeSerie
         for required in (cmap["timestamp"], cmap["discharge"]):
             if required not in fields:
                 raise CsvFormatError(path, 1, f"missing column {required!r} in header {fields!r}")
+        repeated = sorted({c for c in fields if fields.count(c) > 1})
+        if repeated:
+            raise CsvFormatError(path, 1, f"repeated columns {repeated} in header")
         feature_cols = [c for c in fields if c not in (cmap["timestamp"], cmap["discharge"])]
         for row in reader:
+            if None in row.values():  # DictReader pads a short row with None
+                raise CsvFormatError(path, reader.line_num,
+                                     f"fewer columns than the header's {len(fields)}")
             try:
                 stamps.append(parse_timestamp(row[cmap["timestamp"]]))
                 discharge.append(float(row[cmap["discharge"]]))
                 for col in feature_cols:
                     extras.setdefault(col, []).append(float(row[col]))
-            except (ValueError, TypeError) as exc:
+            except ValueError as exc:
                 raise CsvFormatError(path, reader.line_num, str(exc)) from None
     return GaugeSeries(station, stamps, discharge, extras)
 

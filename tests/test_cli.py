@@ -75,6 +75,23 @@ def test_qc_clean_run_keeps_network(basin8_dir, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "qc"
     assert "period_start" in manifest["parameters"]
+    assert manifest["parameters"]["rows_ingested"] == 8 * 480
+    assert manifest["parameters"]["row_loop_files"] == 0
+
+
+def test_qc_manifest_counts_files_read_row_by_row(basin8_dir, tmp_path):
+    gauges = tmp_path / "gauges"
+    shutil.copytree(basin8_dir / "gauges", gauges)
+    spaced = gauges / "3.csv"  # a space for the 'T' sends the file to the row loop
+    spaced.write_text(spaced.read_text().replace("T", " "))
+    clean, out = tmp_path / "clean", tmp_path / "qc"
+    for gauge_dir, target in ((basin8_dir / "gauges", clean), (gauges, out)):
+        assert run_cli("qc", "--edges", basin8_dir / "edges.csv",
+                       "--gauges", gauge_dir, "--out", target) == 0
+    assert (out / "qc_report.json").read_bytes() == (clean / "qc_report.json").read_bytes()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["parameters"]["rows_ingested"] == 8 * 480
+    assert manifest["parameters"]["row_loop_files"] == 1
 
 
 def test_qc_negative_station_is_bypassed(basin8_dir, tmp_path):
@@ -341,6 +358,8 @@ def test_train_smoke_run(basin8_dir, tmp_path):
     net = rd.read_edge_csv(basin8_dir / "edges.csv")
     assert manifest["parameters"]["sigma_resolved"] == rd.resolve_sigma(
         rd.topological_distances(net), "auto")
+    assert manifest["parameters"]["rows_ingested"] == 8 * 480
+    assert manifest["parameters"]["row_loop_files"] == 0
 
 
 @pytest.mark.parametrize("flag, value", [("--train-frac", "0"), ("--train-frac", "1.5"),

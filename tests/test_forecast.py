@@ -1,3 +1,5 @@
+import csv
+import io
 import warnings
 
 import numpy as np
@@ -537,3 +539,30 @@ def test_basin_gauge_csv_round_trip(tmp_path):
     report = rd.qc_station(series, series.timestamps[0],
                            series.timestamps[-1] + np.timedelta64(1, "h"))
     assert report.passed
+
+
+def _csv_writer_gauge_bytes(basin, station, start):
+    """A gauge file as csv.writer writes it, row by row."""
+    k = basin.network.index(station)
+    t0 = np.datetime64(start.replace("Z", ""), "s")
+    with io.StringIO(newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", "qobs", "rain"])
+        for t in range(basin.hours):
+            writer.writerow([f"{t0 + t * np.timedelta64(1, 'h')}Z",
+                             repr(float(basin.discharge[t, k])),
+                             repr(float(basin.rainfall[t, k]))])
+        return fh.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("seed, start", [(2, "1999-12-31T23:00:00Z"), (8, "2000-01-01T00:00:00Z")])
+def test_basin_gauge_csv_golden_bytes(tmp_path, seed, start):
+    basin = rd.generate_basin(6, seed=seed, hours=300)
+    paths = rd.basin_to_gauge_csvs(basin, tmp_path, start=start)
+    assert [p.name for p in paths] == [f"{s}.csv" for s in basin.network.nodes]
+    for station, path in zip(basin.network.nodes, paths):
+        assert path.read_bytes() == _csv_writer_gauge_bytes(basin, station, start)
+    if seed == 2:
+        assert paths[0].read_bytes().startswith(b"timestamp,qobs,rain\r\n"
+                                                b"1999-12-31T23:00:00Z,0.0,0.0\r\n"
+                                                b"2000-01-01T00:00:00Z,0.0,0.0\r\n")

@@ -1,8 +1,12 @@
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
 import pytest
 
 import riverdense as rd
+import riverdense.preprocess
 from riverdense.errors import CsvFormatError, UnknownStation
+from riverdense.preprocess import DEFAULT_COLUMN_MAP, _read_gauge_columns, _read_gauge_rows
 
 from util import random_weighted_tree
 
@@ -230,3 +234,185 @@ def test_parse_timestamp_variants():
     assert a == b == c
     with pytest.raises(ValueError, match="not UTC"):
         rd.parse_timestamp("2000-06-01T12:00:00+02:00")
+
+
+def test_parse_timestamp_rejects_a_fraction_of_a_second():
+    with pytest.raises(ValueError, match=r"'2000-01-01T12:00:00\.7Z' has a fraction"):
+        rd.parse_timestamp("2000-01-01T12:00:00.7Z")
+    whole = rd.parse_timestamp("2000-01-01T12:00:00.000Z")
+    assert whole == np.datetime64("2000-01-01T12:00:00", "s")
+
+
+def test_read_gauge_csv_fraction_of_a_second_names_the_file_line(tmp_path):
+    path = tmp_path / "6.csv"
+    path.write_text("timestamp,qobs\n2000-01-01T00:00:00Z,1.0\n2000-01-01T01:00:00.5Z,2.0\n")
+    with pytest.raises(CsvFormatError, match=r"6\.csv:3: timestamp '2000-01-01T01:00:00\.5Z'"):
+        rd.read_gauge_csv(path)
+
+
+def test_qc_period_bounds_follow_the_utc_rule():
+    series = hourly_series(1, np.ones(48))
+    utc = rd.qc_station(series, datetime(2000, 1, 1, tzinfo=timezone.utc),
+                        datetime(2000, 1, 3, tzinfo=timezone.utc))
+    assert utc == rd.qc_station(series, T0, T0 + 48 * HOUR)
+    plus2 = timezone(timedelta(hours=2))
+    with pytest.raises(ValueError, match="not UTC"):
+        rd.qc_station(series, datetime(2000, 1, 1, 12, tzinfo=plus2), T0 + 48 * HOUR)
+    with pytest.raises(ValueError, match="fraction of a second"):
+        rd.qc_station(series, datetime(2000, 1, 1, 0, 0, 0, 500), T0 + 48 * HOUR)
+
+
+# ---------------------------------------------------------------------------
+# gauge CSV: numpy's parse against the row loop
+
+def _cmap(column_map=None):
+    return {**DEFAULT_COLUMN_MAP, **(column_map or {})}
+
+
+def assert_same_series(a, b):
+    assert a.station == b.station
+    for x, y in [(a.timestamps, b.timestamps), (a.discharge, b.discharge)] + [
+            (a.features[name], b.features[name]) for name in b.features]:
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+    assert list(a.features) == list(b.features)
+
+
+TSQ = "timestamp,qobs,rain\n"
+# (header, body, column_map): files numpy's parse takes, then files it leaves to the row loop
+FAST_GAUGES = {
+    "lf": (TSQ, "2000-01-01T00:00:00Z,1.5,0.0\n2000-01-01T01:00:00Z,2.5,0.25\n", None),
+    "crlf": ("timestamp,qobs,rain\r\n",
+             "2000-01-01T00:00:00Z,1.5,0.0\r\n2000-01-01T01:00:00Z,2.5,0.25\r\n", None),
+    "cr": ("timestamp,qobs,rain\r", "2000-01-01T00:00:00Z,1.5,0.0\r2000-01-01T01:00:00Z,2.5,0.25\r",
+           None),
+    "blank_lines": (TSQ, "\n2000-01-01T00:00:00Z,1.5,0.0\n\n\r\n2000-01-01T01:00:00Z,2.5,0.25\n\n",
+                    None),
+    "no_final_newline": (TSQ, "2000-01-01T00:00:00Z,1.5,0.0\n2000-01-01T01:00:00Z,2.5,0.25", None),
+    "padded_values": (TSQ, "2000-01-01T00:00:00Z,  1.5 ,\t0.0\n2000-01-01T01:00:00Z, -2.5,0.25 \n",
+                      None),
+    "utc_offset": (TSQ, "2000-01-01T00:00:00+00:00,1.5,0.0\n2000-01-01T01:00:00+00:00,2.5,1\n", None),
+    "naive": (TSQ, "2000-01-01T00:00:00,1.5,0.0\n2000-01-01T01:00:00,2.5,1e-300\n", None),
+    "mixed_suffixes": (TSQ, "2000-01-01T00:00:00,1,0\n2000-01-01T01:00:00Z,2,0\n"
+                            "2000-02-29T02:00:00+00:00,3,0\n", None),
+    "special_values": (TSQ, "0001-01-01T00:00:00Z,nan,-0.0\n9999-12-31T23:59:59Z,inf,5e-324\n"
+                            "2000-01-01T00:00:00Z,-inf,.5\n2000-01-01T00:00:00Z,1E5,5.\n"
+                            "2000-01-01T00:00:00Z,-nan,Infinity\n", None),
+    "decimal_spellings": (TSQ, "".join(
+        f"2000-01-01T00:00:00Z,{v:{fmt}},{v * 1e-300!r}\n"
+        for v in np.random.default_rng(3).standard_normal(200).tolist()
+        for fmt in ("", ".17g", ".3e", ".25f")), None),
+    "timestamp_not_first": ("flow,rain,time\n", "1.5,0.0,2000-01-01T00:00:00Z\n"
+                            "2.5,0.25,2000-01-01T01:00:00Z\n", {"timestamp": "time",
+                                                                "discharge": "flow"}),
+    "extra_features": ("timestamp,qobs,rain,temp,snow\n",
+                       "2000-01-01T00:00:00Z,1.5,0.0,-3.5,0.1\n2000-01-01T01:00:00Z,2.5,0.25,-4,0\n",
+                       None),
+    "one_row": ("timestamp,qobs\n", "2000-01-01T00:00:00Z,0.1", None),
+    "header_only": (TSQ, "", None),
+    "header_and_blank_lines": ("timestamp,qobs,rain\r\n", "\r\n\r\n", None),
+}
+SLOW_GAUGES = {
+    "space_separator": (TSQ, "2000-01-01 00:00:00,1.5,0.0\n2000-01-01 01:00:00Z,2.5,0.25\n", None),
+    "date_only": (TSQ, "2000-01-01,1.5,0.0\n2000-01-02Z,2.5,0.25\n", None),
+    "zero_fraction": (TSQ, "2000-01-01T00:00:00.000Z,1.5,0.0\n", None),
+    "padded_stamp": (TSQ, " 2000-01-01T00:00:00Z ,1.5,0.0\n", None),
+    "quoted": (TSQ, '"2000-01-01T00:00:00Z","1.5",0.0\n2000-01-01T01:00:00Z,2.5,"0.25"\n', None),
+    "quoted_header": ('"timestamp",qobs,rain\n', "2000-01-01T00:00:00Z,1.5,0.0\n", None),
+    "underscored_value": (TSQ, "2000-01-01T00:00:00Z,1_5,0.0\n", None),
+    "long_row": (TSQ, "2000-01-01T00:00:00Z,1.5,0.0,9\n", None),
+}
+
+
+def _write_gauge(tmp_path, header, body, station=7):
+    path = tmp_path / f"{station}.csv"
+    path.write_text(header + body, newline="", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(FAST_GAUGES) + sorted(SLOW_GAUGES))
+def test_gauge_csv_fast_reader_matches_row_loop(tmp_path, name):
+    header, body, column_map = {**FAST_GAUGES, **SLOW_GAUGES}[name]
+    path = _write_gauge(tmp_path, header, body)
+    expected = _read_gauge_rows(path, 7, _cmap(column_map))
+    fallbacks = []
+    assert_same_series(rd.read_gauge_csv(path, column_map, fallbacks=fallbacks), expected)
+    fast = _read_gauge_columns(path, 7, _cmap(column_map))
+    if name in FAST_GAUGES:
+        assert fast is not None and fallbacks == []
+        assert_same_series(fast, expected)
+    else:
+        assert fast is None and fallbacks == [path]
+
+
+def test_gauge_csv_header_only_is_an_empty_series(tmp_path):
+    path = _write_gauge(tmp_path, TSQ, "")
+    series = _read_gauge_columns(path, 7, _cmap())  # warnings are errors in this suite
+    assert len(series) == 0 and series.features == {}
+    assert series.timestamps.dtype == np.dtype("datetime64[s]")
+
+
+def _bench_style_gauges(directory):
+    """A year of hourly gauges, with negative readings and dropped hours as
+    the benchmark writes them."""
+    basin = rd.generate_basin(3, seed=5, hours=8760)
+    paths = rd.basin_to_gauge_csvs(basin, directory)
+    lines = paths[0].read_text(encoding="utf-8").splitlines(keepends=True)
+    stamp, qobs, rest = lines[100].split(",", 2)
+    lines[100] = f"{stamp},{-1.0 - float(qobs)!r},{rest}"
+    paths[0].write_text("".join(lines), encoding="utf-8")
+    lines = paths[1].read_text(encoding="utf-8").splitlines(keepends=True)
+    paths[1].write_text("".join(lines[:50] + lines[53:]), encoding="utf-8")
+    return paths
+
+
+def test_generated_gauges_never_reach_the_row_loop(basin8_dir, tmp_path, monkeypatch):
+    paths = sorted((basin8_dir / "gauges").glob("*.csv")) + _bench_style_gauges(tmp_path)
+    expected = [_read_gauge_rows(p, int(p.stem), _cmap()) for p in paths]
+
+    def no_row_loop(*args):
+        raise AssertionError("the row loop ran on a generated file")
+
+    monkeypatch.setattr(riverdense.preprocess, "_read_gauge_rows", no_row_loop)
+    fallbacks = []
+    for path, want in zip(paths, expected):
+        assert_same_series(rd.read_gauge_csv(path, fallbacks=fallbacks), want)
+    assert fallbacks == []
+    assert [len(s) for s in expected[-3:]] == [8760, 8757, 8760]
+    assert expected[-3].discharge.min() < 0
+
+
+@pytest.mark.parametrize("body, line", [
+    ("2000-01-01T00:00:00Z,1.0\n   \n", 3),                       # whitespace-only row
+    ("2000-01-01T00:00:00Z,1.0\n# note,2.0\n", 3),                # numpy would skip a comment
+    ("2000-01-01T00:00:00Z,1.0\n0000-01-01T00:00:00Z,2.0\n", 3),  # year 0
+    ("2000-01-01T00:00:00Z,1.0\n10000-01-01T00:00:00,2.0\n", 3),  # year 10000
+    ("2000-01-01T00:00:00Z,1.0\nNaT,2.0\n", 3),
+    ("2000-01-01T00:00:00Z,1.0\n,2.0\n", 3),                      # empty stamp
+    ("2000-01-01T00:00:00Z,1.0\n2000-01-01T01:00:00+02:00,2.0\n", 3),
+    ("2000-01-01T00:00:00Z,1.0\n2000-01-01T01:00:00.5,2.0\n", 3),
+    ("2000-01-01T00:00:00Z,1.0\n2000-01-01T01:00:00Z,2.0\x00\n", 3),
+    ("2000-01-01T00:00:00Z,1.0\n2000-01-01T01:00:00\u00e9,2.0\n", 3),
+    ("2000-01-01T00:00:00Z,1.0\n2000-02-30T00:00:00Z,2.0\n", 3),
+    ("2000-01-01T00:00:00Z,1.0\n2000-01-01T01:00:00Z\n", 3),      # short row
+    ("2000-01-01T00:00:00Z,1.0\n2000-01-01T01:00:00Z,0x1\n", 3),
+])
+def test_gauge_csv_bad_bodies_go_to_the_row_loop(tmp_path, body, line):
+    path = _write_gauge(tmp_path, "timestamp,qobs\n", body, station=8)
+    assert _read_gauge_columns(path, 8, _cmap()) is None
+    with pytest.raises(CsvFormatError, match=rf"8\.csv:{line}: "):
+        rd.read_gauge_csv(path)
+
+
+@pytest.mark.parametrize("header", ["timestamp,qobs,qobs\n", "timestamp,rain,qobs,rain\n"])
+def test_gauge_csv_repeated_column_is_rejected_at_the_header(tmp_path, header):
+    path = _write_gauge(tmp_path, header, "2000-01-01T00:00:00Z,1.0,2.0" + ",3.0" * (
+        header.count(",") - 2) + "\n")
+    with pytest.raises(CsvFormatError, match=r"7\.csv:1: repeated columns \['(qobs|rain)'\]"):
+        rd.read_gauge_csv(path)
+
+
+def test_gauge_csv_short_row_missing_its_stamp_names_the_line(tmp_path):
+    path = _write_gauge(tmp_path, "qobs,timestamp\n", "1.0,2000-01-01T00:00:00Z\n2.0\n")
+    with pytest.raises(CsvFormatError, match=r"7\.csv:3: fewer columns than the header's 2"):
+        rd.read_gauge_csv(path)
