@@ -9,7 +9,6 @@ keeps its connectivity and total channel distances.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import re
 import warnings
