@@ -282,9 +282,10 @@ def _read_gauge_rows(path: Path, station: int, cmap: dict[str, str]) -> GaugeSer
             raise CsvFormatError(path, 1, f"repeated columns {repeated} in header")
         feature_cols = [c for c in fields if c not in (cmap["timestamp"], cmap["discharge"])]
         for row in reader:
-            if None in row.values():  # DictReader pads a short row with None
+            # DictReader pads a short row with None and files extra cells under None
+            if None in row or None in row.values():
                 raise CsvFormatError(path, reader.line_num,
-                                     f"fewer columns than the header's {len(fields)}")
+                                     f"row width differs from the header's {len(fields)} columns")
             try:
                 stamps.append(parse_timestamp(row[cmap["timestamp"]]))
                 discharge.append(float(row[cmap["discharge"]]))
