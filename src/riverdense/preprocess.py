@@ -207,14 +207,17 @@ def read_gauge_csv(path, column_map: dict[str, str] | None = None, *,
 _STAMP = np.dtype("S32")  # wide enough that a truncated field never looks canonical
 _FIRST_SECOND = np.datetime64("0001-01-01T00:00:00", "s")  # datetime.MINYEAR
 _TEXT = re.compile(rb"[^\r\n]")
+# quotes and NULs, which numpy and the csv module read differently, and the
+# separators \x1c-\x1f, which numpy strips from a number and float() does not
+_NOT_NUMPY = tuple(bytes([c]) for c in b'"\x00\x1c\x1d\x1e\x1f')
 _ROUND_TRIP_ROWS = 1024  # datetime_as_string makes 152-byte U38 strings; bounds the peak
 
 
 def _read_gauge_columns(path: Path, station: int, cmap: dict[str, str]) -> GaugeSeries | None:
     """The series of a file numpy can parse exactly, else None."""
     data = path.read_bytes()
-    if b'"' in data or b"\0" in data:
-        return None  # quoting and NULs follow the csv module's rules, not numpy's
+    if any(byte in data for byte in _NOT_NUMPY):
+        return None
     try:
         with path.open(newline="", encoding="utf-8") as fh, warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy reading an offset

@@ -391,6 +391,7 @@ def test_generated_gauges_never_reach_the_row_loop(basin8_dir, tmp_path, monkeyp
     ("2000-01-01T00:00:00Z,1.0\n2000-01-01T01:00:00+02:00,2.0\n", 3),
     ("2000-01-01T00:00:00Z,1.0\n2000-01-01T01:00:00.5,2.0\n", 3),
     ("2000-01-01T00:00:00Z,1.0\n2000-01-01T01:00:00Z,2.0\x00\n", 3),
+    ("2000-01-01T00:00:00Z,1.0\n2000-01-01T01:00:00Z,\x1f2.0\n", 3),  # numpy strips \x1f
     ("2000-01-01T00:00:00Z,1.0\n2000-01-01T01:00:00\u00e9,2.0\n", 3),
     ("2000-01-01T00:00:00Z,1.0\n2000-02-30T00:00:00Z,2.0\n", 3),
     ("2000-01-01T00:00:00Z,1.0\n2000-01-01T01:00:00Z\n", 3),      # short row
