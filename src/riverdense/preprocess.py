@@ -181,9 +181,10 @@ def read_gauge_csv(path, column_map: dict[str, str] | None = None, *,
     required columns. Any other columns become named feature channels.
 
     The body is parsed in one pass by numpy's C reader. A file that parse
-    cannot take exactly (quotes, a NUL, a ragged or blank-only body, a stamp
-    other than ``YYYY-MM-DDTHH:MM:SS`` with an optional ``Z`` or ``+00:00``)
-    is read again row by row, which returns the same arrays or raises
+    cannot take exactly (quotes, NULs or the separators ``\\x1c``-``\\x1f``, a
+    repeated column, a ragged or whitespace-only row, a stamp other than
+    ``YYYY-MM-DDTHH:MM:SS`` with an optional ``Z`` or ``+00:00``) is read
+    again row by row, which returns the same arrays or raises
     :class:`CsvFormatError` at its file:line. The path of such a file is
     appended to ``fallbacks`` when one is given.
     """
