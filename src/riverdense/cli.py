@@ -160,10 +160,13 @@ def _read_gauge_dir(gauge_dir, column_map) -> tuple[dict[int, GaugeSeries], dict
     files = sorted(gauge_dir.glob("*.csv"))
     if not files:
         raise FileNotFoundError(f"no stations found in {gauge_dir}")
-    series, rows, fallbacks = {}, 0, []
+    series, sources, rows, fallbacks = {}, {}, 0, []
     for path in files:
         gauge = read_gauge_csv(path, column_map, fallbacks=fallbacks)
-        series[gauge.station] = gauge
+        if gauge.station in sources:
+            raise ValueError(f"gauge files {sources[gauge.station]} and {path} both hold "
+                             f"station {gauge.station}")
+        series[gauge.station], sources[gauge.station] = gauge, path
         rows += len(gauge)
     return series, {"rows_ingested": rows, "row_loop_files": len(fallbacks)}
 
@@ -278,7 +281,10 @@ def cmd_resist(args) -> int:
     _write_manifest(out, args, [str(adj_path)],
                     {"mode": args.mode, "n": report.n, "mean": report.mean,
                      "excluded_pairs": report.excluded_pairs,
-                     "nodes": order},
+                     "nodes": order,
+                     "numerics": {"components": report.components,
+                                  "solver": report.solver,
+                                  "pinv_residual": report.pinv_residual}},
                     started)
     return 0
 

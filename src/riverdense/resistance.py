@@ -1,9 +1,11 @@
 """Effective resistance, resistance distributions, and the sensitivity bound.
 
 Two Laplacian formulations are available. The symmetric mode symmetrizes the
-weights as (W + W^T)/2 and uses L = D - W with plain indicator vectors. The
-random-walk mode uses L_rw = I - D_out^{-1} W with indicators scaled by
-1/sqrt(d_out). High resistance between two nodes marks a message-passing
+weights as (W + W^T)/2 and uses L = D - W with plain indicator vectors; its
+pseudoinverse is a grounded inverse per connected component. The random-walk
+mode uses L_rw = I - D_out^{-1} W with indicators scaled by 1/sqrt(d_out); its
+pseudoinverse is a plain inverse when the support is acyclic and an SVD
+otherwise. High resistance between two nodes marks a message-passing
 bottleneck; the bound turns a resistance into a cap on cross-node influence.
 """
 
@@ -19,7 +21,7 @@ import numpy as np
 from .adjacency import AdjacencyMatrix
 from .errors import DifferentComponents, MuOutOfRange
 
-EIG_ZERO_RTOL = 1e-10
+EIG_ZERO_RTOL = 1e-10  # singular values below this share of the largest count as zero
 
 
 @dataclass(frozen=True)
@@ -31,6 +33,7 @@ class LaplacianBundle:
     component_labels: np.ndarray
     mode: str
     indicator_scale: np.ndarray  # per-node factor applied to indicator vectors
+    solver: str  # 'grounded-inverse', 'triangular-inverse' or 'svd'
 
     @property
     def n(self) -> int:
@@ -49,6 +52,9 @@ class ResistanceReport:
     p95: float
     histogram: tuple[np.ndarray, np.ndarray]  # (bin_edges, counts)
     excluded_pairs: int
+    components: int
+    solver: str
+    pinv_residual: float  # ||L L+ (L x) - L x|| / ||L x|| for a fixed probe x
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,7 @@ def _weights(adj) -> np.ndarray:
 
 
 def _component_labels(support: np.ndarray) -> np.ndarray:
+    """Weakly connected components, numbered in order of their lowest node."""
     n = support.shape[0]
     labels = np.full(n, -1, dtype=int)
     undirected = support | support.T
@@ -95,23 +102,58 @@ def _component_labels(support: np.ndarray) -> np.ndarray:
     for start in range(n):
         if labels[start] >= 0:
             continue
-        stack = [start]
         labels[start] = current
-        while stack:
-            u = stack.pop()
-            for v in np.flatnonzero(undirected[u]):
-                if labels[v] < 0:
-                    labels[v] = current
-                    stack.append(int(v))
+        frontier = np.zeros(n, dtype=bool)
+        frontier[start] = True
+        while frontier.any():
+            frontier = undirected[frontier].any(axis=0) & (labels < 0)
+            labels[frontier] = current
         current += 1
     return labels
 
 
-def _eigh_pinv(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
-    cutoff = EIG_ZERO_RTOL * max(np.abs(vals).max(), 1e-300)
-    inv = np.divide(1.0, vals, out=np.zeros_like(vals), where=np.abs(vals) >= cutoff)
-    return (vecs * inv) @ vecs.T
+def _grounded_pinv(lap: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Pseudoinverse of a symmetric Laplacian, one grounded inverse per component.
+
+    On a connected component of k nodes the null space of L is spanned by the
+    all-ones vector, and J/k is the projector onto it. For any a > 0,
+    L + aJ/k is nonsingular with inverse L+ + J/(a k), so
+    L+ = (L + aJ/k)^-1 - J/(a k); across components L+ is block diagonal.
+    a is the component's mean degree, the mean of L's eigenvalues: at most the
+    largest and at least (k - 1)/k of the smallest nonzero one. So the
+    grounding at most doubles the condition number of L on the range of L,
+    and the result scales with the weights.
+    """
+    sizes = np.bincount(labels)
+    if sizes.size == 1:  # one component: no n x n copy through np.ix_
+        return _grounded_block(lap)
+    pinv = np.zeros_like(lap)
+    for component, size in enumerate(sizes):
+        if size > 1:  # a lone node's block is 0
+            idx = np.ix_(*[np.flatnonzero(labels == component)] * 2)
+            pinv[idx] = _grounded_block(lap[idx])
+    return pinv
+
+
+def _grounded_block(lap: np.ndarray) -> np.ndarray:
+    k = lap.shape[0]
+    a = np.trace(lap) / k
+    pinv = np.linalg.inv(lap + a / k)
+    pinv -= 1.0 / (a * k)
+    return pinv
+
+
+def _is_acyclic(support: np.ndarray) -> bool:
+    """True when the directed graph i -> j for support[i, j] has no cycle; a
+    self-loop is a cycle. Peels nodes whose remaining out-degree is zero."""
+    out = support.sum(axis=1)
+    alive = np.ones(support.shape[0], dtype=bool)
+    while True:
+        sinks = alive & (out == 0)
+        if not sinks.any():
+            return not alive.any()
+        alive &= ~sinks
+        out -= support[:, sinks].sum(axis=1)
 
 
 def _svd_pinv(mat: np.ndarray) -> np.ndarray:
@@ -129,25 +171,49 @@ def graph_laplacian(adj, mode: str = "symmetric") -> LaplacianBundle:
     adj : AdjacencyMatrix or ndarray
         Nonnegative weight matrix.
     mode : {'symmetric', 'random-walk'}
-        'symmetric' uses L = D - (W + W^T)/2 and an eigendecomposition;
-        'random-walk' uses L_rw = I - D_out^{-1} W and an SVD, since L_rw is
-        asymmetric. The outlet has no outgoing weight; a zero out-degree
-        always counts as 1, both in D_out^{-1} and in indicator scaling.
+        'symmetric' uses L = D - (W + W^T)/2 and a grounded inverse per
+        connected component, so the components set the rank.
+        'random-walk' uses L_rw = I - D_out^{-1} W. The outlet has no outgoing
+        weight; a zero out-degree always counts as 1, both in D_out^{-1} and in
+        indicator scaling.
+
+    Notes
+    -----
+    When the support W != 0 has no directed cycle (a self-loop counts as one),
+    L_rw is inverted directly. Order the nodes topologically, so that
+    W[i, j] != 0 only for i before j: then P = D_out^{-1} W is strictly upper
+    triangular. Every row of L_rw = I - P has diagonal 1 - P[i, i] = 1, as
+    there is no self-loop, and an outlet row is e_i, because its zero
+    out-degree counts as 1 and its weights are 0. So L_rw is unit triangular,
+    det L_rw = 1, and it is nonsingular. P is nilpotent and substochastic, so
+    (I - P)^-1 = sum_{k<n} P^k has entries >= 0; entry (i, j) is the expected
+    number of visits to j by a walk from i, at most 1 on an acyclic graph, so
+    its row and column sums are <= n. With ||L_rw||_inf <= 2 and
+    ||L_rw||_1 <= n, cond_2(L_rw) <= 2 n^1.5, which stays far inside
+    1 / EIG_ZERO_RTOL for every n a dense matrix can hold: the SVD cutoff
+    would drop no singular value, and the inverse is the Moore-Penrose
+    pseudoinverse. Cyclic supports, such as the dense and learned kinds, keep
+    the SVD, since L_rw is asymmetric and may be singular.
     """
     w = _weights(adj)
     n = w.shape[0]
-    labels = _component_labels(w != 0)
+    support = w != 0
+    labels = _component_labels(support)
 
     if mode == "symmetric":
         sym = 0.5 * (w + w.T)
         lap = np.diag(sym.sum(axis=1)) - sym
-        pinv = _eigh_pinv(lap)
+        pinv = _grounded_pinv(lap, labels)
         scale = np.ones(n)
+        solver = "grounded-inverse"
     elif mode == "random-walk":
         d_out = w.sum(axis=1)
         d_out = np.where(d_out == 0, 1.0, d_out)
         lap = np.eye(n) - w / d_out[:, None]
-        pinv = _svd_pinv(lap)
+        if _is_acyclic(support):
+            pinv, solver = np.linalg.inv(lap), "triangular-inverse"
+        else:
+            pinv, solver = _svd_pinv(lap), "svd"
         scale = 1.0 / np.sqrt(d_out)
     else:
         raise ValueError(f"mode must be 'symmetric' or 'random-walk', got {mode!r}")
@@ -156,8 +222,19 @@ def graph_laplacian(adj, mode: str = "symmetric") -> LaplacianBundle:
     pinv.flags.writeable = False
     labels.flags.writeable = False
     scale.flags.writeable = False
-    return LaplacianBundle(laplacian=lap, pseudoinverse=pinv,
-                           component_labels=labels, mode=mode, indicator_scale=scale)
+    return LaplacianBundle(laplacian=lap, pseudoinverse=pinv, component_labels=labels,
+                           mode=mode, indicator_scale=scale, solver=solver)
+
+
+def _pinv_residual(bundle: LaplacianBundle) -> float:
+    """||L (L+ (L x)) - L x|| / ||L x|| for a fixed-seed probe x, in O(n^2):
+    how far L L+ is from the identity on the range of L. 0 for an empty graph."""
+    lap = bundle.laplacian
+    lx = lap @ np.random.default_rng(0).standard_normal(bundle.n)
+    norm = float(np.linalg.norm(lx))
+    if norm == 0.0:
+        return 0.0
+    return float(np.linalg.norm(lap @ (bundle.pseudoinverse @ lx) - lx)) / norm
 
 
 def effective_resistance(bundle: LaplacianBundle, u: int, v: int) -> float:
@@ -180,7 +257,7 @@ def pairwise_resistances(bundle: LaplacianBundle) -> np.ndarray:
     q = np.diag(m) * s * s
     r = q[:, None] + q[None, :] - (m + m.T) * np.outer(s, s)
     np.fill_diagonal(r, 0.0)
-    r = np.maximum(r, 0.0)  # clamp -1e-17-style eigensolver noise
+    r = np.maximum(r, 0.0)  # clamp -1e-17-style rounding noise of the pseudoinverse
     cross = bundle.component_labels[:, None] != bundle.component_labels[None, :]
     r[cross] = np.inf
     return r
@@ -219,7 +296,9 @@ def resistance_report(adj, mode: str = "symmetric", bins: int = 50) -> Resistanc
         p95 = float(np.percentile(vals, 95))
 
     return ResistanceReport(n=n, mode=mode, pairwise=r, mean=mean, median=median,
-                            p95=p95, histogram=(edges, counts), excluded_pairs=excluded)
+                            p95=p95, histogram=(edges, counts), excluded_pairs=excluded,
+                            components=sizes.size, solver=bundle.solver,
+                            pinv_residual=_pinv_residual(bundle))
 
 
 def report_to_json(report: ResistanceReport) -> dict:

@@ -165,6 +165,18 @@ def test_qc_malformed_gauge_row_exits_2(basin8_dir, tmp_path, capsys):
     assert "3.csv:2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["qc", "train"])
+def test_duplicate_station_files_exit_2_naming_both(basin8_dir, tmp_path, capsys, command):
+    gauges = tmp_path / "gauges"
+    shutil.copytree(basin8_dir / "gauges", gauges)
+    shutil.copy(gauges / "1.csv", gauges / "01.csv")  # the stem 01 is station 1 too
+    code = run_cli(command, "--edges", basin8_dir / "edges.csv",
+                   "--gauges", gauges, "--out", tmp_path / "out")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "01.csv" in err and f"{gauges / '1.csv'}" in err and "station 1" in err
+
+
 def test_qc_header_only_gauges_without_period_exits_2_naming_flags(basin8_dir, tmp_path,
                                                                    capsys):
     gauges = tmp_path / "gauges"
@@ -322,6 +334,27 @@ def test_resist_random_walk_mode(basin8_dir, tmp_path):
     payload = json.loads((out / "resistance.json").read_text())
     assert payload["mode"] == "random-walk"
     assert np.isfinite(payload["mean"])
+
+
+def test_resist_manifest_records_numerics(basin8_dir, tmp_path):
+    for kind in ("topology", "dense", "isolated"):
+        assert run_cli("rewire", "--edges", basin8_dir / "edges.csv",
+                       "--kind", kind, "--out", tmp_path / kind) == 0
+    # the river tree's edge set is acyclic, the dense support is not
+    expected = {("topology", "symmetric"): (1, "grounded-inverse"),
+                ("topology", "random-walk"): (1, "triangular-inverse"),
+                ("dense", "symmetric"): (1, "grounded-inverse"),
+                ("dense", "random-walk"): (1, "svd"),
+                ("isolated", "symmetric"): (8, "grounded-inverse")}
+    for (kind, mode), (components, solver) in expected.items():
+        out = tmp_path / f"rs_{kind}_{mode}"
+        assert run_cli("resist", "--adjacency", tmp_path / kind / "adjacency.csv",
+                       "--mode", mode, "--out", out) == 0
+        numerics = json.loads((out / "manifest.json").read_text())["parameters"]["numerics"]
+        assert set(numerics) == {"components", "solver", "pinv_residual"}
+        assert numerics["components"] == components
+        assert numerics["solver"] == solver
+        assert 0.0 <= numerics["pinv_residual"] < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 import riverdense as rd
 from riverdense.errors import DifferentComponents, MuOutOfRange
 
-from util import conductance_matrix, random_connected_graph, random_weighted_tree
+from riverdense.resistance import _component_labels
+from util import (conductance_matrix, dfs_component_labels, disconnected_graph,
+                  eigh_pinv, random_connected_graph, random_weighted_dag,
+                  random_weighted_tree, svd_pinv)
 
 UNIT_EDGE = np.array([[0.0, 1.0], [1.0, 0.0]])
 UNIT_PATH3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
@@ -214,6 +217,100 @@ def test_rayleigh_monotonicity():
         w2[i, j] = w2[j, i] = float(rng.uniform(0.5, 2.0))
         after = rd.pairwise_resistances(rd.graph_laplacian(w2))
         assert np.all(after <= before + 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# solvers against the eigendecomposition, SVD and DFS oracles
+
+def _relative(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+def _random_sizes(rng, most):
+    return [int(k) for k in rng.integers(1, most, size=int(rng.integers(2, 6)))]
+
+
+def test_symmetric_pinv_matches_eigh_oracle():
+    rng = np.random.default_rng(29)
+    for trial in range(80):
+        if trial % 2:
+            w = disconnected_graph(_random_sizes(rng, 14), rng)
+        else:
+            w = random_connected_graph(int(rng.integers(2, 40)), rng)
+        bundle = rd.graph_laplacian(w)
+        assert bundle.solver == "grounded-inverse"
+        assert _relative(bundle.pseudoinverse, eigh_pinv(bundle.laplacian)) < 1e-9
+
+
+def test_symmetric_pinv_scales_with_the_weights():
+    rng = np.random.default_rng(31)
+    w = disconnected_graph([9, 6, 1], rng)
+    base = rd.graph_laplacian(w).pseudoinverse
+    for factor in (1e-9, 1e9):
+        scaled = rd.graph_laplacian(w * factor).pseudoinverse
+        assert _relative(scaled * factor, base) < 1e-9
+
+
+def test_null_space_dimension_equals_component_count():
+    rng = np.random.default_rng(43)
+    for trial in range(60):
+        sizes = _random_sizes(rng, 16)
+        # odd trials are random forests: every block a tree
+        w = disconnected_graph(sizes, rng, extra_edges=0 if trial % 2 else None)
+        bundle = rd.graph_laplacian(w)
+        lap, pinv = bundle.laplacian, bundle.pseudoinverse
+        assert bundle.component_labels.max() + 1 == len(sizes)
+        assert np.sum(np.linalg.eigvals(lap @ pinv).real < 0.5) == len(sizes)
+        assert _relative(lap @ pinv @ lap, lap) < 1e-9
+        assert _relative(pinv @ lap @ pinv, pinv) < 1e-9
+
+
+def test_random_walk_inverse_matches_svd_oracle_on_dags():
+    rng = np.random.default_rng(37)
+    graphs = [np.zeros((3, 3))]
+    graphs += [random_weighted_dag(int(rng.integers(2, 40)), rng,
+                                   density=float(rng.uniform(0.02, 0.6)))
+               for _ in range(80)]
+    for w in graphs:
+        assert np.any(w.sum(axis=1) == 0)  # every DAG has an outlet row
+        bundle = rd.graph_laplacian(w, mode="random-walk")
+        assert bundle.solver == "triangular-inverse"
+        assert _relative(bundle.pseudoinverse, svd_pinv(bundle.laplacian)) < 1e-9
+
+
+def _back_edge_dag(seed):
+    rng = np.random.default_rng(seed)
+    w = random_weighted_dag(12, rng, density=0.3)
+    i, j = np.argwhere(w > 0)[0]
+    w[j, i] = 1.0  # closes a cycle through the edge i -> j
+    return w
+
+
+@pytest.mark.parametrize("w", [
+    np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),  # 2-cycle 0 <-> 1
+    np.array([[0.5, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),  # self-loop on a path
+    _back_edge_dag(47),
+], ids=["two-cycle", "self-loop", "back-edge"])
+def test_cyclic_random_walk_support_takes_svd(w):
+    bundle = rd.graph_laplacian(w, mode="random-walk")
+    assert bundle.solver == "svd"
+    lap, pinv = bundle.laplacian, bundle.pseudoinverse
+    assert _relative(lap @ pinv @ lap, lap) < 1e-9
+    assert _relative(pinv @ lap @ pinv, pinv) < 1e-9
+    assert _relative((lap @ pinv).T, lap @ pinv) < 1e-9
+    assert _relative((pinv @ lap).T, pinv @ lap) < 1e-9
+
+
+def test_component_labels_match_dfs_oracle():
+    rng = np.random.default_rng(41)
+    supports = [np.zeros((0, 0), dtype=bool), np.zeros((5, 5), dtype=bool),
+                np.ones((4, 4), dtype=bool)]
+    supports += [rng.random((n, n)) < rng.uniform(0.0, 0.15)
+                 for n in rng.integers(1, 60, size=100)]
+    supports += [disconnected_graph(_random_sizes(rng, 12), rng, extra_edges=0) != 0
+                 for _ in range(20)]
+    for support in supports:
+        assert np.array_equal(_component_labels(support), dfs_component_labels(support))
 
 
 # ---------------------------------------------------------------------------

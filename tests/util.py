@@ -31,6 +31,30 @@ def random_connected_graph(n: int, rng: np.random.Generator,
     return w
 
 
+def disconnected_graph(sizes, rng: np.random.Generator,
+                       extra_edges: int | None = None) -> np.ndarray:
+    """Symmetric weight matrix with one random connected block per size,
+    scattered over a random node order; extra_edges=0 gives a forest."""
+    n = sum(sizes)
+    order = rng.permutation(n)
+    w = np.zeros((n, n))
+    start = 0
+    for size in sizes:
+        idx = order[start:start + size]
+        w[np.ix_(idx, idx)] = random_connected_graph(size, rng, extra_edges)
+        start += size
+    return w
+
+
+def random_weighted_dag(n: int, rng: np.random.Generator, density: float) -> np.ndarray:
+    """Nonnegative weights on the edges of a random DAG over shuffled nodes;
+    nodes without an outgoing edge keep zero rows."""
+    upper = np.triu(rng.random((n, n)) < density, k=1)
+    w = np.where(upper, rng.uniform(0.1, 3.0, size=(n, n)), 0.0)
+    order = rng.permutation(n)
+    return w[np.ix_(order, order)]
+
+
 def conductance_matrix(net: rd.RiverNetwork) -> np.ndarray:
     """Symmetric adjacency with edge conductance 1/stream_length."""
     w = np.zeros((net.n, net.n))
@@ -215,3 +239,49 @@ def reference_input_jacobian(model: rd.ForecastModel, u: int, v: int,
         _, dx = _reference_backward(model, cache, dy, with_params=False)
         jac[step] = dx[0, v, :width]
     return jac
+
+
+# ---------------------------------------------------------------------------
+# resistance reference: eigendecomposition and SVD pseudoinverses, DFS labels
+
+ZERO_RTOL = 1e-10
+
+
+def eigh_pinv(mat: np.ndarray) -> np.ndarray:
+    """Pseudoinverse of a symmetric matrix, dropping eigenvalues below
+    ZERO_RTOL of the largest."""
+    vals, vecs = np.linalg.eigh(mat)
+    cutoff = ZERO_RTOL * max(np.abs(vals).max(), 1e-300)
+    inv = np.divide(1.0, vals, out=np.zeros_like(vals), where=np.abs(vals) >= cutoff)
+    return (vecs * inv) @ vecs.T
+
+
+def svd_pinv(mat: np.ndarray) -> np.ndarray:
+    """Pseudoinverse of any square matrix, dropping singular values below
+    ZERO_RTOL of the largest."""
+    u, s, vt = np.linalg.svd(mat)
+    cutoff = ZERO_RTOL * max(s.max(initial=0.0), 1e-300)
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s >= cutoff)
+    return (vt.T * inv) @ u.T
+
+
+def dfs_component_labels(support: np.ndarray) -> np.ndarray:
+    """Weakly connected components by a stack DFS, numbered in order of their
+    lowest node."""
+    n = support.shape[0]
+    labels = np.full(n, -1, dtype=int)
+    undirected = support | support.T
+    current = 0
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        stack = [start]
+        labels[start] = current
+        while stack:
+            u = stack.pop()
+            for v in np.flatnonzero(undirected[u]):
+                if labels[v] < 0:
+                    labels[v] = current
+                    stack.append(int(v))
+        current += 1
+    return labels
