@@ -129,7 +129,7 @@ def _grounded_pinv(lap: np.ndarray, labels: np.ndarray) -> np.ndarray:
         return _grounded_block(lap)
     pinv = np.zeros_like(lap)
     for component, size in enumerate(sizes):
-        if size > 1:  # a lone node's block is 0
+        if size > 1:  # a lone node's block is 0, with no degree to ground by
             idx = np.ix_(*[np.flatnonzero(labels == component)] * 2)
             pinv[idx] = _grounded_block(lap[idx])
     return pinv
@@ -227,10 +227,15 @@ def graph_laplacian(adj, mode: str = "symmetric") -> LaplacianBundle:
 
 
 def _pinv_residual(bundle: LaplacianBundle) -> float:
-    """||L (L+ (L x)) - L x|| / ||L x|| for a fixed-seed probe x, in O(n^2):
-    how far L L+ is from the identity on the range of L. 0 for an empty graph."""
+    """||L (L+ (L x)) - L x|| / ||L x|| for a fixed probe x, in O(n^2): how far
+    L L+ is from the identity on the range of L. 0 for an empty graph.
+
+    x is the golden-ratio sequence frac(0.618 i) - 1/2: its entries are
+    distinct, so it is constant on no component of two or more nodes, and it
+    needs no numpy.random, whose first use costs ~20 ms of imports.
+    """
     lap = bundle.laplacian
-    lx = lap @ np.random.default_rng(0).standard_normal(bundle.n)
+    lx = lap @ (np.modf(np.arange(bundle.n) * 0.6180339887498949)[0] - 0.5)
     norm = float(np.linalg.norm(lx))
     if norm == 0.0:
         return 0.0

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import riverdense as rd
 from riverdense.errors import DifferentComponents, MuOutOfRange
-
 from riverdense.resistance import _component_labels
+
 from util import (conductance_matrix, dfs_component_labels, disconnected_graph,
                   eigh_pinv, random_connected_graph, random_weighted_dag,
                   random_weighted_tree, svd_pinv)
