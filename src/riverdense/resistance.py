@@ -125,7 +125,7 @@ def _grounded_pinv(lap: np.ndarray, labels: np.ndarray) -> np.ndarray:
     and the result scales with the weights.
     """
     sizes = np.bincount(labels)
-    if sizes.size == 1:  # one component: no n x n copy through np.ix_
+    if sizes.size == 1 and sizes[0] > 1:  # one component: no n x n copy through np.ix_
         return _grounded_block(lap)
     pinv = np.zeros_like(lap)
     for component, size in enumerate(sizes):

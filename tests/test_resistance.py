@@ -35,6 +35,13 @@ def test_laplacian_empty_adjacency():
     assert len(set(bundle.component_labels.tolist())) == 3
 
 
+def test_laplacian_single_node():
+    # one component with no degree to ground by; a self-loop leaves L = 0
+    for w in (np.zeros((1, 1)), np.array([[2.0]])):
+        assert not np.any(rd.graph_laplacian(w).pseudoinverse)
+    assert rd.graph_laplacian(np.zeros((1, 1)), mode="random-walk").pseudoinverse[0, 0] == 1.0
+
+
 def test_laplacian_rows_sum_to_zero():
     bundle = rd.graph_laplacian(UNIT_TRIANGLE)
     assert np.allclose(bundle.laplacian.sum(axis=1), 0.0, atol=1e-12)
