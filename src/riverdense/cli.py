@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--layers", type=int, default=3)
     tr.add_argument("--epochs", type=int, default=100)
     tr.add_argument("--lr", type=float, default=2e-3)
-    tr.add_argument("--optimizer", choices=("gd", "adam"), default="gd")
+    tr.add_argument("--optimizer", choices=("adam",), default="adam")
     tr.add_argument("--stride", type=int, default=1, help="window stride in hours")
     tr.add_argument("--train-frac", type=float, default=0.7)
     tr.add_argument("--seed", type=int, default=0)
@@ -126,7 +126,14 @@ def _load_config(path) -> configparser.ConfigParser:
         path = Path(path)
         if not path.exists():
             raise FileNotFoundError(f"config file {path} does not exist")
-        config.read(path)
+        try:
+            config.read(path)
+        except configparser.Error as exc:
+            # a missing header or a repeat carries .lineno; ParsingError lists its lines
+            line = getattr(exc, "lineno", None) or exc.errors[0][0]
+            reason = (exc.message.splitlines()[0].split("]: ")[-1] if hasattr(exc, "lineno")
+                      else "expected a [section] header or an option = value line")
+            raise ValueError(f"config file {path}:{line}: {reason}") from None
     return config
 
 
@@ -208,8 +215,8 @@ def _column_map(config: configparser.ConfigParser) -> dict[str, str]:
 
 def cmd_qc(args) -> int:
     started = time.perf_counter()
-    out = _outdir(args)
     config = _load_config(args.config)
+    out = _outdir(args)
     cmap = _column_map(config)
     net = read_edge_csv(args.edges)
     series, ingest = _read_gauge_dir(args.gauges, cmap)
@@ -262,13 +269,15 @@ def cmd_rewire(args) -> int:
 
 def cmd_resist(args) -> int:
     started = time.perf_counter()
-    out = _outdir(args)
     adj_path = Path(args.adjacency)
     if not adj_path.exists():
         raise FileNotFoundError(f"adjacency file {adj_path} does not exist")
-
     meta_path = Path(args.meta) if args.meta else adj_path.with_name(
         adj_path.stem + "_meta.json")
+    if args.meta and not meta_path.exists():  # the sibling *_meta.json is optional
+        raise FileNotFoundError(f"metadata file {meta_path} does not exist")
+    out = _outdir(args)
+
     nodes = None
     if meta_path.exists():
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
@@ -291,8 +300,8 @@ def cmd_resist(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.perf_counter()
-    out = _outdir(args)
     config = _load_config(args.config)
+    out = _outdir(args)
     cmap = _column_map(config)
     net = read_edge_csv(args.edges)
     series, ingest = _read_gauge_dir(args.gauges, cmap)
@@ -331,9 +340,8 @@ def cmd_train(args) -> int:
 
     model = ForecastModel(task, adj, latent=args.latent, n_layers=args.layers,
                           seed=args.seed)
-    train_cfg = TrainConfig(lr=args.lr, epochs=args.epochs, seed=args.seed,
-                            optimizer=args.optimizer)
-    result = train(model, (x_tr, y_tr), train_cfg)
+    result = train(model, (x_tr, y_tr),
+                   TrainConfig(lr=args.lr, epochs=args.epochs, seed=args.seed))
     horizon_nse = nse_by_horizon(model, x_te, y_te)
 
     with (out / "metrics.csv").open("w", newline="", encoding="utf-8") as fh:

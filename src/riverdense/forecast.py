@@ -40,7 +40,7 @@ from .errors import ConstantObserved, NonfiniteLoss, ShapeMismatch
 from .network import Edge, RiverNetwork, build_network
 
 CHECKPOINT_FORMAT = "riverdense-forecast"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -50,27 +50,23 @@ class ForecastTask:
     alpha_hist: int = 24
     beta_horizon: int = 24
     feature_dim: int = 1
-    static_dim: int = 0
 
     def __post_init__(self):
-        if self.alpha_hist < 1 or self.beta_horizon < 1:
-            raise ValueError("alpha_hist and beta_horizon must be >= 1")
-        if self.feature_dim < 1 or self.static_dim < 0:
-            raise ValueError("feature_dim must be >= 1 and static_dim >= 0")
+        if min(self.alpha_hist, self.beta_horizon, self.feature_dim) < 1:
+            raise ValueError("alpha_hist, beta_horizon and feature_dim must be >= 1")
 
     @property
     def input_width(self) -> int:
-        return self.alpha_hist * self.feature_dim + self.static_dim
+        return self.alpha_hist * self.feature_dim
 
 
 @dataclass
 class TrainConfig:
     """Optimization settings; loss is mean absolute error.
 
-    The default optimizer is plain gradient descent with decoupled weight
-    decay, which keeps the update rule transparent. 'adam' enables the
-    moment-based variant the lr/halving defaults were tuned for; plain GD at
-    lr 2e-3 underfits noticeably on the synthetic basins.
+    The optimizer is Adam (beta1 0.9, beta2 0.999, eps 1e-8) with decoupled
+    weight decay on the weight matrices and the learned adjacency, applied
+    after each Adam step; the lr/halving defaults were tuned for it.
     """
 
     lr: float = 2e-3
@@ -80,15 +76,12 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 64
     seed: int = 0
-    optimizer: str = "gd"
 
     def __post_init__(self):
         if min(self.lr, self.weight_decay, self.clip_norm) < 0 or self.lr == 0:
             raise ValueError("lr must be positive; weight_decay and clip_norm nonnegative")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.optimizer not in ("gd", "adam"):
-            raise ValueError(f"optimizer must be 'gd' or 'adam', got {self.optimizer!r}")
 
     def lr_at(self, epoch: int) -> float:
         """Effective learning rate during a 1-indexed epoch; halvings apply
@@ -113,8 +106,7 @@ class ForecastModel:
     """
 
     def __init__(self, task: ForecastTask, adjacency: AdjacencyMatrix,
-                 latent: int = 32, n_layers: int = 3, seed: int = 0,
-                 static_features: np.ndarray | None = None):
+                 latent: int = 32, n_layers: int = 3, seed: int = 0):
         if latent < 1 or n_layers < 1:
             raise ValueError("latent and n_layers must be >= 1")
         self.task = task
@@ -123,22 +115,11 @@ class ForecastModel:
         self.n_layers = n_layers
         self.n = adjacency.n
 
-        if static_features is not None:
-            static_features = np.asarray(static_features, dtype=float)
-            if static_features.shape != (self.n, task.static_dim):
-                raise ShapeMismatch(
-                    f"static features {static_features.shape} do not match "
-                    f"(n={self.n}, static_dim={task.static_dim})")
-        elif task.static_dim:
-            raise ShapeMismatch("task declares static_dim but no static features given")
-        self.static_features = static_features
-
         rng = np.random.default_rng(seed)
-        width = task.input_width
         # biases start small but nonzero; an all-zero bias vector parks every
         # dead-relu unit exactly on the kink, where subgradients are ambiguous
         self.params: dict[str, np.ndarray] = {
-            "w_in": _glorot(rng, width, latent),
+            "w_in": _glorot(rng, task.input_width, latent),
             "b_in": rng.uniform(-0.05, 0.05, size=latent),
         }
         for layer in range(1, n_layers + 1):
@@ -210,18 +191,13 @@ def _batch_buffers(model: ForecastModel, s: int) -> _Buffers:
 
 
 def _flatten_history(model: ForecastModel, history: np.ndarray) -> np.ndarray:
-    """(S, alpha, N, C) -> node-major (N*S, alpha*C [+ static]) input rows.
+    """(S, alpha, N, C) -> node-major (N*S, alpha*C) input rows.
 
     No copy is made when ``history`` is a view of node-major memory, as the
     batches ``train`` gathers are.
     """
-    task = model.task
     s = history.shape[0]
-    x = np.transpose(history, (2, 0, 1, 3)).reshape(model.n * s,
-                                                    task.alpha_hist * task.feature_dim)
-    if model.static_features is not None:
-        x = np.concatenate([x, np.repeat(model.static_features, s, axis=0)], axis=1)
-    return x
+    return np.transpose(history, (2, 0, 1, 3)).reshape(model.n * s, model.task.input_width)
 
 
 def _check_history(model: ForecastModel, history: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -346,8 +322,7 @@ def input_jacobian(model: ForecastModel, u: int, v: int,
     steps = np.arange(beta)
     buf.dy.reshape(model.n, beta, beta)[u, steps, steps] = 1.0
     _, dz0 = _backward(model, x, buf, a_hat, with_params=False)
-    width = task.alpha_hist * task.feature_dim
-    return dz0.reshape(model.n, beta, -1)[v] @ model.params["w_in"][:width].T
+    return dz0.reshape(model.n, beta, -1)[v] @ model.params["w_in"].T
 
 
 def loss_and_gradients(model: ForecastModel, history: np.ndarray,
@@ -384,7 +359,7 @@ def _clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> bool:
 
 
 def train(model: ForecastModel, data, config: TrainConfig) -> TrainResult:
-    """Mini-batch gradient descent with decoupled weight decay.
+    """Mini-batch Adam with decoupled weight decay.
 
     Parameters
     ----------
@@ -423,13 +398,10 @@ def train(model: ForecastModel, data, config: TrainConfig) -> TrainResult:
     losses = np.empty(config.epochs)
     lrs = np.empty(config.epochs)
     clipped = np.zeros(config.epochs, dtype=int)
-
-    adam = config.optimizer == "adam"
-    if adam:
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
-        moment1 = {k: np.zeros_like(v) for k, v in model.params.items()}
-        moment2 = {k: np.zeros_like(v) for k, v in model.params.items()}
-        steps = 0
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    moment1 = {k: np.zeros_like(v) for k, v in model.params.items()}
+    moment2 = {k: np.zeros_like(v) for k, v in model.params.items()}
+    steps = 0
 
     for epoch in range(1, config.epochs + 1):
         lr = config.lr_at(epoch)
@@ -451,17 +423,13 @@ def train(model: ForecastModel, data, config: TrainConfig) -> TrainResult:
                                     f"batch {start // config.batch_size}, lr {lr}")
             epoch_abs_sum += loss * batch.size
             clipped[epoch - 1] += _clip_global_norm(grads, config.clip_norm)
-            if adam:
-                steps += 1
-                for name, grad in grads.items():
-                    moment1[name] = beta1 * moment1[name] + (1 - beta1) * grad
-                    moment2[name] = beta2 * moment2[name] + (1 - beta2) * grad * grad
-                    m_hat = moment1[name] / (1 - beta1 ** steps)
-                    v_hat = moment2[name] / (1 - beta2 ** steps)
-                    model.params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
-            else:
-                for name, grad in grads.items():
-                    model.params[name] -= lr * grad
+            steps += 1
+            for name, grad in grads.items():
+                moment1[name] = beta1 * moment1[name] + (1 - beta1) * grad
+                moment2[name] = beta2 * moment2[name] + (1 - beta2) * grad * grad
+                m_hat = moment1[name] / (1 - beta1 ** steps)
+                v_hat = moment2[name] / (1 - beta2 ** steps)
+                model.params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
             if config.weight_decay:
                 for name in decayed:
                     model.params[name] -= lr * config.weight_decay * model.params[name]
@@ -489,10 +457,11 @@ def nse(predicted, observed) -> float:
 # ---------------------------------------------------------------------------
 # synthetic basin
 
-@dataclass(frozen=True)
-class RoutingCoeff:
-    gain: float      # fraction of upstream discharge delivered, (0, 1]
-    lag_hours: int   # travel time, >= 1
+LENGTH_RANGE_KM = (1.0, 10.0)   # stream length of each generated edge
+ELEV_RANGE_M = (0.5, 30.0)      # elevation drop of each generated edge
+CHAIN_BIAS = 0.5                # chance a new node extends the latest branch
+WAVE_SPEED_KMH = 0.5            # flood-wave celerity; lag = length / speed
+RELEASE_RANGE = (0.1, 0.35)     # per-node linear-reservoir release fraction
 
 
 @dataclass
@@ -500,7 +469,7 @@ class SyntheticBasin:
     """Random river tree with linear routing dynamics, reproducible by seed."""
 
     network: RiverNetwork
-    routing: dict[tuple[int, int], RoutingCoeff]
+    routing: dict[tuple[int, int], int]  # (src, dst) -> travel time in hours, >= 1
     rainfall: np.ndarray   # (T, N)
     local_response: np.ndarray  # (T, N) reservoir outflow before routing
     discharge: np.ndarray  # (T, N)
@@ -514,64 +483,53 @@ class SyntheticBasin:
         return np.stack([self.discharge, self.rainfall], axis=2)
 
 
-def random_river_tree(size: int, rng: np.random.Generator,
-                      length_range: tuple[float, float] = (1.0, 10.0),
-                      elev_range: tuple[float, float] = (0.5, 30.0),
-                      chain_bias: float = 0.5) -> RiverNetwork:
+def random_river_tree(size: int, rng: np.random.Generator) -> RiverNetwork:
     """Random tree where every non-outlet node has one downstream edge.
 
-    ``chain_bias`` is the probability a new node extends the most recent
-    branch instead of attaching uniformly at random, giving the elongated
-    shapes typical of river networks.
+    With probability ``CHAIN_BIAS`` a new node extends the most recent branch
+    instead of attaching uniformly at random, giving the elongated shapes
+    typical of river networks.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
     edges = []
     for node in range(1, size):
-        if node == 1 or rng.random() < chain_bias:
+        if node == 1 or rng.random() < CHAIN_BIAS:
             parent = node - 1
         else:
             parent = int(rng.integers(0, node))
         edges.append(Edge(node, parent,
-                          float(rng.uniform(*length_range)),
-                          float(rng.uniform(*elev_range))))
+                          float(rng.uniform(*LENGTH_RANGE_KM)),
+                          float(rng.uniform(*ELEV_RANGE_M))))
     return build_network(range(size), edges)
 
 
 def generate_basin(size: int, seed: int, hours: int = 2400,
-                   wave_speed_kmh: float = 0.5, rain_prob: float = 0.12,
-                   route_gain: float = 1.0,
-                   release_range: tuple[float, float] = (0.1, 0.35)) -> SyntheticBasin:
+                   rain_prob: float = 0.12) -> SyntheticBasin:
     """Generate a random basin and simulate its discharge series.
 
-    Discharge at each node is the routed, lagged sum of upstream discharge
-    plus a local rainfall response (a linear reservoir driven by sparse
-    random storms). The default wave speed gives per-edge travel times of a
-    few hours up to a day, so at double-digit forecast horizons a large share
-    of a downstream node's future inflow is already observable upstream. With
-    the default unit routing gain the long-run mean outlet discharge equals
-    the summed mean local inputs.
+    Discharge at each node is the lagged sum of upstream discharge plus a
+    local rainfall response (a linear reservoir driven by sparse random
+    storms). ``WAVE_SPEED_KMH`` gives per-edge travel times of a few hours up
+    to a day, so at double-digit forecast horizons a large share of a
+    downstream node's future inflow is already observable upstream. Routing
+    loses no water, so the long-run mean outlet discharge equals the summed
+    mean local inputs.
     """
     if size < 2:
         raise ValueError("size must be >= 2")
-    if not 0 < route_gain <= 1:
-        raise ValueError("route_gain must be in (0, 1]")
-    if not 0 < release_range[0] <= release_range[1] <= 1:
-        raise ValueError("release_range must satisfy 0 < lo <= hi <= 1")
     rng = np.random.default_rng(seed)
     net = random_river_tree(size, rng)
     n = net.n
 
-    routing = {}
-    for e in net.edges:
-        lag = max(1, int(round(e.stream_length / wave_speed_kmh)))
-        routing[(e.src, e.dst)] = RoutingCoeff(gain=route_gain, lag_hours=lag)
+    routing = {(e.src, e.dst): max(1, int(round(e.stream_length / WAVE_SPEED_KMH)))
+               for e in net.edges}
 
     storms = rng.random((hours, n)) < rain_prob
     rainfall = np.where(storms, rng.gamma(2.0, 2.0, size=(hours, n)), 0.0)
 
     # linear reservoir per node: local[t] = (1-a) local[t-1] + a rain[t]
-    release = rng.uniform(*release_range, size=n)
+    release = rng.uniform(*RELEASE_RANGE, size=n)
     local = np.zeros((hours, n))
     for t in range(hours):
         prev = local[t - 1] if t > 0 else 0.0
@@ -582,13 +540,10 @@ def generate_basin(size: int, seed: int, hours: int = 2400,
         k = net.index(station)
         q = local[:, k].copy()
         for e in net.in_edges(station):
-            coeff = routing[(e.src, e.dst)]
-            if coeff.lag_hours >= hours:
+            lag = routing[(e.src, e.dst)]
+            if lag >= hours:
                 continue  # still in transit past the simulated window
-            up = discharge[:, net.index(e.src)]
-            lagged = np.zeros(hours)
-            lagged[coeff.lag_hours:] = up[:hours - coeff.lag_hours]
-            q += coeff.gain * lagged
+            q[lag:] += discharge[:hours - lag, net.index(e.src)]
         discharge[:, k] = q
 
     return SyntheticBasin(network=net, routing=routing, rainfall=rainfall,
@@ -697,16 +652,13 @@ def save_model(model: ForecastModel, path) -> None:
         "version": CHECKPOINT_VERSION,
         "task": {"alpha_hist": model.task.alpha_hist,
                  "beta_horizon": model.task.beta_horizon,
-                 "feature_dim": model.task.feature_dim,
-                 "static_dim": model.task.static_dim},
+                 "feature_dim": model.task.feature_dim},
         "latent": model.latent,
         "n_layers": model.n_layers,
         "adjacency_kind": model.adjacency.kind,
         "adjacency": model.adjacency.w.tolist(),
         "shapes": {name: list(arr.shape) for name, arr in model.params.items()},
         "params": {name: arr.tolist() for name, arr in model.params.items()},
-        "static_features": (model.static_features.tolist()
-                            if model.static_features is not None else None),
     }
     Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
 
@@ -716,18 +668,14 @@ def load_model(path) -> ForecastModel:
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} checkpoint: {path}")
     if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
+        raise ValueError(f"unsupported checkpoint version {payload.get('version')} in "
+                         f"{path}; this build reads version {CHECKPOINT_VERSION}")
     task = ForecastTask(**payload["task"])
     kind = payload["adjacency_kind"]
     w = np.asarray(payload["adjacency"], dtype=float)
-    if kind == "topology":
-        adjacency = AdjacencyMatrix(kind, w, support=w > 0)
-    else:
-        adjacency = AdjacencyMatrix(kind, w)
-    static = payload.get("static_features")
+    adjacency = AdjacencyMatrix(kind, w, support=w > 0 if kind == "topology" else None)
     model = ForecastModel(task, adjacency, latent=payload["latent"],
-                          n_layers=payload["n_layers"],
-                          static_features=np.asarray(static) if static is not None else None)
+                          n_layers=payload["n_layers"])
     for name, values in payload["params"].items():
         arr = np.asarray(values, dtype=float)
         expected = tuple(payload["shapes"][name])

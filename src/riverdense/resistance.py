@@ -22,6 +22,7 @@ from .adjacency import AdjacencyMatrix
 from .errors import DifferentComponents, MuOutOfRange
 
 EIG_ZERO_RTOL = 1e-10  # singular values below this share of the largest count as zero
+HIST_BINS = 50  # uniform bins of the resistance histogram over [0, max]
 
 
 @dataclass(frozen=True)
@@ -268,7 +269,7 @@ def pairwise_resistances(bundle: LaplacianBundle) -> np.ndarray:
     return r
 
 
-def resistance_report(adj, mode: str = "symmetric", bins: int = 50) -> ResistanceReport:
+def resistance_report(adj, mode: str = "symmetric") -> ResistanceReport:
     """Evaluate every unordered pair and summarize the distribution.
 
     Disconnected adjacencies are summarized over the largest component; pairs
@@ -288,14 +289,12 @@ def resistance_report(adj, mode: str = "symmetric", bins: int = 50) -> Resistanc
     total_pairs = n * (n - 1) // 2
     excluded = total_pairs - vals.size
 
+    top = float(vals.max()) if vals.size else 0.0
+    edges = np.linspace(0.0, top if top > 0 else 1.0, HIST_BINS + 1)
+    counts, _ = np.histogram(vals, bins=edges)
     if vals.size == 0:
-        edges = np.linspace(0.0, 1.0, bins + 1)
-        counts = np.zeros(bins, dtype=int)
         mean = median = p95 = float("nan")
     else:
-        top = float(vals.max())
-        edges = np.linspace(0.0, top if top > 0 else 1.0, bins + 1)
-        counts, _ = np.histogram(vals, bins=edges)
         mean = float(vals.mean())
         median = float(np.median(vals))
         p95 = float(np.percentile(vals, 95))

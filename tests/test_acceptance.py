@@ -261,7 +261,7 @@ def _rewiring_nse(seed, kind):
                                  rd.RewireConfig(kind=kind))
     model = rd.ForecastModel(task, adj, latent=32, n_layers=3, seed=100 + seed)
     rd.train(model, (x_tr, y_tr),
-             rd.TrainConfig(epochs=80, seed=100 + seed, optimizer="adam"))
+             rd.TrainConfig(epochs=80, seed=100 + seed))
     return float(rd.nse_by_horizon(model, x_te, y_te)[-1])
 
 

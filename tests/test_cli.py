@@ -51,6 +51,8 @@ def test_unknown_flag_exits_64(capsys, tmp_path):
                    "--threads", "2", "--out", tmp_path / "qc") == 64
     assert run_cli("resist", "--adjacency", tmp_path / "a.csv",
                    "--threads", "2", "--out", tmp_path / "rs") == 64
+    assert run_cli("train", "--edges", tmp_path / "e.csv", "--gauges", tmp_path,
+                   "--optimizer", "gd", "--out", tmp_path / "tr") == 64
 
 
 def test_no_command_exits_64(capsys):
@@ -215,6 +217,23 @@ def test_qc_honors_config_column_map(basin8_dir, tmp_path):
     assert reports[0]["passed"]
 
 
+@pytest.mark.parametrize("command", ["qc", "train"])
+@pytest.mark.parametrize("text, line", [
+    ("timestamp = when\n", 1),
+    ("[period]\nstart = 2000-01-01T00:00:00Z\nstart = 2000-01-02T00:00:00Z\n", 3),
+], ids=["no-section-header", "repeated-option"])
+def test_malformed_config_exits_2_naming_file_and_line(basin8_dir, tmp_path, capsys,
+                                                       command, text, line):
+    config = tmp_path / "bad.ini"
+    config.write_text(text)
+    out = tmp_path / "out"
+    code = run_cli(command, "--edges", basin8_dir / "edges.csv",
+                   "--gauges", basin8_dir / "gauges", "--config", config, "--out", out)
+    assert code == 2
+    assert f"{config}:{line}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # rewire
 
@@ -300,6 +319,18 @@ def test_resist_two_node_fixture(tmp_path):
     hist = (out / "resistance_hist.csv").read_text().splitlines()
     assert hist[0] == "bin_edge,count"
     assert len(hist) == 51
+
+
+def test_resist_missing_explicit_meta_exits_2(tmp_path, capsys):
+    adj = tmp_path / "pair.csv"
+    adj.write_text("src,dst,weight\n0,1,1.0\n1,0,1.0\n")
+    missing = tmp_path / "missing.json"
+    out = tmp_path / "rs"
+    assert run_cli("resist", "--adjacency", adj, "--meta", missing, "--out", out) == 2
+    assert f"{missing}" in capsys.readouterr().err
+    assert not out.exists()
+    # without --meta the sibling pair_meta.json stays optional
+    assert run_cli("resist", "--adjacency", adj, "--out", out) == 0
 
 
 def test_resist_dense_lower_than_topology(basin8_dir, tmp_path):

@@ -168,9 +168,6 @@ def _reference_forward(model: rd.ForecastModel, history: np.ndarray):
     s = history.shape[0]
     x = np.transpose(history, (0, 2, 1, 3)).reshape(s, model.n,
                                                     task.alpha_hist * task.feature_dim)
-    if model.static_features is not None:
-        static = np.broadcast_to(model.static_features, (s, model.n, task.static_dim))
-        x = np.concatenate([x, static], axis=2)
     a_hat = model.propagation()
     cache = {"x": x, "a": a_hat}
     z = x @ model.params["w_in"] + model.params["b_in"]
@@ -237,7 +234,7 @@ def reference_input_jacobian(model: rd.ForecastModel, u: int, v: int,
         dy = np.zeros((1, model.n, task.beta_horizon))
         dy[0, u, step] = 1.0
         _, dx = _reference_backward(model, cache, dy, with_params=False)
-        jac[step] = dx[0, v, :width]
+        jac[step] = dx[0, v]
     return jac
 
 
