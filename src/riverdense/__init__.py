@@ -7,8 +7,7 @@ from .errors import (ConstantObserved, CsvFormatError, CycleDetected,
                      NonpositiveLength, RiverDenseError, ShapeMismatch,
                      UnknownStation)
 from .network import (DistanceMatrix, Edge, RiverNetwork, build_network,
-                      distance_path, read_edge_csv, topological_distances,
-                      write_edge_csv)
+                      read_edge_csv, topological_distances, write_edge_csv)
 from .adjacency import (ADJACENCY_KINDS, AdjacencyMatrix, RewireConfig,
                         build_adjacency, dense_transform, rbf_kernel,
                         read_adjacency_csv, resolve_sigma, write_adjacency_csv,

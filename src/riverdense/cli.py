@@ -1,8 +1,9 @@
 """Batch command-line surface: qc -> rewire -> resist -> train.
 
 Every command writes all outputs, plus a manifest JSON recording the
-effective parameters, into its --out directory and nowhere else. Exit codes:
-0 success, 2 input error, 3 computation error, 64 usage error.
+effective parameters, into its --out directory and nowhere else; --out is
+created only after every input is read. Exit codes: 0 success, 2 input
+error, 3 computation error, 64 usage error.
 """
 
 from __future__ import annotations
@@ -25,14 +26,14 @@ from .errors import (CsvFormatError, CycleDetected, DuplicateEdge,
                      NonpositiveLength, RiverDenseError, UnknownStation)
 from .forecast import (ForecastModel, ForecastTask, TrainConfig, nse_by_horizon,
                        prepare_dataset, save_model, train)
-from .network import (distance_path, read_edge_csv, topological_distances,
-                      write_edge_csv)
+from .network import read_edge_csv, topological_distances, write_edge_csv
 from .preprocess import (DEFAULT_COLUMN_MAP, GaugeSeries, extract_subgraph,
                          qc_station, read_gauge_csv, write_qc_json)
 from .resistance import resistance_report, write_report_csv, write_report_json
 
 _INPUT_ERRORS = (CsvFormatError, CycleDetected, DuplicateEdge, NonpositiveLength,
                  UnknownStation, FileNotFoundError, NotADirectoryError, ValueError)
+_CONFIG_OPTIONS = {"column_map": tuple(DEFAULT_COLUMN_MAP), "period": ("start", "end")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,11 +122,14 @@ def entry() -> None:
 # helpers
 
 def _load_config(path) -> configparser.ConfigParser:
-    config = configparser.ConfigParser()
+    """The parsed ``--config``, holding only the sections and options in
+    ``_CONFIG_OPTIONS``; values are taken literally, ``%`` included. No header
+    names the empty default section, so ``[DEFAULT]`` is an unknown section."""
+    config = configparser.ConfigParser(interpolation=None, default_section="")
     if path is not None:
         path = Path(path)
-        if not path.exists():
-            raise FileNotFoundError(f"config file {path} does not exist")
+        if not path.is_file():  # ConfigParser.read skips what it cannot open
+            raise FileNotFoundError(f"config file {path} does not exist or is not a file")
         try:
             config.read(path)
         except configparser.Error as exc:
@@ -134,6 +138,15 @@ def _load_config(path) -> configparser.ConfigParser:
             reason = (exc.message.splitlines()[0].split("]: ")[-1] if hasattr(exc, "lineno")
                       else "expected a [section] header or an option = value line")
             raise ValueError(f"config file {path}:{line}: {reason}") from None
+        for section in config.sections():
+            allowed = _CONFIG_OPTIONS.get(section)
+            if allowed is None:
+                raise ValueError(f"config file {path}: unknown section [{section}], expected "
+                                 + " or ".join(f"[{name}]" for name in _CONFIG_OPTIONS))
+            for option in config.options(section):
+                if option not in allowed:
+                    raise ValueError(f"config file {path}: unknown option {option!r} in "
+                                     f"[{section}], expected " + " or ".join(allowed))
     return config
 
 
@@ -202,12 +215,8 @@ def _rewire(net, kind: str, sigma: str,
 
 
 def _column_map(config: configparser.ConfigParser) -> dict[str, str]:
-    cmap = dict(DEFAULT_COLUMN_MAP)
-    if config.has_section("column_map"):
-        for key in ("timestamp", "discharge"):
-            if config.has_option("column_map", key):
-                cmap[key] = config.get("column_map", key)
-    return cmap
+    return {key: config.get("column_map", key, fallback=default)
+            for key, default in DEFAULT_COLUMN_MAP.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +225,6 @@ def _column_map(config: configparser.ConfigParser) -> dict[str, str]:
 def cmd_qc(args) -> int:
     started = time.perf_counter()
     config = _load_config(args.config)
-    out = _outdir(args)
     cmap = _column_map(config)
     net = read_edge_csv(args.edges)
     series, ingest = _read_gauge_dir(args.gauges, cmap)
@@ -241,6 +249,7 @@ def cmd_qc(args) -> int:
     keep = {r.station for r in reports if r.passed} & set(net.nodes)
     filtered = extract_subgraph(net, keep)
 
+    out = _outdir(args)
     write_qc_json(reports, out / "qc_report.json")
     write_edge_csv(filtered, out / "network_filtered.csv")
     _write_manifest(out, args, [args.edges, args.gauges],
@@ -253,16 +262,16 @@ def cmd_qc(args) -> int:
 
 def cmd_rewire(args) -> int:
     started = time.perf_counter()
-    out = _outdir(args)
     net = read_edge_csv(args.edges)
     adj, resolved = _rewire(net, args.kind, args.sigma, args.prune)
 
+    out = _outdir(args)
     write_adjacency_csv(adj, out / "adjacency.csv", nodes=net.nodes)
     write_adjacency_meta(adj, out / "adjacency_meta.json", sigma=resolved, nodes=net.nodes)
     _write_manifest(out, args, [args.edges],
                     {"kind": args.kind, "sigma": args.sigma,
                      "sigma_resolved": resolved, "prune": args.prune, "n": adj.n,
-                     "nnz": adj.nnz, "distance_path": distance_path(net)},
+                     "nnz": adj.nnz},
                     started)
     return 0
 
@@ -276,7 +285,6 @@ def cmd_resist(args) -> int:
         adj_path.stem + "_meta.json")
     if args.meta and not meta_path.exists():  # the sibling *_meta.json is optional
         raise FileNotFoundError(f"metadata file {meta_path} does not exist")
-    out = _outdir(args)
 
     nodes = None
     if meta_path.exists():
@@ -285,6 +293,7 @@ def cmd_resist(args) -> int:
     w, order = read_adjacency_csv(adj_path, nodes=nodes)
 
     report = resistance_report(w, mode=args.mode)
+    out = _outdir(args)
     write_report_json(report, out / "resistance.json")
     write_report_csv(report, out / "resistance_hist.csv")
     _write_manifest(out, args, [str(adj_path)],
@@ -301,7 +310,6 @@ def cmd_resist(args) -> int:
 def cmd_train(args) -> int:
     started = time.perf_counter()
     config = _load_config(args.config)
-    out = _outdir(args)
     cmap = _column_map(config)
     net = read_edge_csv(args.edges)
     series, ingest = _read_gauge_dir(args.gauges, cmap)
@@ -344,6 +352,7 @@ def cmd_train(args) -> int:
                    TrainConfig(lr=args.lr, epochs=args.epochs, seed=args.seed))
     horizon_nse = nse_by_horizon(model, x_te, y_te)
 
+    out = _outdir(args)
     with (out / "metrics.csv").open("w", newline="", encoding="utf-8") as fh:
         fh.write("horizon,adjacency_kind,seed,nse\n")
         for step, score in enumerate(horizon_nse, start=1):
@@ -365,7 +374,6 @@ def cmd_train(args) -> int:
                      "train_windows": int(x_tr.shape[0]),
                      "test_windows": int(x_te.shape[0]),
                      "final_train_mae": float(result.losses[-1]),
-                     "distance_path": None if args.adjacency else distance_path(net),
                      "channels": channel_names, **ingest},
                     started)
     return 0

@@ -195,16 +195,17 @@ def test_qc_header_only_gauges_without_period_exits_2_naming_flags(basin8_dir, t
     assert caught == []
 
 
-def test_qc_honors_config_column_map(basin8_dir, tmp_path):
+@pytest.mark.parametrize("flow", ["flow", "flow%"])  # a bare % is taken literally
+def test_qc_honors_config_column_map(basin8_dir, tmp_path, flow):
     gauges = tmp_path / "gauges"
     gauges.mkdir()
     original = rd.read_gauge_csv(basin8_dir / "gauges" / "0.csv")
     with (gauges / "0.csv").open("w") as fh:
-        fh.write("when,flow\n")
+        fh.write(f"when,{flow}\n")
         for t, q in zip(original.timestamps, original.discharge):
             fh.write(f"{t}Z,{float(q)!r}\n")
     config = tmp_path / "config.ini"
-    config.write_text("[column_map]\ntimestamp = when\ndischarge = flow\n")
+    config.write_text(f"[column_map]\ntimestamp = when\ndischarge = {flow}\n")
     edges = tmp_path / "edges.csv"
     edges.write_text("src,dst,stream_length_km,elevation_diff_m\n")
     # single isolated station: network with that node only
@@ -234,6 +235,55 @@ def test_malformed_config_exits_2_naming_file_and_line(basin8_dir, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["qc", "train"])
+@pytest.mark.parametrize("text, named", [
+    ("[colum_map]\ndischarge = flow\n", "unknown section [colum_map]"),
+    ("[period]\nbegin = 2000-01-01T00:00:00Z\n", "unknown option 'begin' in [period]"),
+    ("[DEFAULT]\nstart = 2000-01-01T00:00:00Z\n", "unknown section [DEFAULT]"),
+    (None, "is not a file"),
+], ids=["section", "option", "default-section", "directory"])
+def test_unusable_config_exits_2_naming_it(basin8_dir, tmp_path, capsys, command, text,
+                                           named):
+    config = tmp_path / "config.ini"
+    if text is None:
+        config.mkdir()
+    else:
+        config.write_text(text)
+    out = tmp_path / "out"
+    code = run_cli(command, "--edges", basin8_dir / "edges.csv",
+                   "--gauges", basin8_dir / "gauges", "--config", config, "--out", out)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config file {config}" in err and named in err
+    assert not out.exists()
+
+
+def test_qc_percent_in_config_period_exits_2_naming_the_value(basin8_dir, tmp_path, capsys):
+    config = tmp_path / "config.ini"
+    config.write_text("[period]\nstart = 50%\n")
+    out = tmp_path / "out"
+    code = run_cli("qc", "--edges", basin8_dir / "edges.csv",
+                   "--gauges", basin8_dir / "gauges", "--config", config, "--out", out)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'50%'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, missing", [("qc", "--edges"), ("qc", "--gauges"),
+                                              ("rewire", "--edges"), ("train", "--edges"),
+                                              ("train", "--gauges")])
+def test_missing_input_exits_2_before_out_is_created(basin8_dir, tmp_path, command, missing):
+    inputs = {"--edges": basin8_dir / "edges.csv", "--gauges": basin8_dir / "gauges"}
+    inputs[missing] = tmp_path / ("missing.csv" if missing == "--edges" else "missing")
+    if command == "rewire":
+        del inputs["--gauges"]
+    out = tmp_path / "out"
+    argv = [part for flag, path in inputs.items() for part in (flag, path)]
+    assert run_cli(command, *argv, "--out", out) == 2
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # rewire
 
@@ -247,18 +297,22 @@ def test_rewire_dense_rows_sum_to_one(basin8_dir, tmp_path):
     assert meta["kind"] == "dense"
     assert meta["n"] == 8
     assert meta["nnz"] == int(np.count_nonzero(w))
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["parameters"]["distance_path"] == "tree"
 
 
-def test_rewire_bypassed_network_records_dijkstra_path(tmp_path):
+def test_rewire_bypassed_network_writes_its_adjacency(tmp_path):
     edges = tmp_path / "edges.csv"
     edges.write_text("src,dst,stream_length_km,elevation_diff_m\n"
                      "0,1,1.5,0\n3,1,2.0,0\n1,2,2.25,0\n0,2,3.0,0\n")
     out = tmp_path / "rw"
     assert run_cli("rewire", "--edges", edges, "--out", out) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["parameters"]["distance_path"] == "dijkstra"
+    net = rd.read_edge_csv(edges)
+    expected = rd.DistanceMatrix(n=4, nodes=net.nodes, d=np.array([[0.0, 1.5, 3.0, 3.5],
+                                                                   [1.5, 0.0, 2.25, 2.0],
+                                                                   [3.0, 2.25, 0.0, 4.25],
+                                                                   [3.5, 2.0, 4.25, 0.0]]))
+    config = rd.RewireConfig(sigma=rd.resolve_sigma(expected, "auto"), kind="dense")
+    w, _ = rd.read_adjacency_csv(out / "adjacency.csv")
+    assert np.array_equal(w, rd.build_adjacency(net, expected, config).w)
 
 
 def test_rewire_isolated_empty_coordinate_list(basin8_dir, tmp_path):
@@ -417,7 +471,6 @@ def test_train_smoke_run(basin8_dir, tmp_path):
     assert manifest["parameters"]["epochs"] == 5
     assert manifest["input_paths"] == [str(basin8_dir / "edges.csv"),
                                        str(basin8_dir / "gauges")]
-    assert manifest["parameters"]["distance_path"] == "tree"
     assert float(log[-1]["mae"]) == manifest["parameters"]["final_train_mae"]
     net = rd.read_edge_csv(basin8_dir / "edges.csv")
     assert manifest["parameters"]["sigma_resolved"] == rd.resolve_sigma(
@@ -486,7 +539,6 @@ def test_train_accepts_prebuilt_adjacency(basin8_dir, tmp_path):
                    "--latent", "8", "--out", out) == 0
     assert (out / "metrics.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["parameters"]["distance_path"] is None
     assert manifest["parameters"]["sigma_resolved"] is None
 
 

@@ -4,7 +4,8 @@ import pytest
 import riverdense as rd
 from riverdense.errors import CsvFormatError, CycleDetected, DuplicateEdge, NonpositiveLength
 
-from util import dijkstra_distances, random_weighted_tree, tree_path_distance
+from util import (dijkstra_distances, floyd_warshall, random_weighted_tree, tree_path_distance,
+                  undirected_length_matrix)
 
 
 def test_minimal_two_node_network():
@@ -131,7 +132,6 @@ def test_tree_distances_equal_dijkstra_reference_on_river_forests():
     outlets = isolated = 0
     for _ in range(300):
         net = random_river_forest(rng)
-        assert rd.distance_path(net) == "tree"
         d = rd.topological_distances(net).d
         assert np.array_equal(d, dijkstra_distances(net))
         outlets += len(net.outlets()) > 1
@@ -139,11 +139,10 @@ def test_tree_distances_equal_dijkstra_reference_on_river_forests():
     assert outlets > 100 and isolated > 100
 
 
-def test_bypassed_confluence_takes_dijkstra_path():
+def test_bypassed_confluence_distances():
     # station 0 drains through confluence 1 and also along a bypass straight to 2
     net = rd.build_network([0, 1, 2, 3], [(0, 1, 1.5, 0.0), (3, 1, 2.0, 0.0),
                                           (1, 2, 2.25, 0.0), (0, 2, 3.0, 0.0)])
-    assert rd.distance_path(net) == "dijkstra"
     d = rd.topological_distances(net).d
     expected = np.array([[0.0, 1.5, 3.0, 3.5],
                          [1.5, 0.0, 2.25, 2.0],
@@ -165,10 +164,38 @@ def test_bypassed_forests_equal_dijkstra_reference():
             if below and rng.random() < 0.3:
                 edges.append((e.src, below[0].dst, float(rng.uniform(0.05, 80.0)), 0.0))
         net = rd.build_network(tree.nodes, edges)
-        bypassed += rd.distance_path(net) == "dijkstra"
+        bypassed += not net.is_river_tree()
         d = rd.topological_distances(net).d
         assert np.array_equal(d, dijkstra_distances(net))
     assert bypassed > 50
+
+
+def alternating_chain(n: int) -> rd.RiverNetwork:
+    """A path whose edges alternate direction: every other station has two outlets."""
+    edges = [((k, k + 1) if k % 2 else (k + 1, k)) + (0.1 + (k % 7) * 0.37, 0.0)
+             for k in range(n - 1)]
+    return rd.build_network(range(n), edges)
+
+
+def grid_dag(side: int, rng: np.random.Generator) -> rd.RiverNetwork:
+    """Stations on a square grid draining right and down: many paths per pair."""
+    edges = []
+    for k in range(side * side):
+        if k % side + 1 < side:
+            edges.append((k, k + 1, float(rng.uniform(0.05, 5.0)), 0.0))
+        if k + side < side * side:
+            edges.append((k, k + side, float(rng.uniform(0.05, 5.0)), 0.0))
+    return rd.build_network(range(side * side), edges)
+
+
+@pytest.mark.parametrize("net", [alternating_chain(120), grid_dag(9, np.random.default_rng(5))],
+                         ids=["alternating-chain", "grid-dag"])
+def test_non_tree_distances_equal_dijkstra_and_floyd_warshall(net):
+    assert not net.is_river_tree()
+    d = rd.topological_distances(net).d
+    assert np.array_equal(d, dijkstra_distances(net))
+    np.testing.assert_allclose(d, floyd_warshall(undirected_length_matrix(net)),
+                               rtol=0, atol=1e-12)
 
 
 def test_build_is_order_insensitive():
