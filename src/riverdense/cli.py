@@ -28,7 +28,7 @@ from .forecast import (ForecastModel, ForecastTask, TrainConfig, nse_by_horizon,
                        prepare_dataset, save_model, train)
 from .network import read_edge_csv, topological_distances, write_edge_csv
 from .preprocess import (DEFAULT_COLUMN_MAP, GaugeSeries, extract_subgraph,
-                         qc_station, read_gauge_csv, write_qc_json)
+                         parse_timestamp, qc_station, read_gauge_csv, write_qc_json)
 from .resistance import resistance_report, write_report_csv, write_report_json
 
 _INPUT_ERRORS = (CsvFormatError, CycleDetected, DuplicateEdge, NonpositiveLength,
@@ -214,6 +214,25 @@ def _rewire(net, kind: str, sigma: str,
     return build_adjacency(net, distances, config), resolved
 
 
+def _period_bound(args, config: configparser.ConfigParser,
+                  bound: str) -> tuple[str | None, np.datetime64 | None]:
+    """The study period's start or end as given and as parsed, from
+    --period-<bound>, else from [period] <bound> in --config; (None, None)
+    when neither sets it. A value that does not parse, an empty one
+    included, raises ValueError naming the flag or the config option."""
+    text = getattr(args, f"period_{bound}")
+    source = f"--period-{bound}"
+    if text is None:
+        text = config.get("period", bound, fallback=None)
+        source = f"config file {args.config}: [period] {bound}"
+    if text is None:
+        return None, None
+    try:
+        return text, parse_timestamp(text)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+
+
 def _column_map(config: configparser.ConfigParser) -> dict[str, str]:
     return {key: config.get("column_map", key, fallback=default)
             for key, default in DEFAULT_COLUMN_MAP.items()}
@@ -229,22 +248,23 @@ def cmd_qc(args) -> int:
     net = read_edge_csv(args.edges)
     series, ingest = _read_gauge_dir(args.gauges, cmap)
 
-    period_start = args.period_start or config.get("period", "start", fallback=None)
-    period_end = args.period_end or config.get("period", "end", fallback=None)
-    if period_start is None or period_end is None:
+    start_text, start = _period_bound(args, config, "start")
+    end_text, end = _period_bound(args, config, "end")
+    if start is None or end is None:
         # fall back to the union span of all series, end exclusive
         spans = [s.timestamps for s in series.values() if len(s)]
         if not spans:
             raise ValueError("no gauge file has a data row to take the study period from; "
                              "pass --period-start and --period-end or set [period] in --config")
-        all_min = min(t.min() for t in spans)
-        all_max = max(t.max() for t in spans)
-        period_start = period_start or str(all_min)
-        period_end = period_end or str(all_max + np.timedelta64(1, "h"))
+        if start is None:
+            start = min(t.min() for t in spans)
+            start_text = str(start)
+        if end is None:
+            end = max(t.max() for t in spans) + np.timedelta64(1, "h")
+            end_text = str(end)
 
     # a network node without a gauge file fails by vacuous coverage
-    reports = [qc_station(series[s] if s in series else GaugeSeries(s, [], []),
-                          period_start, period_end)
+    reports = [qc_station(series[s] if s in series else GaugeSeries(s, [], []), start, end)
                for s in sorted(set(series) | set(net.nodes))]
     keep = {r.station for r in reports if r.passed} & set(net.nodes)
     filtered = extract_subgraph(net, keep)
@@ -253,7 +273,7 @@ def cmd_qc(args) -> int:
     write_qc_json(reports, out / "qc_report.json")
     write_edge_csv(filtered, out / "network_filtered.csv")
     _write_manifest(out, args, [args.edges, args.gauges],
-                    {"period_start": str(period_start), "period_end": str(period_end),
+                    {"period_start": start_text, "period_end": end_text,
                      "column_map": cmap,
                      "stations_in": len(reports), "stations_kept": len(keep), **ingest},
                     started)

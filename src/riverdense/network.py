@@ -68,10 +68,6 @@ class RiverNetwork:
         """Stations with no downstream edge."""
         return [node for node in self.nodes if not self._out[node]]
 
-    def is_river_tree(self) -> bool:
-        """True when every node has out-degree <= 1."""
-        return all(len(self._out[node]) <= 1 for node in self.nodes)
-
     def edge_mask(self) -> np.ndarray:
         """(n, n) bool matrix, True at [index(src), index(dst)] for every edge."""
         mask = np.zeros((self.n, self.n), dtype=bool)

@@ -182,11 +182,11 @@ def read_gauge_csv(path, column_map: dict[str, str] | None = None, *,
 
     The body is parsed in one pass by numpy's C reader. A file that parse
     cannot take exactly (quotes, NULs or the separators ``\\x1c``-``\\x1f``, a
-    repeated column, a ragged or whitespace-only row, a stamp other than
-    ``YYYY-MM-DDTHH:MM:SS`` with an optional ``Z`` or ``+00:00``) is read
-    again row by row, which returns the same arrays or raises
-    :class:`CsvFormatError` at its file:line. The path of such a file is
-    appended to ``fallbacks`` when one is given.
+    repeated column, a ragged or whitespace-only row, a stamp not digit for
+    digit ``YYYY-MM-DDTHH:MM:SS`` from year 1, with an optional ``Z`` or
+    ``+00:00``) is read again row by row, which returns the same arrays or
+    raises :class:`CsvFormatError` at its file:line. The path of such a file
+    is appended to ``fallbacks`` when one is given.
     """
     path = Path(path)
     cmap = dict(DEFAULT_COLUMN_MAP)
@@ -211,7 +211,7 @@ _TEXT = re.compile(rb"[^\r\n]")
 # quotes and NULs, which numpy and the csv module read differently, and the
 # separators \x1c-\x1f, which numpy strips from a number and float() does not
 _NOT_NUMPY = tuple(bytes([c]) for c in b'"\x00\x1c\x1d\x1e\x1f')
-_ROUND_TRIP_ROWS = 1024  # datetime_as_string makes 152-byte U38 strings; bounds the peak
+_SHAPE = b"0000-00-00T00:00:00"  # "0" marks a digit: a byte c with c - 48 <= 9 in uint8
 
 
 def _read_gauge_columns(path: Path, station: int, cmap: dict[str, str]) -> GaugeSeries | None:
@@ -251,22 +251,21 @@ def _canonical_utc_stamps(body: np.ndarray, field: str) -> np.ndarray | None:
     """The ``field`` column of the record array ``body`` as datetime64[s] when
     every stamp reads ``YYYY-MM-DDTHH:MM:SS``, optionally followed by ``Z`` or
     ``+00:00``; None when any is written another way, so that parse_timestamp
-    decides it. Raises ValueError where numpy cannot read one."""
+    decides it. Raises ValueError where numpy cannot read one. Exact: past the
+    byte shape, numpy's parse rejects any field out of range (leap days
+    included) and the bound year 0, so what passes is what
+    ``np.datetime_as_string`` writes back byte for byte."""
     offset = body.dtype.fields[field][1]
     raw = body.view(np.uint8).reshape(body.size, body.dtype.itemsize)  # no copies
-    head = raw[:, offset:offset + 19].view("S19")[:, 0]
     tail = raw[:, offset + 19:offset + _STAMP.itemsize].view(f"S{_STAMP.itemsize - 19}")[:, 0]
     if not np.all((tail == b"") | (tail == b"Z") | (tail == b"+00:00")):
         return None
-    stamps = head.astype("datetime64[s]")
-    # numpy also reads year 0, negative years and "NaT", which datetime rejects
+    for column, want in zip(raw[:, offset:offset + 19].T, _SHAPE):  # no (rows, 19) temporary
+        if not np.all(column - want <= 9 if want == ord("0") else column == want):
+            return None
+    stamps = raw[:, offset:offset + 19].view("S19")[:, 0].astype("datetime64[s]")
     if not np.all(stamps >= _FIRST_SECOND):
         return None
-    for lo in range(0, stamps.size, _ROUND_TRIP_ROWS):
-        text = np.datetime_as_string(stamps[lo:lo + _ROUND_TRIP_ROWS], unit="s")
-        # one byte wider than the head, so a five-digit year never matches it
-        if not np.array_equal(text.astype("S20"), head[lo:lo + _ROUND_TRIP_ROWS]):
-            return None
     return stamps
 
 

@@ -23,6 +23,7 @@ from .errors import DifferentComponents, MuOutOfRange
 
 EIG_ZERO_RTOL = 1e-10  # singular values below this share of the largest count as zero
 HIST_BINS = 50  # uniform bins of the resistance histogram over [0, max]
+SNAP_RTOL = 1e-9  # a resistance this share of the largest from a bin edge is on it
 
 
 @dataclass(frozen=True)
@@ -289,9 +290,7 @@ def resistance_report(adj, mode: str = "symmetric") -> ResistanceReport:
     total_pairs = n * (n - 1) // 2
     excluded = total_pairs - vals.size
 
-    top = float(vals.max()) if vals.size else 0.0
-    edges = np.linspace(0.0, top if top > 0 else 1.0, HIST_BINS + 1)
-    counts, _ = np.histogram(vals, bins=edges)
+    edges, counts = _histogram(vals)
     if vals.size == 0:
         mean = median = p95 = float("nan")
     else:
@@ -303,6 +302,21 @@ def resistance_report(adj, mode: str = "symmetric") -> ResistanceReport:
                             p95=p95, histogram=(edges, counts), excluded_pairs=excluded,
                             components=sizes.size, solver=bundle.solver,
                             pinv_residual=_pinv_residual(bundle))
+
+
+def _histogram(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edges and counts of HIST_BINS uniform bins over [0, max(vals)].
+
+    On trees many resistances are exact multiples of the bin width, which the
+    solver leaves up to ~1e-13 of the largest off their edge. Each value within
+    SNAP_RTOL of the largest of an edge is counted as on it, so that neither
+    that noise nor a last-bit change in any value picks its bin."""
+    top = float(vals.max()) if vals.size else 0.0
+    edges = np.linspace(0.0, top if top > 0 else 1.0, HIST_BINS + 1)
+    nearest = edges[np.rint(vals / edges[1]).astype(int)]
+    on_edge = np.abs(vals - nearest) <= SNAP_RTOL * edges[-1]
+    counts, _ = np.histogram(np.where(on_edge, nearest, vals), bins=edges)
+    return edges, counts
 
 
 def report_to_json(report: ResistanceReport) -> dict:

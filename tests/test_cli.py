@@ -258,16 +258,44 @@ def test_unusable_config_exits_2_naming_it(basin8_dir, tmp_path, capsys, command
     assert not out.exists()
 
 
-def test_qc_percent_in_config_period_exits_2_naming_the_value(basin8_dir, tmp_path, capsys):
+@pytest.mark.parametrize("flags, text, named", [
+    ([], "[period]\nstart = 50%\n",
+     "config file {config}: [period] start: Invalid isoformat string: '50%'"),
+    ([], "[period]\nend =\n", "config file {config}: [period] end: Invalid isoformat string: ''"),
+    (["--period-start", "50%"], "", "--period-start: Invalid isoformat string: '50%'"),
+    (["--period-end", ""], "", "--period-end: Invalid isoformat string: ''"),
+    (["--period-start", "2000-01-01T00:00:00Z"], "[period]\nend = 2000-01-21T00:00:00+02:00\n",
+     "config file {config}: [period] end: timestamp '2000-01-21T00:00:00+02:00' is not UTC"),
+], ids=["config-unparsable", "config-empty", "flag-unparsable", "flag-empty", "config-offset"])
+def test_qc_bad_period_value_exits_2_naming_its_source(basin8_dir, tmp_path, capsys,
+                                                       flags, text, named):
     config = tmp_path / "config.ini"
-    config.write_text("[period]\nstart = 50%\n")
+    config.write_text(text)
     out = tmp_path / "out"
-    code = run_cli("qc", "--edges", basin8_dir / "edges.csv",
-                   "--gauges", basin8_dir / "gauges", "--config", config, "--out", out)
+    code = run_cli("qc", "--edges", basin8_dir / "edges.csv", "--gauges", basin8_dir / "gauges",
+                   "--config", config, *flags, "--out", out)
     assert code == 2
     err = capsys.readouterr().err
-    assert "'50%'" in err and "Traceback" not in err
+    assert named.format(config=config) in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_qc_manifest_records_period_text_as_given(basin8_dir, tmp_path):
+    config = tmp_path / "config.ini"
+    config.write_text("[period]\nstart = 1999-01-01T00:00:00Z\nend = 2000-01-21T00:00:00+00:00\n")
+    out, union = tmp_path / "qc", tmp_path / "union"
+    assert run_cli("qc", "--edges", basin8_dir / "edges.csv", "--gauges", basin8_dir / "gauges",
+                   "--config", config, "--period-start", "2000-01-01T00:00:00Z",
+                   "--out", out) == 0
+    assert run_cli("qc", "--edges", basin8_dir / "edges.csv", "--gauges", basin8_dir / "gauges",
+                   "--out", union) == 0
+    params = json.loads((out / "manifest.json").read_text())["parameters"]
+    assert (params["period_start"], params["period_end"]) == ("2000-01-01T00:00:00Z",
+                                                              "2000-01-21T00:00:00+00:00")
+    union_params = json.loads((union / "manifest.json").read_text())["parameters"]
+    assert (union_params["period_start"], union_params["period_end"]) == (
+        "2000-01-01T00:00:00", "2000-01-21T00:00:00")
+    assert (out / "qc_report.json").read_bytes() == (union / "qc_report.json").read_bytes()
 
 
 @pytest.mark.parametrize("command, missing", [("qc", "--edges"), ("qc", "--gauges"),

@@ -4,8 +4,8 @@ import pytest
 import riverdense as rd
 from riverdense.errors import CsvFormatError, CycleDetected, DuplicateEdge, NonpositiveLength
 
-from util import (dijkstra_distances, floyd_warshall, random_weighted_tree, tree_path_distance,
-                  undirected_length_matrix)
+from util import (dijkstra_distances, floyd_warshall, is_river_tree, random_weighted_tree,
+                  tree_path_distance, undirected_length_matrix)
 
 
 def test_minimal_two_node_network():
@@ -24,7 +24,7 @@ def test_two_cycle_rejected():
 def test_chain_outlet_has_no_downstream():
     net = rd.build_network([0, 1, 2], [(0, 1, 2.0, 0.0), (1, 2, 3.0, 0.0)])
     assert net.outlets() == [2]
-    assert net.is_river_tree()
+    assert is_river_tree(net)
 
 
 def test_self_loop_rejected():
@@ -123,7 +123,7 @@ def random_river_forest(rng: np.random.Generator) -> rd.RiverNetwork:
             length = float(rng.choice([rng.uniform(0.05, 40.0), rng.integers(1, 9) / 10]))
             edges.append((ids[k], downstream, length, 0.0))
     net = rd.build_network(ids, edges)
-    assert net.is_river_tree()
+    assert is_river_tree(net)
     return net
 
 
@@ -164,7 +164,7 @@ def test_bypassed_forests_equal_dijkstra_reference():
             if below and rng.random() < 0.3:
                 edges.append((e.src, below[0].dst, float(rng.uniform(0.05, 80.0)), 0.0))
         net = rd.build_network(tree.nodes, edges)
-        bypassed += not net.is_river_tree()
+        bypassed += not is_river_tree(net)
         d = rd.topological_distances(net).d
         assert np.array_equal(d, dijkstra_distances(net))
     assert bypassed > 50
@@ -191,7 +191,7 @@ def grid_dag(side: int, rng: np.random.Generator) -> rd.RiverNetwork:
 @pytest.mark.parametrize("net", [alternating_chain(120), grid_dag(9, np.random.default_rng(5))],
                          ids=["alternating-chain", "grid-dag"])
 def test_non_tree_distances_equal_dijkstra_and_floyd_warshall(net):
-    assert not net.is_river_tree()
+    assert not is_river_tree(net)
     d = rd.topological_distances(net).d
     assert np.array_equal(d, dijkstra_distances(net))
     np.testing.assert_allclose(d, floyd_warshall(undirected_length_matrix(net)),

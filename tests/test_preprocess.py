@@ -1,14 +1,18 @@
+import warnings
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import riverdense as rd
 import riverdense.preprocess
 from riverdense.errors import CsvFormatError, UnknownStation
-from riverdense.preprocess import DEFAULT_COLUMN_MAP, _read_gauge_columns, _read_gauge_rows
+from riverdense.preprocess import (_STAMP, DEFAULT_COLUMN_MAP, _canonical_utc_stamps,
+                                   _read_gauge_columns, _read_gauge_rows)
 
-from util import random_weighted_tree
+from util import is_river_tree, random_weighted_tree, round_trip_stamps
 
 T0 = np.datetime64("2000-01-01T00:00:00", "s")
 HOUR = np.timedelta64(1, "h")
@@ -161,7 +165,7 @@ def test_extract_preserves_reachability_and_edge_lengths():
         original = rd.topological_distances(net).d
         keep = {0} | {int(s) for s in rng.choice(n, size=max(2, n // 2), replace=False)}
         sub = rd.extract_subgraph(net, keep)
-        assert sub.is_river_tree()
+        assert is_river_tree(sub)
         # each aggregated edge carries the original shortest-path length
         for e in sub.edges:
             assert e.stream_length == pytest.approx(
@@ -403,6 +407,84 @@ def test_gauge_csv_bad_bodies_go_to_the_row_loop(tmp_path, body, line):
     assert _read_gauge_columns(path, 8, _cmap()) is None
     with pytest.raises(CsvFormatError, match=rf"8\.csv:{line}: "):
         rd.read_gauge_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# gauge CSV: the byte-shape stamp check against the round-trip oracle
+
+def _stamp_verdict(check, stamps):
+    """What ``check`` makes of a record array holding ``stamps``: the parsed
+    array, or None for "leave it to the row loop" (None, or a ValueError or a
+    warning, which _read_gauge_columns also turns into None)."""
+    body = np.array([(1.0, stamp) for stamp in stamps], dtype=[("c0", "f8"), ("c1", _STAMP)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return check(body, "c1")
+        except (ValueError, Warning):
+            return None
+
+
+def assert_stamp_check_matches_oracle(stamps):
+    fast = _stamp_verdict(_canonical_utc_stamps, stamps)
+    oracle = _stamp_verdict(round_trip_stamps, stamps)
+    if oracle is None:
+        assert fast is None, stamps
+    else:
+        assert fast is not None and fast.dtype == oracle.dtype, stamps
+        assert fast.tobytes() == oracle.tobytes(), stamps
+
+
+CANONICAL = [b"2000-02-29T23:59:59", b"1999-12-31T00:00:00", b"0001-01-01T00:00:00",
+             b"9999-12-31T23:59:59", b"2024-07-15T12:34:56"]
+MUTANTS = b"0123456789-T:Z+ ./t\xe9"  # digits, separators, space, lowercase t, non-ASCII
+TAILS = [b"", b"Z", b"+00:00", b"z", b"ZZ", b"+01:00", b"-00:00", b"+0000", b"+00:00Z",
+         b" ", b"Z ", b".0", b"+00:00:00"]
+
+
+def _edge_stamps():
+    for year in (b"0000", b"0001", b"1900", b"2000", b"2100", b"9999"):
+        for month in range(14):
+            for day in (0, 28, 29, 30, 31, 32):
+                yield b"%s-%02d-%02dT00:00:00" % (year, month, day)
+        for clock in (b"24:00:00", b"23:60:00", b"23:59:60", b"23:59:59"):
+            yield year + b"-12-31T" + clock
+    yield from [b"+10000-01-01T00:00:00", b"10000-01-01T00:00:00", b"-0001-01-01T00:00:00",
+                b"NaT", b"nat", b"2000-01-01", b"2000-01-01Z", b"2000-01-01T00:00",
+                b"2000-01-01T00:00Z", b"", b"2000-01-01 00:00:00", b"2000-01-01T00:00:00.0"]
+
+
+def test_stamp_check_matches_round_trip_on_every_byte_mutation():
+    for stamp in CANONICAL:
+        for at in range(len(stamp)):
+            for byte in MUTANTS:
+                mutant = stamp[:at] + bytes([byte]) + stamp[at + 1:]
+                for tail in (b"", b"Z"):
+                    assert_stamp_check_matches_oracle([mutant + tail])
+        for tail in TAILS:
+            assert_stamp_check_matches_oracle([stamp + tail])
+            assert_stamp_check_matches_oracle([stamp, stamp + tail])
+
+
+def test_stamp_check_matches_round_trip_on_field_edges():
+    for stamp in _edge_stamps():
+        for tail in (b"", b"Z", b"+00:00"):
+            assert_stamp_check_matches_oracle([stamp + tail])
+            assert_stamp_check_matches_oracle([CANONICAL[0], stamp + tail])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.datetimes(min_value=datetime(1, 1, 1),
+                                       max_value=datetime(9999, 12, 31, 23, 59, 59)),
+                          st.sampled_from(TAILS[:3])), min_size=1, max_size=40),
+       st.integers(min_value=0), st.integers(min_value=0, max_value=18),
+       st.sampled_from(list(MUTANTS)), st.booleans())
+def test_stamp_check_matches_round_trip_on_random_columns(rows, row, at, byte, mutate):
+    stamps = [dt.isoformat(timespec="seconds").encode() + tail for dt, tail in rows]
+    if mutate:
+        row %= len(stamps)
+        stamps[row] = stamps[row][:at] + bytes([byte]) + stamps[row][at + 1:]
+    assert_stamp_check_matches_oracle(stamps)
 
 
 @pytest.mark.parametrize("header", ["timestamp,qobs,qobs\n", "timestamp,rain,qobs,rain\n"])

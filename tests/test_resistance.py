@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 import riverdense as rd
 from riverdense.errors import DifferentComponents, MuOutOfRange
-from riverdense.resistance import _component_labels
+from riverdense.resistance import HIST_BINS, _component_labels, _histogram
 
 from util import (conductance_matrix, dfs_component_labels, disconnected_graph,
-                  eigh_pinv, random_connected_graph, random_weighted_dag,
+                  eigh_pinv, hop_distances, random_connected_graph, random_weighted_dag,
                   random_weighted_tree, svd_pinv)
 
 UNIT_EDGE = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -188,6 +188,42 @@ def test_report_json_and_csv_schema(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "bin_edge,count"
     assert len(lines) == 51
+
+
+def _move_ulps(x: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Each entry of x moved by its entry of steps (-4..4) ulps, exactly."""
+    out = x.copy()
+    for k in range(1, 5):
+        out = np.where(steps >= k, np.nextafter(out, np.inf), out)
+        out = np.where(steps <= -k, np.nextafter(out, -np.inf), out)
+    return out
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "random-walk"])
+def test_histogram_counts_survive_four_ulps_of_noise(mode):
+    rng = np.random.default_rng(43)
+    for n in (5, 40, 200):
+        net = rd.random_river_tree(n, rng)
+        adj = rd.build_adjacency(net, rd.topological_distances(net),
+                                 rd.RewireConfig(kind="topology"))
+        report = rd.resistance_report(adj, mode=mode)
+        iu = np.triu_indices(n, k=1)
+        vals = report.pairwise[iu]
+        counts = report.histogram[1]
+        if mode == "symmetric":
+            # edges conduct 1/2, so R = 2 hops, and 2h sits in bin 50h // diameter
+            support = adj.w > 0
+            hops = hop_distances(support | support.T)[iu].astype(int)
+            exact = np.minimum(HIST_BINS * hops // hops.max(), HIST_BINS - 1)
+            assert counts.tolist() == np.bincount(exact, minlength=HIST_BINS).tolist()
+        for _ in range(20):
+            noisy = _move_ulps(vals, rng.integers(-4, 5, size=vals.size))
+            assert _histogram(noisy)[1].tolist() == counts.tolist()
+        # the far case: every value 4 ulps down while the maximum, which
+        # scales the edges, moves 4 ulps up
+        steps = np.full(vals.size, -4)
+        steps[vals == vals.max()] = 4
+        assert _histogram(_move_ulps(vals, steps))[1].tolist() == counts.tolist()
 
 
 def test_triangle_inequality_of_resistance():

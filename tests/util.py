@@ -13,6 +13,11 @@ def random_weighted_tree(n: int, rng: np.random.Generator) -> rd.RiverNetwork:
     return rd.random_river_tree(n, rng)
 
 
+def is_river_tree(net: rd.RiverNetwork) -> bool:
+    """True when every station has at most one downstream edge."""
+    return all(len(net.out_edges(node)) <= 1 for node in net.nodes)
+
+
 def random_connected_graph(n: int, rng: np.random.Generator,
                            extra_edges: int | None = None) -> np.ndarray:
     """Symmetric positive weight matrix of a connected graph."""
@@ -282,3 +287,35 @@ def dfs_component_labels(support: np.ndarray) -> np.ndarray:
                     stack.append(int(v))
         current += 1
     return labels
+
+
+# ---------------------------------------------------------------------------
+# gauge-stamp reference: numpy's parse written back to text
+
+_STAMP_BYTES = 32  # the width of the stamp field of preprocess's record arrays
+_FIRST_SECOND = np.datetime64("0001-01-01T00:00:00", "s")  # datetime.MINYEAR
+_ROUND_TRIP_ROWS = 1024  # datetime_as_string makes 152-byte U38 strings; bounds the peak
+
+
+def round_trip_stamps(body: np.ndarray, field: str) -> np.ndarray | None:
+    """The ``field`` column of ``body`` as datetime64[s] when every stamp
+    reads ``YYYY-MM-DDTHH:MM:SS`` plus an optional ``Z`` or ``+00:00``, else
+    None: a stamp is canonical when numpy parses its head to an instant from
+    year 1 and ``np.datetime_as_string`` writes that head back byte for byte.
+    Raises ValueError where numpy cannot read one."""
+    offset = body.dtype.fields[field][1]
+    raw = body.view(np.uint8).reshape(body.size, body.dtype.itemsize)
+    head = raw[:, offset:offset + 19].view("S19")[:, 0]
+    tail = raw[:, offset + 19:offset + _STAMP_BYTES].view(f"S{_STAMP_BYTES - 19}")[:, 0]
+    if not np.all((tail == b"") | (tail == b"Z") | (tail == b"+00:00")):
+        return None
+    stamps = head.astype("datetime64[s]")
+    # numpy also reads year 0, negative years and "NaT", which datetime rejects
+    if not np.all(stamps >= _FIRST_SECOND):
+        return None
+    for lo in range(0, stamps.size, _ROUND_TRIP_ROWS):
+        text = np.datetime_as_string(stamps[lo:lo + _ROUND_TRIP_ROWS], unit="s")
+        # one byte wider than the head, so a five-digit year never matches it
+        if not np.array_equal(text.astype("S20"), head[lo:lo + _ROUND_TRIP_ROWS]):
+            return None
+    return stamps
