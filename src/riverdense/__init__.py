@@ -20,10 +20,9 @@ from .preprocess import (GaugeSeries, QCReport, bypass_remove, extract_subgraph,
                          parse_timestamp, qc_station, read_gauge_csv,
                          write_qc_json)
 from .forecast import (ForecastModel, ForecastTask, SyntheticBasin, TrainConfig,
-                       TrainResult, basin_to_gauge_csvs, chronological_split,
-                       forward, generate_basin, input_jacobian, load_model,
-                       make_windows, loss_and_gradients, nse, nse_by_horizon,
-                       prepare_dataset, random_river_tree, save_model,
-                       sensitivity, train)
+                       TrainResult, basin_to_gauge_csvs, forward, generate_basin,
+                       input_jacobian, load_model, loss_and_gradients, nse,
+                       nse_by_horizon, prepare_dataset, random_river_tree,
+                       save_model, sensitivity, train)
 
 __version__ = "0.1.0"

@@ -215,20 +215,21 @@ def _rewire(net, kind: str, sigma: str,
 
 
 def _period_bound(args, config: configparser.ConfigParser,
-                  bound: str) -> tuple[str | None, np.datetime64 | None]:
-    """The study period's start or end as given and as parsed, from
-    --period-<bound>, else from [period] <bound> in --config; (None, None)
-    when neither sets it. A value that does not parse, an empty one
-    included, raises ValueError naming the flag or the config option."""
+                  bound: str) -> tuple[str | None, np.datetime64 | None, str]:
+    """The study period's start or end as given, as parsed, and where it
+    came from: --period-<bound>, else [period] <bound> in --config, else
+    (None, None) and the gauge data's union span that ``cmd_qc`` falls back
+    to. A value that does not parse, an empty one included, raises
+    ValueError naming the flag or the config option."""
     text = getattr(args, f"period_{bound}")
     source = f"--period-{bound}"
     if text is None:
         text = config.get("period", bound, fallback=None)
         source = f"config file {args.config}: [period] {bound}"
     if text is None:
-        return None, None
+        return None, None, "the gauge data's union span"
     try:
-        return text, parse_timestamp(text)
+        return text, parse_timestamp(text), source
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
 
@@ -248,8 +249,8 @@ def cmd_qc(args) -> int:
     net = read_edge_csv(args.edges)
     series, ingest = _read_gauge_dir(args.gauges, cmap)
 
-    start_text, start = _period_bound(args, config, "start")
-    end_text, end = _period_bound(args, config, "end")
+    start_text, start, start_source = _period_bound(args, config, "start")
+    end_text, end, end_source = _period_bound(args, config, "end")
     if start is None or end is None:
         # fall back to the union span of all series, end exclusive
         spans = [s.timestamps for s in series.values() if len(s)]
@@ -262,6 +263,9 @@ def cmd_qc(args) -> int:
         if end is None:
             end = max(t.max() for t in spans) + np.timedelta64(1, "h")
             end_text = str(end)
+    if not start < end:
+        raise ValueError(f"study period start {start} ({start_source}) must precede "
+                         f"its end {end} ({end_source})")
 
     # a network node without a gauge file fails by vacuous coverage
     reports = [qc_station(series[s] if s in series else GaugeSeries(s, [], []), start, end)

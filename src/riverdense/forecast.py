@@ -553,38 +553,6 @@ def generate_basin(size: int, seed: int, hours: int = 2400,
 # ---------------------------------------------------------------------------
 # windowing and evaluation
 
-def make_windows(features: np.ndarray, targets: np.ndarray, task: ForecastTask,
-                 stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Slice (T, N, C) observations into supervised forecasting windows.
-
-    Returns history windows (S, alpha, N, C) and target windows (S, beta, N),
-    ordered chronologically; raises ValueError when no window fits.
-    """
-    t_total = features.shape[0]
-    alpha, beta = task.alpha_hist, task.beta_horizon
-    anchors = range(alpha, t_total - beta + 1, stride)
-    if not anchors:
-        raise ValueError(f"alpha_hist (--history) {alpha} + beta_horizon (--horizon) {beta} "
-                         f"do not fit in a series of {t_total} time steps")
-    xs = np.stack([features[t - alpha:t] for t in anchors])
-    ys = np.stack([targets[t:t + beta] for t in anchors])
-    return xs, ys
-
-
-def chronological_split(xs: np.ndarray, ys: np.ndarray, train_frac: float = 0.7,
-                        gap: int = 0):
-    """Split windows into earlier train and later test blocks.
-
-    ``gap`` drops that many windows at the boundary so train and test never
-    share raw observations.
-    """
-    total = xs.shape[0]
-    cut = int(total * train_frac)
-    train = (xs[:max(cut - gap, 0)], ys[:max(cut - gap, 0)])
-    test = (xs[cut:], ys[cut:])
-    return train, test
-
-
 def prepare_dataset(features: np.ndarray, task: ForecastTask, train_frac: float,
                     stride: int):
     """Normalize, window and split a (T, N, C) observation stack.
@@ -593,12 +561,14 @@ def prepare_dataset(features: np.ndarray, task: ForecastTask, train_frac: float,
     ``train_frac`` of the time axis only, so test values never leak into
     them; discharge scales span orders of magnitude between stations, and
     pooled statistics would drown the headwaters. Channel 0 is the forecast
-    target. The split drops ceil((alpha + beta) / stride) windows at the
-    boundary so train and test share no raw observation.
+    target. Window k reads hours [s, s + alpha) and predicts [s + alpha,
+    s + alpha + beta) for s = k * stride. Of S windows, test holds those from
+    int(S * train_frac) on and train those before, less the last
+    ceil((alpha + beta) / stride), so train and test share no raw observation.
 
     Returns ``((x_train, y_train), (x_test, y_test))``; raises ValueError
-    when ``train_frac`` is outside (0, 1), ``stride`` is below 1, or either
-    block is empty.
+    when ``train_frac`` is outside (0, 1), ``stride`` is below 1, no window
+    fits, or either block is empty.
     """
     if not 0 < train_frac < 1:
         raise ValueError(f"train_frac (--train-frac) must lie in (0, 1), got {train_frac!r}")
@@ -612,13 +582,22 @@ def prepare_dataset(features: np.ndarray, task: ForecastTask, train_frac: float,
     std = features[:cut].std(axis=0)
     std = np.where(std == 0, 1.0, std)
     features = (features - mean) / std
-    xs, ys = make_windows(features, features[:, :, 0], task, stride=stride)
-    gap = -(-(task.alpha_hist + task.beta_horizon) // stride)
-    (x_tr, y_tr), (x_te, y_te) = chronological_split(xs, ys, train_frac, gap=gap)
-    if x_tr.shape[0] == 0 or x_te.shape[0] == 0:
-        raise ValueError(f"window split left train={x_tr.shape[0]} test={x_te.shape[0]}; "
+    alpha, beta = task.alpha_hist, task.beta_horizon
+    starts = np.arange(0, features.shape[0] - alpha - beta + 1, stride)
+    if starts.size == 0:
+        raise ValueError(f"alpha_hist (--history) {alpha} + beta_horizon (--horizon) {beta} "
+                         f"do not fit in a series of {features.shape[0]} time steps")
+    # history and target are gathered apart, so no whole window is ever copied
+    windows = np.lib.stride_tricks.sliding_window_view(features, alpha + beta, axis=0)
+    xs = np.moveaxis(windows[starts, :, :, :alpha], -1, 1)
+    ys = np.moveaxis(windows[starts, :, 0, alpha:], -1, 1)
+    split = int(starts.size * train_frac)
+    gap = -(-(alpha + beta) // stride)
+    n_train, n_test = max(split - gap, 0), starts.size - split
+    if n_train == 0 or n_test == 0:
+        raise ValueError(f"window split left train={n_train} test={n_test}; "
                          "series too short for the requested task")
-    return (x_tr, y_tr), (x_te, y_te)
+    return (xs[:n_train], ys[:n_train]), (xs[split:], ys[split:])
 
 
 def nse_by_horizon(model: ForecastModel, history: np.ndarray,
@@ -676,11 +655,19 @@ def load_model(path) -> ForecastModel:
     adjacency = AdjacencyMatrix(kind, w, support=w > 0 if kind == "topology" else None)
     model = ForecastModel(task, adjacency, latent=payload["latent"],
                           n_layers=payload["n_layers"])
-    for name, values in payload["params"].items():
+    params = payload["params"]
+    missing = sorted(model.params.keys() - params.keys())
+    unexpected = sorted(params.keys() - model.params.keys())
+    if missing or unexpected:
+        raise ValueError(f"checkpoint {path}: parameters {missing} missing and {unexpected} "
+                         "unexpected for the architecture its header declares")
+    for name, values in params.items():
         arr = np.asarray(values, dtype=float)
-        expected = tuple(payload["shapes"][name])
-        if arr.shape != expected:
+        if arr.shape != tuple(payload["shapes"][name]):
             raise ValueError(f"checkpoint shape header mismatch for {name}")
+        if arr.shape != model.params[name].shape:
+            raise ValueError(f"checkpoint {path}: parameter {name} has shape {arr.shape}, "
+                             f"the architecture needs {model.params[name].shape}")
         model.params[name] = arr
     return model
 

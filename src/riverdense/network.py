@@ -64,10 +64,6 @@ class RiverNetwork:
     def in_edges(self, station: int) -> list[Edge]:
         return list(self._in[station])
 
-    def outlets(self) -> list[int]:
-        """Stations with no downstream edge."""
-        return [node for node in self.nodes if not self._out[node]]
-
     def edge_mask(self) -> np.ndarray:
         """(n, n) bool matrix, True at [index(src), index(dst)] for every edge."""
         mask = np.zeros((self.n, self.n), dtype=bool)
@@ -257,19 +253,17 @@ def _converted_rows(path: Path, reader, converters) -> Iterator[tuple[int, list]
         yield lineno, values
 
 
-def read_edge_csv(path, extra_nodes: Sequence[int] = ()) -> RiverNetwork:
+def read_edge_csv(path) -> RiverNetwork:
     """Load a network from an edge CSV (`src,dst,stream_length_km,elevation_diff_m`).
 
-    Nodes are the union of edge endpoints and ``extra_nodes`` (for isolated
-    stations). Raises :class:`CsvFormatError` with file:line on bad rows.
+    Nodes are the edge endpoints. Raises :class:`CsvFormatError` with
+    file:line on bad rows.
     """
     path = Path(path)
-    endpoints = {int(x) for x in extra_nodes}
     with path.open(newline="", encoding="utf-8") as fh:
         rows = read_csv_rows(path, fh, EDGE_CSV_HEADER, (int, int, float, float))
         edges = [Edge(*values) for _, values in rows]
-    endpoints.update(node for e in edges for node in (e.src, e.dst))
-    return build_network(sorted(endpoints), edges)
+    return build_network(sorted({node for e in edges for node in (e.src, e.dst)}), edges)
 
 
 def write_edge_csv(net: RiverNetwork, path) -> None:

@@ -280,6 +280,30 @@ def test_qc_bad_period_value_exits_2_naming_its_source(basin8_dir, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, text, named", [
+    (["--period-start", "2000-01-10T00:00:00Z", "--period-end", "2000-01-01T00:00:00Z"], "",
+     "start 2000-01-10T00:00:00 (--period-start) must precede "
+     "its end 2000-01-01T00:00:00 (--period-end)"),
+    ([], "[period]\nstart = 2000-01-05T00:00:00Z\nend = 2000-01-05T00:00:00Z\n",
+     "start 2000-01-05T00:00:00 (config file {config}: [period] start) must precede "
+     "its end 2000-01-05T00:00:00 (config file {config}: [period] end)"),
+    (["--period-start", "2000-03-10T00:00:00Z"], "",
+     "start 2000-03-10T00:00:00 (--period-start) must precede "
+     "its end 2000-01-21T00:00:00 (the gauge data's union span)"),
+], ids=["flag-flag-inverted", "config-config-equal", "flag-fallback"])
+def test_qc_empty_period_exits_2_naming_both_sources(basin8_dir, tmp_path, capsys,
+                                                     flags, text, named):
+    config = tmp_path / "config.ini"
+    config.write_text(text)
+    out = tmp_path / "out"
+    code = run_cli("qc", "--edges", basin8_dir / "edges.csv", "--gauges", basin8_dir / "gauges",
+                   "--config", config, *flags, "--out", out)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert named.format(config=config) in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_qc_manifest_records_period_text_as_given(basin8_dir, tmp_path):
     config = tmp_path / "config.ini"
     config.write_text("[period]\nstart = 1999-01-01T00:00:00Z\nend = 2000-01-21T00:00:00+00:00\n")

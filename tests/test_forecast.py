@@ -1,17 +1,19 @@
 import csv
 import io
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import riverdense as rd
 from riverdense.errors import ConstantObserved, NonfiniteLoss, ShapeMismatch
 
-from util import (hop_distances, random_weighted_tree, reference_input_jacobian,
+from util import (chronological_split, hop_distances, make_windows, outlets,
+                  random_weighted_tree, reference_input_jacobian,
                   reference_loss_and_gradients)
 
 
@@ -268,11 +270,7 @@ def test_loss_curve_finite_and_deterministic():
 def test_training_reduces_mae_on_synthetic_basin():
     basin = rd.generate_basin(8, seed=5, hours=900)
     task = rd.ForecastTask(alpha_hist=6, beta_horizon=3, feature_dim=2)
-    features = basin.feature_tensor()
-    mean = features.mean(axis=(0, 1))
-    std = np.where(features.std(axis=(0, 1)) == 0, 1, features.std(axis=(0, 1)))
-    features = (features - mean) / std
-    xs, ys = rd.make_windows(features, features[:, :, 0], task, stride=2)
+    (xs, ys), _ = rd.prepare_dataset(basin.feature_tensor(), task, 0.7, stride=2)
     model = rd.ForecastModel(task, dense_adj_for(basin.network), latent=16, seed=1)
     result = rd.train(model, (xs, ys), rd.TrainConfig(epochs=20, lr=5e-3, seed=1))
     assert result.losses[-1] < result.losses[0]
@@ -400,7 +398,7 @@ def test_generate_basin_nonnegative_and_reproducible():
 def test_generate_basin_mass_consistency():
     basin = rd.generate_basin(12, seed=3, hours=6000)
     net = basin.network
-    outlet = net.outlets()[0]
+    outlet = outlets(net)[0]
     spin = 500
     out_mean = basin.discharge[spin:, net.index(outlet)].mean()
     # with unit routing gains the outlet collects every local input
@@ -418,44 +416,91 @@ def test_every_non_outlet_has_one_downstream():
 # ---------------------------------------------------------------------------
 # windows, evaluation, checkpoints
 
-def test_make_windows_shapes_and_alignment():
+def train_span_zscore(features, train_frac):
+    """prepare_dataset's normalization: per station and channel, from the
+    first ``train_frac`` of the hours."""
+    cut = int(features.shape[0] * train_frac)
+    std = features[:cut].std(axis=0)
+    return (features - features[:cut].mean(axis=0)) / np.where(std == 0, 1.0, std)
+
+
+def test_prepare_dataset_shapes_and_alignment():
     t, n = 30, 4
-    features = np.arange(t * n * 2, dtype=float).reshape(t, n, 2)
-    targets = features[:, :, 0]
+    features = np.random.default_rng(4).normal(size=(t, n, 2))
+    z = train_span_zscore(features, 0.5)
     task = rd.ForecastTask(alpha_hist=5, beta_horizon=3, feature_dim=2)
-    xs, ys = rd.make_windows(features, targets, task)
-    assert xs.shape == (23, 5, 4, 2)
-    assert ys.shape == (23, 3, 4)
-    assert np.array_equal(xs[0], features[0:5])
-    assert np.array_equal(ys[0], targets[5:8])
+    # 23 windows: test from window 11, train the 11 before less a gap of 8
+    (xtr, ytr), (xte, yte) = rd.prepare_dataset(features, task, 0.5, 1)
+    assert xtr.shape == (3, 5, 4, 2) and ytr.shape == (3, 3, 4)
+    assert xte.shape == (12, 5, 4, 2) and yte.shape == (12, 3, 4)
+    assert np.array_equal(xtr[0], z[0:5]) and np.array_equal(ytr[0], z[5:8, :, 0])
+    assert np.array_equal(xte[0], z[11:16]) and np.array_equal(yte[0], z[16:19, :, 0])
+    assert np.array_equal(yte[-1], z[27:30, :, 0])
 
 
 @pytest.mark.parametrize("alpha, beta, t", [(26, 5, 30), (25, 6, 30), (470, 24, 480)])
-def test_make_windows_longer_than_series_names_the_flags(alpha, beta, t):
+def test_prepare_dataset_longer_than_series_names_the_flags(alpha, beta, t):
     features = np.zeros((t, 2, 1))
     task = rd.ForecastTask(alpha_hist=alpha, beta_horizon=beta, feature_dim=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=rf"alpha_hist \(--history\) {alpha} \+ "
                                              rf"beta_horizon \(--horizon\) {beta} .* {t} "):
-            rd.make_windows(features, features[:, :, 0], task)
+            rd.prepare_dataset(features, task, 0.7, 1)
 
 
-def test_make_windows_exact_fit_gives_one_window():
+def test_prepare_dataset_exact_fit_gives_one_window_the_split_refuses():
     features = np.arange(30, dtype=float).reshape(30, 1, 1)
     task = rd.ForecastTask(alpha_hist=25, beta_horizon=5, feature_dim=1)
-    xs, ys = rd.make_windows(features, features[:, :, 0], task)
-    assert xs.shape == (1, 25, 1, 1) and ys.shape == (1, 5, 1)
-    assert ys[0, -1, 0] == 29.0
+    with pytest.raises(ValueError, match=r"train=0 test=1;"):
+        rd.prepare_dataset(features, task, 0.7, 1)
 
 
-def test_chronological_split_no_overlap():
-    xs = np.arange(40).reshape(10, 1, 2, 2).astype(float)
-    ys = np.arange(20).reshape(10, 1, 2).astype(float)
-    (xtr, _), (xte, _) = rd.chronological_split(xs, ys, train_frac=0.6, gap=2)
-    assert xtr.shape[0] == 4
-    assert xte.shape[0] == 4
-    assert xtr[-1, 0, 0, 0] < xte[0, 0, 0, 0]
+@pytest.mark.parametrize("stride", [1, 2, 3, 7, 11])
+def test_prepare_dataset_split_shares_no_hour(stride):
+    # values rise with the hour and z-scoring keeps that order, so the
+    # hours of a window are read off its values
+    features = np.arange(200, dtype=float).reshape(200, 1, 1)
+    task = rd.ForecastTask(alpha_hist=6, beta_horizon=4, feature_dim=1)
+    (xtr, ytr), (xte, _) = rd.prepare_dataset(features, task, 0.6, stride)
+    windows = (200 - 10) // stride + 1
+    assert xtr.shape[0] == int(windows * 0.6) - -(-10 // stride)
+    assert xtr.shape[0] + xte.shape[0] < windows
+    assert max(xtr.max(), ytr.max()) < xte.min()
+
+
+@settings(max_examples=150, deadline=None)
+@given(later=st.integers(0, 60), rest=st.integers(0, 29), n=st.integers(1, 3),
+       c=st.integers(1, 3), alpha=st.integers(1, 10), beta=st.integers(1, 10),
+       stride=st.integers(1, 30), train_frac=st.floats(0.05, 0.95),
+       seed=st.integers(0, 2 ** 16))
+@example(later=0, rest=0, n=2, c=2, alpha=5, beta=3, stride=1, train_frac=0.7, seed=0)
+@example(later=9, rest=4, n=2, c=2, alpha=3, beta=2, stride=7, train_frac=0.7, seed=1)
+def test_prepare_dataset_equals_window_and_split_oracle(later, rest, n, c, alpha, beta,
+                                                         stride, train_frac, seed):
+    """Equal, bit for bit, to z-scoring, slicing one anchor at a time and
+    splitting with a gap of ceil((alpha + beta) / stride) windows. The series
+    holds 1 + ``later`` windows and ``rest`` % stride hours past the last one;
+    0 and 0 is an exact fit."""
+    t = alpha + beta + later * stride + rest % stride
+    features = np.random.default_rng(seed).normal(size=(t, n, c))
+    task = rd.ForecastTask(alpha_hist=alpha, beta_horizon=beta, feature_dim=c)
+    if int(t * train_frac) == 0:
+        with pytest.raises(ValueError, match="--train-frac"):
+            rd.prepare_dataset(features, task, train_frac, stride)
+        return
+    z = train_span_zscore(features, train_frac)
+    xs, ys = make_windows(z, z[:, :, 0], task, stride=stride)
+    (xtr, ytr), (xte, yte) = chronological_split(xs, ys, train_frac,
+                                                 gap=-(-(alpha + beta) // stride))
+    if xtr.shape[0] == 0 or xte.shape[0] == 0:
+        with pytest.raises(ValueError, match=f"train={xtr.shape[0]} test={xte.shape[0]};"):
+            rd.prepare_dataset(features, task, train_frac, stride)
+        return
+    (got_xtr, got_ytr), (got_xte, got_yte) = rd.prepare_dataset(features, task, train_frac,
+                                                                stride)
+    for got, want in ((got_xtr, xtr), (got_ytr, ytr), (got_xte, xte), (got_yte, yte)):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("train_frac, stride, flag", [
@@ -506,6 +551,23 @@ def test_checkpoint_rejects_version_1(tmp_path):
     payload["task"]["static_dim"] = 0
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="version 1"):
+        rd.load_model(path)
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda p: [p[key].pop("w_l2") for key in ("params", "shapes")], r"\['w_l2'\] missing"),
+    (lambda p: [p[key].update(bogus=value) for key, value in
+                (("params", [1.0]), ("shapes", [1]))], r"\['bogus'\] unexpected"),
+    (lambda p: [p[key].update(b_in=value) for key, value in
+                (("params", [0.5]), ("shapes", [1]))], r"parameter b_in has shape \(1,\)"),
+], ids=["missing", "unexpected", "wrong-shape"])
+def test_checkpoint_must_match_the_architecture_its_header_declares(tmp_path, edit, named):
+    path = tmp_path / "checkpoint.json"
+    rd.save_model(small_model(dense_adj_for(path_net(3)), seed=5), path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=rf"checkpoint {re.escape(str(path))}: .*{named}"):
         rd.load_model(path)
 
 

@@ -18,6 +18,11 @@ def is_river_tree(net: rd.RiverNetwork) -> bool:
     return all(len(net.out_edges(node)) <= 1 for node in net.nodes)
 
 
+def outlets(net: rd.RiverNetwork) -> list[int]:
+    """Stations with no downstream edge."""
+    return [node for node in net.nodes if not net.out_edges(node)]
+
+
 def random_connected_graph(n: int, rng: np.random.Generator,
                            extra_edges: int | None = None) -> np.ndarray:
     """Symmetric positive weight matrix of a connected graph."""
@@ -319,3 +324,38 @@ def round_trip_stamps(body: np.ndarray, field: str) -> np.ndarray | None:
         if not np.array_equal(text.astype("S20"), head[lo:lo + _ROUND_TRIP_ROWS]):
             return None
     return stamps
+
+
+# ---------------------------------------------------------------------------
+# windowing reference: one anchor at a time, then a split with a window gap
+
+def make_windows(features: np.ndarray, targets: np.ndarray, task: rd.ForecastTask,
+                 stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Slice (T, N, C) observations into supervised forecasting windows.
+
+    Returns history windows (S, alpha, N, C) and target windows (S, beta, N),
+    ordered chronologically; raises ValueError when no window fits.
+    """
+    t_total = features.shape[0]
+    alpha, beta = task.alpha_hist, task.beta_horizon
+    anchors = range(alpha, t_total - beta + 1, stride)
+    if not anchors:
+        raise ValueError(f"alpha_hist (--history) {alpha} + beta_horizon (--horizon) {beta} "
+                         f"do not fit in a series of {t_total} time steps")
+    xs = np.stack([features[t - alpha:t] for t in anchors])
+    ys = np.stack([targets[t:t + beta] for t in anchors])
+    return xs, ys
+
+
+def chronological_split(xs: np.ndarray, ys: np.ndarray, train_frac: float = 0.7,
+                        gap: int = 0):
+    """Split windows into earlier train and later test blocks.
+
+    ``gap`` drops that many windows at the boundary so train and test never
+    share raw observations.
+    """
+    total = xs.shape[0]
+    cut = int(total * train_frac)
+    train = (xs[:max(cut - gap, 0)], ys[:max(cut - gap, 0)])
+    test = (xs[cut:], ys[cut:])
+    return train, test
