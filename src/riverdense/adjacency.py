@@ -8,8 +8,10 @@ from the dense support with uniform weights that training then updates.
 
 from __future__ import annotations
 
+import io
 import json
 import warnings
+from _blake2 import blake2b  # hashlib's import loads OpenSSL, ~3.5 MB more memory
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -194,12 +196,17 @@ def build_adjacency(net: RiverNetwork, D: DistanceMatrix,
 # ---------------------------------------------------------------------------
 # export / import
 
-def write_adjacency_csv(adj: AdjacencyMatrix, path, nodes: Sequence[int] | None = None) -> None:
+def write_adjacency_csv(adj: AdjacencyMatrix, path,
+                        nodes: Sequence[int] | None = None) -> dict | None:
     """Coordinate-list export `src,dst,weight`, row-major by node index.
 
     Lines are written as :mod:`csv` writes them: ``repr`` weights, ``\\r\\n``
     endings, so every weight reads back exactly. One matrix row is formatted
     at a time.
+
+    When its n²·8 bytes are fewer than the text's, the matrix is also saved
+    as ``<stem>.npy`` beside it, and the meta entry that lets
+    :func:`read_adjacency_csv` load that copy is returned; else None.
     """
     path = Path(path)
     n = adj.n
@@ -212,22 +219,28 @@ def write_adjacency_csv(adj: AdjacencyMatrix, path, nodes: Sequence[int] | None 
             cols = np.flatnonzero(row)
             fh.write("".join([f"{src},{ids[j]},{v!r}\r\n"
                               for j, v in zip(cols.tolist(), row[cols].tolist())]))
+    sidecar = path.with_suffix(".npy")
+    order = [int(x) for x in ids if x.isdecimal()]  # the ids as the reader parses them
+    if (n * n * 8 >= path.stat().st_size or sidecar == path or len(order) != n
+            or order != sorted(set(order)) or np.signbit(adj.w).any()):  # -0.0 parses as +0.0
+        return None
+    np.save(sidecar, adj.w, allow_pickle=False)
+    return {"file": sidecar.name, "csv_blake2b": _file_digest(path),
+            "npy_blake2b": _file_digest(sidecar), "nodes": order}
 
 
 def write_adjacency_meta(adj: AdjacencyMatrix, path, *, sigma: float | None,
-                         nodes: Sequence[int] | None = None) -> None:
+                         nodes: Sequence[int] | None = None, sidecar: dict | None = None) -> None:
     path = Path(path)
-    meta = {
-        "kind": adj.kind,
-        "sigma": sigma,
-        "n": adj.n,
-        "nnz": adj.nnz,
-        "nodes": list(nodes) if nodes is not None else list(range(adj.n)),
-    }
+    meta = {"kind": adj.kind, "sigma": sigma, "n": adj.n, "nnz": adj.nnz,
+            "nodes": list(nodes) if nodes is not None else list(range(adj.n))}
+    if sidecar is not None:
+        meta["sidecar"] = sidecar
     path.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
 
-def read_adjacency_csv(path, *, nodes: Sequence[int] | None = None) -> tuple[np.ndarray, list[int]]:
+def read_adjacency_csv(path, *, nodes: Sequence[int] | None = None, meta: dict | None = None,
+                       sidecars: list | None = None) -> tuple[np.ndarray, list[int]]:
     """Read a coordinate-list adjacency back into a weight matrix.
 
     Without an explicit node list the ids appearing in the file define the
@@ -236,11 +249,28 @@ def read_adjacency_csv(path, *, nodes: Sequence[int] | None = None) -> tuple[np.
     Repeated ``(src, dst)`` entries and, with ``nodes``, entries outside that
     set raise :class:`CsvFormatError` at their line.
 
+    Given ``nodes`` and the writer's ``meta``, the ``.npy`` it names is loaded
+    (and appended to ``sidecars``) when both files' digests and the node
+    order match the entry and it holds float64 (n, n); else the text is parsed.
+
     The body is parsed with numpy's C reader. A file it cannot take, or one
     that fails a check, is read again row by row, which either raises the
     error at its line or returns the matrix.
     """
     path = Path(path)
+    try:  # no entry, a file missing or not .npy: parse the text
+        order, entry = sorted(set(int(x) for x in nodes)), meta["sidecar"]
+        npy = path.with_name(entry["file"])
+        raw = npy.read_bytes()
+        if (entry["nodes"] == order and blake2b(raw).hexdigest() == entry["npy_blake2b"]
+                and _file_digest(path) == entry["csv_blake2b"]):
+            w = np.lib.format.read_array(io.BytesIO(raw), allow_pickle=False)
+            if w.dtype == np.float64 and w.shape == (len(order),) * 2 and w.flags.c_contiguous:
+                if sidecars is not None:
+                    sidecars.append(npy)
+                return w, order
+    except (KeyError, TypeError, OSError, ValueError):
+        pass
     with path.open(newline="", encoding="utf-8") as fh:
         read_csv_rows(path, fh, ADJACENCY_CSV_HEADER, ())  # the header; numpy reads the rest
         fast = _read_adjacency_body(fh, nodes)
@@ -248,6 +278,14 @@ def read_adjacency_csv(path, *, nodes: Sequence[int] | None = None) -> tuple[np.
             return fast
         fh.seek(0)
         return _read_adjacency_rows(path, fh, nodes)
+
+
+def _file_digest(path: Path) -> str:
+    digest = blake2b()
+    with path.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _read_adjacency_body(fh, nodes: Sequence[int] | None) -> tuple[np.ndarray, list[int]] | None:

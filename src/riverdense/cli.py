@@ -214,6 +214,20 @@ def _rewire(net, kind: str, sigma: str,
     return build_adjacency(net, distances, config), resolved
 
 
+def _read_meta(path: Path) -> dict:
+    """The JSON object at ``path``; ValueError names the file and the bad key."""
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # malformed JSON or undecodable bytes
+        raise ValueError(f"metadata file {path}: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"metadata file {path}: expected an object, got {type(meta).__name__}")
+    nodes = meta.get("nodes")
+    if nodes is not None and not (isinstance(nodes, list) and all(type(x) is int for x in nodes)):
+        raise ValueError(f"metadata file {path}: key 'nodes' must list integer station ids")
+    return meta
+
+
 def _period_bound(args, config: configparser.ConfigParser,
                   bound: str) -> tuple[str | None, np.datetime64 | None, str]:
     """The study period's start or end as given, as parsed, and where it
@@ -290,12 +304,13 @@ def cmd_rewire(args) -> int:
     adj, resolved = _rewire(net, args.kind, args.sigma, args.prune)
 
     out = _outdir(args)
-    write_adjacency_csv(adj, out / "adjacency.csv", nodes=net.nodes)
-    write_adjacency_meta(adj, out / "adjacency_meta.json", sigma=resolved, nodes=net.nodes)
+    sidecar = write_adjacency_csv(adj, out / "adjacency.csv", nodes=net.nodes)
+    write_adjacency_meta(adj, out / "adjacency_meta.json", sigma=resolved, nodes=net.nodes,
+                         sidecar=sidecar)
     _write_manifest(out, args, [args.edges],
                     {"kind": args.kind, "sigma": args.sigma,
                      "sigma_resolved": resolved, "prune": args.prune, "n": adj.n,
-                     "nnz": adj.nnz},
+                     "nnz": adj.nnz, "sidecar": sidecar["file"] if sidecar else None},
                     started)
     return 0
 
@@ -310,11 +325,10 @@ def cmd_resist(args) -> int:
     if args.meta and not meta_path.exists():  # the sibling *_meta.json is optional
         raise FileNotFoundError(f"metadata file {meta_path} does not exist")
 
-    nodes = None
-    if meta_path.exists():
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        nodes = meta.get("nodes")
-    w, order = read_adjacency_csv(adj_path, nodes=nodes)
+    meta = _read_meta(meta_path) if meta_path.exists() else {}
+    sidecars = []
+    w, order = read_adjacency_csv(adj_path, nodes=meta.get("nodes"), meta=meta,
+                                  sidecars=sidecars)
 
     report = resistance_report(w, mode=args.mode)
     out = _outdir(args)
@@ -323,6 +337,7 @@ def cmd_resist(args) -> int:
     _write_manifest(out, args, [str(adj_path)],
                     {"mode": args.mode, "n": report.n, "mean": report.mean,
                      "excluded_pairs": report.excluded_pairs,
+                     "adjacency_source": "sidecar" if sidecars else "csv",
                      "nodes": order,
                      "numerics": {"components": report.components,
                                   "solver": report.solver,

@@ -30,7 +30,7 @@ Propagation operator per adjacency kind:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -52,8 +52,10 @@ class ForecastTask:
     feature_dim: int = 1
 
     def __post_init__(self):
-        if min(self.alpha_hist, self.beta_horizon, self.feature_dim) < 1:
-            raise ValueError("alpha_hist, beta_horizon and feature_dim must be >= 1")
+        names = ("alpha_hist (--history)", "beta_horizon (--horizon)", "feature_dim")
+        for name, value in zip(names, (self.alpha_hist, self.beta_horizon, self.feature_dim)):
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value!r}")
 
     @property
     def input_width(self) -> int:
@@ -649,6 +651,9 @@ def load_model(path) -> ForecastModel:
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')} in "
                          f"{path}; this build reads version {CHECKPOINT_VERSION}")
+    unknown = sorted(set(payload["task"]) - {f.name for f in fields(ForecastTask)})
+    if unknown:
+        raise ValueError(f"checkpoint {path}: unknown task key {unknown[0]!r}")
     task = ForecastTask(**payload["task"])
     kind = payload["adjacency_kind"]
     w = np.asarray(payload["adjacency"], dtype=float)
@@ -663,8 +668,10 @@ def load_model(path) -> ForecastModel:
                          "unexpected for the architecture its header declares")
     for name, values in params.items():
         arr = np.asarray(values, dtype=float)
-        if arr.shape != tuple(payload["shapes"][name]):
-            raise ValueError(f"checkpoint shape header mismatch for {name}")
+        shape = payload["shapes"].get(name)
+        if shape is None or arr.shape != tuple(shape):
+            raise ValueError(f"checkpoint {path}: shapes entry for parameter {name} is {shape}, "
+                             f"its values have shape {arr.shape}")
         if arr.shape != model.params[name].shape:
             raise ValueError(f"checkpoint {path}: parameter {name} has shape {arr.shape}, "
                              f"the architecture needs {model.params[name].shape}")

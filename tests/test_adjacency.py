@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -215,6 +216,49 @@ def test_adjacency_csv_round_trip(tmp_path):
     meta = meta_path.read_text()
     for key in ('"kind"', '"sigma"', '"n"', '"nnz"'):
         assert key in meta
+
+
+def test_adjacency_sidecar_reads_back_what_parsing_returns(tmp_path):
+    adj = rd.dense_transform(CHAIN_D, rd.RewireConfig(sigma=1.0))
+    path = tmp_path / "adjacency.csv"
+    entry = rd.write_adjacency_csv(adj, path, nodes=[10, 20, 30])
+    assert entry["file"] == "adjacency.npy" and entry["nodes"] == [10, 20, 30]
+    meta_path = tmp_path / "adjacency_meta.json"
+    rd.write_adjacency_meta(adj, meta_path, sigma=1.0, nodes=[10, 20, 30], sidecar=entry)
+    meta = json.loads(meta_path.read_text())
+    assert list(meta) == ["kind", "sigma", "n", "nnz", "nodes", "sidecar"]
+    sidecars = []
+    w, order = rd.read_adjacency_csv(path, nodes=[30, 10, 20, 10], meta=meta,
+                                     sidecars=sidecars)
+    assert sidecars == [tmp_path / "adjacency.npy"]
+    parsed, parsed_order = rd.read_adjacency_csv(path, nodes=[10, 20, 30])
+    assert order == parsed_order == [10, 20, 30]
+    assert w.dtype == parsed.dtype and w.tobytes() == parsed.tobytes()
+    # without a node list the sidecar is not consulted
+    assert rd.read_adjacency_csv(path, meta=meta, sidecars=sidecars)[1] == order
+    assert sidecars == [tmp_path / "adjacency.npy"]
+
+
+@pytest.mark.parametrize("case", ["unsorted-ids", "negative-zero", "npy-suffix", "topology",
+                                  "isolated"])
+def test_adjacency_csv_writer_adds_no_sidecar_it_cannot_vouch_for(tmp_path, case):
+    w = np.array([[0.0, 0.25, 0.75], [1 / 3, 0.0, 2 / 3], [1.0, 0.0, 0.0]])
+    adj, nodes, path = rd.AdjacencyMatrix("dense", w), [5, 10, 42], tmp_path / "adjacency.csv"
+    if case == "unsorted-ids":
+        nodes = [42, 10, 5]
+    elif case == "negative-zero":  # the text drops it, so parsing gives +0.0
+        w[0, 0] = -0.0
+        adj = rd.AdjacencyMatrix("dense", w)
+    elif case == "npy-suffix":
+        path = tmp_path / "adjacency.npy"
+    elif case == "topology":  # 8 bytes a cell outweigh two short lines
+        support = np.eye(3, k=1, dtype=bool)
+        adj = rd.AdjacencyMatrix("topology", support * 1.0, support=support)
+    else:
+        adj = rd.AdjacencyMatrix("isolated", np.zeros((3, 3)))
+    assert rd.write_adjacency_csv(adj, path, nodes=nodes) is None
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert path.read_bytes().startswith(b"src,dst,weight\r\n")
 
 
 def test_adjacency_csv_duplicate_entry_rejected_at_its_line(tmp_path):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import riverdense as rd
+from riverdense.adjacency import _file_digest
 from riverdense.cli import main
 
 
@@ -494,6 +495,181 @@ def test_resist_manifest_records_numerics(basin8_dir, tmp_path):
         assert 0.0 <= numerics["pinv_residual"] < 1e-12
 
 
+@pytest.fixture(scope="module")
+def tree200_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tree200")
+    rd.write_edge_csv(rd.random_river_tree(200, np.random.default_rng(3)), root / "edges.csv")
+    return root
+
+
+RESIST_OUTPUTS = ("resistance.json", "resistance_hist.csv")
+
+
+def _resist(adjacency, out, *extra):
+    """Exit code, resist outputs and the manifest's adjacency_source."""
+    code = run_cli("resist", "--adjacency", adjacency, *extra, "--out", out)
+    if code:
+        return code, None, None
+    manifest = json.loads((out / "manifest.json").read_text())
+    return (code, [(out / name).read_bytes() for name in RESIST_OUTPUTS],
+            manifest["parameters"]["adjacency_source"])
+
+
+@pytest.mark.parametrize("graph", ["basin8", "tree200"])
+@pytest.mark.parametrize("kind", ["dense", "learned", "topology"])
+def test_resist_outputs_equal_with_and_without_the_sidecar(basin8_dir, tree200_dir, tmp_path,
+                                                           graph, kind):
+    edges = {"basin8": basin8_dir, "tree200": tree200_dir}[graph] / "edges.csv"
+    rw = tmp_path / "rw"
+    assert run_cli("rewire", "--edges", edges, "--kind", kind, "--out", rw) == 0
+    sidecar = kind != "topology"
+    assert (rw / "adjacency.npy").exists() == sidecar
+    modes = ("symmetric", "random-walk")
+    with_it = {mode: _resist(rw / "adjacency.csv", tmp_path / f"a_{mode}", "--mode", mode)
+               for mode in modes}
+    (rw / "adjacency.npy").unlink(missing_ok=True)
+    for mode in modes:
+        without = _resist(rw / "adjacency.csv", tmp_path / f"b_{mode}", "--mode", mode)
+        assert with_it[mode][2] == ("sidecar" if sidecar else "csv")
+        assert without[2] == "csv"
+        assert with_it[mode][:2] == without[:2]
+
+
+@pytest.mark.parametrize("graph", ["basin8", "tree200"])
+@pytest.mark.parametrize("kind", ["topology", "isolated", "dense"])
+def test_rewire_writes_a_sidecar_only_where_it_is_smaller(basin8_dir, tree200_dir, tmp_path,
+                                                         graph, kind):
+    edges = {"basin8": basin8_dir, "tree200": tree200_dir}[graph] / "edges.csv"
+    rw = tmp_path / "rw"
+    assert run_cli("rewire", "--edges", edges, "--kind", kind, "--out", rw) == 0
+    meta = json.loads((rw / "adjacency_meta.json").read_text())
+    manifest = json.loads((rw / "manifest.json").read_text())
+    files = {p.name for p in rw.iterdir()}
+    base = {"adjacency.csv", "adjacency_meta.json", "manifest.json"}
+    # the meta's bytes before the sidecar entry are the ones written without it
+    plain = {key: meta[key] for key in ("kind", "sigma", "n", "nnz", "nodes")}
+    text = (rw / "adjacency_meta.json").read_text()
+    if kind == "dense":
+        assert files == base | {"adjacency.npy"}
+        assert list(meta)[-1] == "sidecar" and manifest["parameters"]["sidecar"] == "adjacency.npy"
+        entry = meta["sidecar"]
+        assert entry["file"] == "adjacency.npy" and entry["nodes"] == sorted(meta["nodes"])
+        assert text.startswith(json.dumps(plain, indent=2)[:-2])
+        w = np.load(rw / "adjacency.npy", allow_pickle=False)
+        assert w.dtype == np.float64 and w.shape == (meta["n"], meta["n"])
+        assert w.size * 8 < (rw / "adjacency.csv").stat().st_size
+    else:
+        assert files == base
+        assert manifest["parameters"]["sidecar"] is None
+        assert text == json.dumps(plain, indent=2) + "\n"
+
+
+def _strip_sidecar(rw: Path, meta: dict, edges: Path) -> None:
+    meta.pop("sidecar", None)
+
+
+def _edit_weight(value: bytes):
+    def edit(rw: Path, meta: dict, edges: Path) -> None:
+        lines = (rw / "adjacency.csv").read_bytes().split(b"\r\n")
+        src, dst, _ = lines[1].split(b",")
+        lines[1] = b",".join([src, dst, value])
+        (rw / "adjacency.csv").write_bytes(b"\r\n".join(lines))
+    return edit
+
+
+def _save_sidecar(make, record: bool):
+    """Replace the .npy with ``make(w)``; with ``record`` its digest is
+    recorded too, so only the dtype or shape check stands in the way."""
+    def edit(rw: Path, meta: dict, edges: Path) -> None:
+        npy = rw / "adjacency.npy"
+        np.save(npy, make(np.load(npy)), allow_pickle=False)
+        if record:
+            meta["sidecar"]["npy_blake2b"] = _file_digest(npy)
+    return edit
+
+
+def _truncate(rw: Path, meta: dict, edges: Path) -> None:
+    raw = (rw / "adjacency.npy").read_bytes()
+    (rw / "adjacency.npy").write_bytes(raw[:len(raw) // 2])
+
+
+def _stale(rw: Path, meta: dict, edges: Path) -> None:
+    """A topology rewire into the dense run's --out leaves its .npy behind."""
+    assert run_cli("rewire", "--edges", edges, "--kind", "topology", "--out", rw) == 0
+    meta.clear()
+    meta.update(json.loads((rw / "adjacency_meta.json").read_text()))
+    assert (rw / "adjacency.npy").exists()
+
+
+SIDECAR_TAMPERS = {
+    "csv-weight-edited": _edit_weight(b"0.5"),
+    "csv-weight-unparsable": _edit_weight(b"heavy"),
+    "npy-replaced": _save_sidecar(np.zeros_like, record=False),
+    "npy-truncated": _truncate,
+    "npy-deleted": lambda rw, meta, edges: (rw / "adjacency.npy").unlink(),
+    "npy-float32": _save_sidecar(lambda w: w.astype(np.float32), record=True),
+    "npy-big-endian": _save_sidecar(lambda w: w.astype(">f8"), record=True),
+    "npy-shape": _save_sidecar(lambda w: w[:-1, :-1], record=True),
+    "npy-flat": _save_sidecar(np.ravel, record=True),
+    "npy-fortran-order": _save_sidecar(np.asfortranarray, record=True),
+    "entry-removed": _strip_sidecar,
+    "entry-file-renamed": lambda rw, meta, edges: meta["sidecar"].update(file="other.npy"),
+    "entry-nodes-changed": lambda rw, meta, edges: meta["sidecar"]["nodes"].reverse(),
+    "meta-node-added": lambda rw, meta, edges: meta["nodes"].append(max(meta["nodes"]) + 1),
+    "meta-node-dropped": lambda rw, meta, edges: meta["nodes"].pop(0),
+    "stale-npy": _stale,
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(SIDECAR_TAMPERS))
+def test_resist_parses_the_csv_when_the_sidecar_cannot_be_trusted(basin8_dir, tmp_path,
+                                                                   capsys, tamper):
+    rw = tmp_path / "rw"
+    assert run_cli("rewire", "--edges", basin8_dir / "edges.csv", "--kind", "dense",
+                   "--out", rw) == 0
+    meta = json.loads((rw / "adjacency_meta.json").read_text())
+    SIDECAR_TAMPERS[tamper](rw, meta, basin8_dir / "edges.csv")
+    (rw / "adjacency_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    # the CSV's result: the same CSV and node list with no sidecar entry
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    shutil.copy(rw / "adjacency.csv", plain / "adjacency.csv")
+    meta.pop("sidecar", None)
+    (plain / "adjacency_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+
+    code, outputs, source = _resist(rw / "adjacency.csv", tmp_path / "rs")
+    err = capsys.readouterr().err
+    assert (code, outputs) == _resist(plain / "adjacency.csv", tmp_path / "rs_plain")[:2]
+    if code:  # the CSV's own error, at its line
+        assert code == 2 and f"{rw / 'adjacency.csv'}:2: " in err
+    else:
+        assert source == "csv"
+
+
+@pytest.mark.parametrize("text, named", [
+    ("{bad", "Expecting property name"),
+    ("[1,2]", "expected an object, got list"),
+    ('{"nodes": "abc"}', "key 'nodes' must list"),
+    ('{"nodes": [0, 1, "2"]}', "key 'nodes' must list"),
+    ('{"nodes": [0, true]}', "key 'nodes' must list"),
+    (b"\xff\xfe{}", "decode"),
+], ids=["not-json", "not-an-object", "nodes-a-string", "node-a-string", "node-a-bool",
+        "not-utf8"])
+def test_resist_bad_meta_exits_2_naming_the_file(tmp_path, capsys, text, named):
+    adj = tmp_path / "pair.csv"
+    adj.write_text("src,dst,weight\n0,1,1.0\n1,0,1.0\n")
+    meta = tmp_path / "pair_meta.json"
+    if isinstance(text, bytes):
+        meta.write_bytes(text)
+    else:
+        meta.write_text(text)
+    out = tmp_path / "rs"
+    assert run_cli("resist", "--adjacency", adj, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"metadata file {meta}: " in err and named in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -544,6 +720,17 @@ def test_train_bad_split_argument_exits_2_naming_it(basin8_dir, tmp_path, capsys
     assert code == 2
     assert flag in capsys.readouterr().err
     assert caught == []
+
+
+@pytest.mark.parametrize("flag, value", [("--history", "0"), ("--horizon", "0"),
+                                         ("--history", "-3")])
+def test_train_empty_window_exits_2_naming_the_flag(basin8_dir, tmp_path, capsys, flag, value):
+    out = tmp_path / "tr"
+    assert run_cli("train", "--edges", basin8_dir / "edges.csv",
+                   "--gauges", basin8_dir / "gauges", "--history", "12", "--horizon", "4",
+                   "--epochs", "1", flag, value, "--out", out) == 2
+    assert f"({flag}) must be at least 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_window_longer_than_series_exits_2_naming_flags(basin8_dir, tmp_path, capsys):

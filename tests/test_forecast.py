@@ -571,6 +571,20 @@ def test_checkpoint_must_match_the_architecture_its_header_declares(tmp_path, ed
         rd.load_model(path)
 
 
+@pytest.mark.parametrize("edit, named", [
+    (lambda p: p["shapes"].pop("w_in"), r"shapes entry for parameter w_in is None"),
+    (lambda p: p["task"].update(bogus=1), "unknown task key 'bogus'"),
+], ids=["shape-missing", "task-key-unknown"])
+def test_checkpoint_header_errors_name_the_path_and_key(tmp_path, edit, named):
+    path = tmp_path / "checkpoint.json"
+    rd.save_model(small_model(dense_adj_for(path_net(3)), seed=5), path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=rf"checkpoint {re.escape(str(path))}: {named}"):
+        rd.load_model(path)
+
+
 def test_checkpoint_rejects_other_files(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"format": "something-else"}')
