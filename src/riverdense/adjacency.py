@@ -10,20 +10,27 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import sys
+import tempfile
 import warnings
 from _blake2 import blake2b  # hashlib's import loads OpenSSL, ~3.5 MB more memory
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from ._csvrows import write_rows
 from .errors import CsvFormatError, DegenerateSigma, IsolatedRow
 from .network import DistanceMatrix, RiverNetwork, read_csv_rows
 
 ADJACENCY_KINDS = ("isolated", "topology", "dense", "learned")
 ROW_SUM_TOL = 1e-12
 ADJACENCY_CSV_HEADER = ("src", "dst", "weight")
+CSV_SPLIT_NNZ = 50_000  # entries; a child starts in ~15-20 ms, one core formats these in ~0.1 s
+_CSV_ROWS = str(Path(__file__).with_name("_csvrows.py"))
 
 
 @dataclass(frozen=True)
@@ -196,36 +203,63 @@ def build_adjacency(net: RiverNetwork, D: DistanceMatrix,
 # ---------------------------------------------------------------------------
 # export / import
 
-def write_adjacency_csv(adj: AdjacencyMatrix, path,
-                        nodes: Sequence[int] | None = None) -> dict | None:
+def write_adjacency_csv(adj: AdjacencyMatrix, path, nodes: Sequence[int] | None = None, *,
+                        writers: list | None = None) -> dict | None:
     """Coordinate-list export `src,dst,weight`, row-major by node index.
 
     Lines are written as :mod:`csv` writes them: ``repr`` weights, ``\\r\\n``
-    endings, so every weight reads back exactly. One matrix row is formatted
-    at a time.
+    endings, so every weight reads back exactly. From CSV_SPLIT_NNZ entries on, a
+    ``_csvrows.py`` child per further usable CPU formats a row slice, balanced by entry
+    count, into an unnamed temp file appended in order; ``writers`` gets the writer count.
 
     When its n²·8 bytes are fewer than the text's, the matrix is also saved
     as ``<stem>.npy`` beside it, and the meta entry that lets
     :func:`read_adjacency_csv` load that copy is returned; else None.
     """
     path = Path(path)
-    n = adj.n
+    n, w = adj.n, adj.w
     ids = [str(x) for x in (nodes if nodes is not None else range(n))]
     if len(ids) != n:
         raise ValueError(f"{len(ids)} node ids for an {n}-node adjacency")
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(ADJACENCY_CSV_HEADER) + "\r\n")
-        for src, row in zip(ids, adj.w):
-            cols = np.flatnonzero(row)
-            fh.write("".join([f"{src},{ids[j]},{v!r}\r\n"
-                              for j, v in zip(cols.tolist(), row[cols].tolist())]))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    parts = cpus if adj.nnz >= CSV_SPLIT_NNZ else 1
+    ends = np.count_nonzero(w, axis=1).cumsum()  # entries up to each row's end
+    cuts = np.unique([0, n, *np.searchsorted(ends, adj.nnz * np.arange(1, parts) / parts) + 1])
+    digest, children = blake2b(), []
+    with path.open("wb") as fh, ExitStack() as stack:
+        stack.callback(lambda: [child.kill() or child.wait() for child, _ in children])
+        for lo, hi in zip(cuts[1:], cuts[2:]):
+            import subprocess  # ~0.6 MB of modules that a write without children never needs
+            rows, lines = (stack.enter_context(tempfile.TemporaryFile(dir=path.parent))
+                           for _ in range(2))
+            rows.writelines([(",".join(ids) + "\n").encode(), w[lo:hi]])
+            rows.seek(0)
+            children.append((subprocess.Popen([sys.executable, "-I", "-S", _CSV_ROWS, str(lo)],
+                                              stdin=rows, stdout=lines), lines))
+
+        def emit(data: bytes) -> None:
+            fh.write(data)
+            digest.update(data)
+
+        emit(",".join(ADJACENCY_CSV_HEADER).encode() + b"\r\n")
+        write_rows(lambda text: emit(text.encode()), ids,
+                   ((i, (cols := np.flatnonzero(w[i])).tolist(), w[i, cols].tolist())
+                    for i in range(*cuts[:2])))
+        for child, lines in children:
+            if child.wait():
+                raise RuntimeError(f"adjacency row writer exited with status {child.returncode}")
+            lines.seek(0)
+            while chunk := lines.read(1 << 20):
+                emit(chunk)
+    if writers is not None:
+        writers.append(1 + len(children))
     sidecar = path.with_suffix(".npy")
     order = [int(x) for x in ids if x.isdecimal()]  # the ids as the reader parses them
     if (n * n * 8 >= path.stat().st_size or sidecar == path or len(order) != n
-            or order != sorted(set(order)) or np.signbit(adj.w).any()):  # -0.0 parses as +0.0
+            or order != sorted(set(order)) or np.signbit(w).any()):  # -0.0 parses as +0.0
         return None
-    np.save(sidecar, adj.w, allow_pickle=False)
-    return {"file": sidecar.name, "csv_blake2b": _file_digest(path),
+    np.save(sidecar, w, allow_pickle=False)
+    return {"file": sidecar.name, "csv_blake2b": digest.hexdigest(),
             "npy_blake2b": _file_digest(sidecar), "nodes": order}
 
 

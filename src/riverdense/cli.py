@@ -228,6 +228,22 @@ def _read_meta(path: Path) -> dict:
     return meta
 
 
+def _read_adjacency(path: Path, meta_file: str | None,
+                    nodes=None) -> tuple[np.ndarray, list[int], str]:
+    """Matrix, node order and source (``sidecar``/``csv``) of an adjacency CSV whose
+    meta is ``meta_file`` or else the optional ``<stem>_meta.json`` beside it."""
+    if not path.exists():
+        raise FileNotFoundError(f"adjacency file {path} does not exist")
+    meta_path = Path(meta_file) if meta_file else path.with_name(path.stem + "_meta.json")
+    if meta_file and not meta_path.exists():  # the sibling *_meta.json is optional
+        raise FileNotFoundError(f"metadata file {meta_path} does not exist")
+    meta = _read_meta(meta_path) if meta_path.exists() else {}
+    sidecars = []
+    w, order = read_adjacency_csv(path, nodes=meta.get("nodes") if nodes is None else nodes,
+                                  meta=meta, sidecars=sidecars)
+    return w, order, "sidecar" if sidecars else "csv"
+
+
 def _period_bound(args, config: configparser.ConfigParser,
                   bound: str) -> tuple[str | None, np.datetime64 | None, str]:
     """The study period's start or end as given, as parsed, and where it
@@ -304,40 +320,31 @@ def cmd_rewire(args) -> int:
     adj, resolved = _rewire(net, args.kind, args.sigma, args.prune)
 
     out = _outdir(args)
-    sidecar = write_adjacency_csv(adj, out / "adjacency.csv", nodes=net.nodes)
+    writers = []
+    sidecar = write_adjacency_csv(adj, out / "adjacency.csv", nodes=net.nodes, writers=writers)
     write_adjacency_meta(adj, out / "adjacency_meta.json", sigma=resolved, nodes=net.nodes,
                          sidecar=sidecar)
     _write_manifest(out, args, [args.edges],
                     {"kind": args.kind, "sigma": args.sigma,
                      "sigma_resolved": resolved, "prune": args.prune, "n": adj.n,
-                     "nnz": adj.nnz, "sidecar": sidecar["file"] if sidecar else None},
+                     "nnz": adj.nnz, "sidecar": sidecar["file"] if sidecar else None,
+                     "csv_writers": writers[0]},
                     started)
     return 0
 
 
 def cmd_resist(args) -> int:
     started = time.perf_counter()
-    adj_path = Path(args.adjacency)
-    if not adj_path.exists():
-        raise FileNotFoundError(f"adjacency file {adj_path} does not exist")
-    meta_path = Path(args.meta) if args.meta else adj_path.with_name(
-        adj_path.stem + "_meta.json")
-    if args.meta and not meta_path.exists():  # the sibling *_meta.json is optional
-        raise FileNotFoundError(f"metadata file {meta_path} does not exist")
-
-    meta = _read_meta(meta_path) if meta_path.exists() else {}
-    sidecars = []
-    w, order = read_adjacency_csv(adj_path, nodes=meta.get("nodes"), meta=meta,
-                                  sidecars=sidecars)
+    w, order, source = _read_adjacency(Path(args.adjacency), args.meta)
 
     report = resistance_report(w, mode=args.mode)
     out = _outdir(args)
     write_report_json(report, out / "resistance.json")
     write_report_csv(report, out / "resistance_hist.csv")
-    _write_manifest(out, args, [str(adj_path)],
+    _write_manifest(out, args, [args.adjacency],
                     {"mode": args.mode, "n": report.n, "mean": report.mean,
                      "excluded_pairs": report.excluded_pairs,
-                     "adjacency_source": "sidecar" if sidecars else "csv",
+                     "adjacency_source": source,
                      "nodes": order,
                      "numerics": {"components": report.components,
                                   "solver": report.solver,
@@ -371,14 +378,11 @@ def cmd_train(args) -> int:
     task = ForecastTask(alpha_hist=args.history, beta_horizon=args.horizon,
                         feature_dim=len(channel_names))
 
+    sigma_resolved = source = None
     if args.adjacency:
-        adj_path = Path(args.adjacency)
-        if not adj_path.exists():
-            raise FileNotFoundError(f"adjacency file {adj_path} does not exist")
-        w, _ = read_adjacency_csv(adj_path, nodes=net.nodes)
+        w, _, source = _read_adjacency(Path(args.adjacency), None, net.nodes)
         adj = AdjacencyMatrix(args.kind, w,
                               support=net.edge_mask() if args.kind == "topology" else None)
-        sigma_resolved = None
     else:
         adj, sigma_resolved = _rewire(net, args.kind, args.sigma)
 
@@ -405,6 +409,7 @@ def cmd_train(args) -> int:
     save_model(model, out / "checkpoint.json")
     _write_manifest(out, args, [p for p in (args.edges, args.gauges, args.adjacency) if p],
                     {"kind": adj.kind, "sigma_resolved": sigma_resolved,
+                     "adjacency_source": source,
                      "history": args.history, "horizon": args.horizon,
                      "latent": args.latent, "layers": args.layers,
                      "epochs": args.epochs, "lr": args.lr,

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -8,11 +11,12 @@ from hypothesis import strategies as st
 
 import riverdense as rd
 import riverdense.adjacency
-from riverdense.adjacency import _read_adjacency_body, _read_adjacency_rows
+from riverdense.adjacency import (CSV_SPLIT_NNZ, _file_digest, _read_adjacency_body,
+                                  _read_adjacency_rows)
 from riverdense.errors import CsvFormatError, DegenerateSigma, IsolatedRow
 from riverdense.network import DistanceMatrix
 
-from util import random_weighted_tree
+from util import random_weighted_tree, write_adjacency_csv_by_rows
 
 
 def dm(matrix) -> DistanceMatrix:
@@ -287,6 +291,53 @@ def test_adjacency_csv_writer_golden_bytes(tmp_path):
                                  b"10,5,0.3333333333333333\r\n"
                                  b"10,42,0.6666666666666666\r\n"
                                  b"42,5,1.0\r\n")
+
+
+def _tree_adjacency(kind: str, n: int) -> rd.AdjacencyMatrix:
+    net = rd.random_river_tree(n, np.random.default_rng(n))
+    return rd.build_adjacency(net, rd.topological_distances(net), rd.RewireConfig(kind=kind))
+
+
+def _node_ids(case: str, n: int):
+    return {"range": None, "sparse": [7 * k + 3 for k in range(n)],
+            "shuffled": np.random.default_rng(n).permutation(7 * np.arange(n) + 3).tolist()}[case]
+
+
+@pytest.mark.parametrize("ids", ["range", "sparse", "shuffled"])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("n", [12, 300])
+@pytest.mark.parametrize("kind", ["isolated", "topology", "dense", "learned"])
+def test_adjacency_csv_writer_equals_the_row_at_a_time_writer(tmp_path, monkeypatch, kind, n,
+                                                              cpus, ids):
+    adj, nodes = _tree_adjacency(kind, n), _node_ids(ids, n)
+    (tmp_path / "rows").mkdir()
+    (tmp_path / "split").mkdir()
+    expected = write_adjacency_csv_by_rows(adj, tmp_path / "rows" / "adjacency.csv", nodes)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    writers = []
+    entry = rd.write_adjacency_csv(adj, tmp_path / "split" / "adjacency.csv", nodes,
+                                   writers=writers)
+    # a 300-node dense tree has 89,700 entries, learned as many; topology has 299
+    assert writers == [cpus if adj.nnz >= CSV_SPLIT_NNZ else 1]
+    assert (adj.nnz >= CSV_SPLIT_NNZ) == (n == 300 and kind in ("dense", "learned"))
+    assert entry == expected
+    names = sorted(p.name for p in (tmp_path / "rows").iterdir())
+    assert sorted(p.name for p in (tmp_path / "split").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "rows" / name).read_bytes()
+    if entry is not None:  # the digest streamed while writing is that of the file
+        assert entry["csv_blake2b"] == _file_digest(tmp_path / "split" / "adjacency.csv")
+    assert (entry is not None) == (kind in ("dense", "learned") and ids != "shuffled")
+
+
+def test_adjacency_csv_writer_raises_when_a_row_writer_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(sys, "executable", shutil.which("false"))
+    with pytest.raises(RuntimeError, match="row writer exited with status 1"):
+        rd.write_adjacency_csv(_tree_adjacency("dense", 300), tmp_path / "adjacency.csv")
+    with pytest.raises(ChildProcessError):  # both children were reaped
+        os.waitpid(-1, os.WNOHANG)
+    assert [p.name for p in tmp_path.iterdir()] == ["adjacency.csv"]
 
 
 def _row_loop(path, nodes=None):

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import shutil
 import time
 import warnings
@@ -779,6 +780,64 @@ def test_train_accepts_prebuilt_adjacency(basin8_dir, tmp_path):
     assert (out / "metrics.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["parameters"]["sigma_resolved"] is None
+
+
+@pytest.mark.parametrize("meta", ["sidecar", "npy-deleted", "meta-deleted", "built"])
+def test_train_loads_the_sidecar_its_meta_vouches_for(basin8_dir, tmp_path, meta):
+    rw_dir = tmp_path / "rw"
+    assert run_cli("rewire", "--edges", basin8_dir / "edges.csv",
+                   "--kind", "dense", "--out", rw_dir) == 0
+    adjacency = ["--adjacency", rw_dir / "adjacency.csv"] if meta != "built" else []
+    if meta == "npy-deleted":
+        (rw_dir / "adjacency.npy").unlink()
+    elif meta == "meta-deleted":
+        (rw_dir / "adjacency_meta.json").unlink()
+    outputs = {}
+    for run, extra in (("built", []), ("loaded", adjacency)):
+        out = tmp_path / run
+        assert run_cli("train", "--edges", basin8_dir / "edges.csv",
+                       "--gauges", basin8_dir / "gauges", *extra,
+                       "--history", "12", "--horizon", "4", "--epochs", "2",
+                       "--latent", "8", "--seed", "3", "--out", out) == 0
+        outputs[run] = [(out / name).read_bytes()
+                        for name in ("metrics.csv", "train_log.csv", "checkpoint.json")]
+    # a dense matrix rebuilt in-process is the one the rewire wrote, bit for bit
+    assert outputs["loaded"] == outputs["built"]
+    manifest = json.loads((tmp_path / "loaded" / "manifest.json").read_text())
+    assert manifest["parameters"]["adjacency_source"] == {
+        "sidecar": "sidecar", "npy-deleted": "csv", "meta-deleted": "csv", "built": None}[meta]
+
+
+def test_train_bad_sibling_meta_exits_2_naming_it(basin8_dir, tmp_path, capsys):
+    rw_dir = tmp_path / "rw"
+    assert run_cli("rewire", "--edges", basin8_dir / "edges.csv",
+                   "--kind", "dense", "--out", rw_dir) == 0
+    (rw_dir / "adjacency_meta.json").write_text("[1, 2]")
+    assert run_cli("train", "--edges", basin8_dir / "edges.csv",
+                   "--gauges", basin8_dir / "gauges",
+                   "--adjacency", rw_dir / "adjacency.csv", "--history", "12",
+                   "--horizon", "4", "--epochs", "1", "--out", tmp_path / "tr") == 2
+    assert f"metadata file {rw_dir / 'adjacency_meta.json'}" in capsys.readouterr().err
+    assert not (tmp_path / "tr").exists()
+
+
+@pytest.mark.parametrize("kind, cpus, writers", [("dense", 1, 1), ("dense", 2, 2),
+                                                 ("dense", 3, 3), ("topology", 3, 1)])
+def test_rewire_manifest_records_csv_writers(tmp_path, monkeypatch, kind, cpus, writers):
+    rd.write_edge_csv(rd.random_river_tree(300, np.random.default_rng(5)),
+                      tmp_path / "edges.csv")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    out = tmp_path / "rw"
+    assert run_cli("rewire", "--edges", tmp_path / "edges.csv", "--kind", kind,
+                   "--out", out) == 0
+    with pytest.raises(ChildProcessError):  # no row writer outlives the command
+        os.waitpid(-1, os.WNOHANG)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["parameters"]["csv_writers"] == writers
+    files = {"adjacency.csv", "adjacency_meta.json", "manifest.json"}
+    if kind == "dense":
+        files.add("adjacency.npy")
+    assert {p.name for p in out.iterdir()} == files
 
 
 def test_train_refuses_sigma_with_a_loaded_adjacency(basin8_dir, tmp_path, capsys):

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import heapq
+from pathlib import Path
 
 import numpy as np
 
 import riverdense as rd
+from riverdense.adjacency import ADJACENCY_CSV_HEADER, _file_digest
 
 
 def random_weighted_tree(n: int, rng: np.random.Generator) -> rd.RiverNetwork:
@@ -167,6 +169,33 @@ def hop_distances(support: np.ndarray) -> np.ndarray:
                         nxt.append(int(receiver))
             frontier = nxt
     return dist
+
+
+# ---------------------------------------------------------------------------
+# adjacency export reference: one process, one matrix row at a time
+
+def write_adjacency_csv_by_rows(adj: rd.AdjacencyMatrix, path, nodes=None) -> dict | None:
+    """The coordinate-list export with every row formatted in this process,
+    the sidecar saved on the same rule and the CSV digested by reading it back."""
+    path = Path(path)
+    n = adj.n
+    ids = [str(x) for x in (nodes if nodes is not None else range(n))]
+    if len(ids) != n:
+        raise ValueError(f"{len(ids)} node ids for an {n}-node adjacency")
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(ADJACENCY_CSV_HEADER) + "\r\n")
+        for src, row in zip(ids, adj.w):
+            cols = np.flatnonzero(row)
+            fh.write("".join([f"{src},{ids[j]},{v!r}\r\n"
+                              for j, v in zip(cols.tolist(), row[cols].tolist())]))
+    sidecar = path.with_suffix(".npy")
+    order = [int(x) for x in ids if x.isdecimal()]
+    if (n * n * 8 >= path.stat().st_size or sidecar == path or len(order) != n
+            or order != sorted(set(order)) or np.signbit(adj.w).any()):
+        return None
+    np.save(sidecar, adj.w, allow_pickle=False)
+    return {"file": sidecar.name, "csv_blake2b": _file_digest(path),
+            "npy_blake2b": _file_digest(sidecar), "nodes": order}
 
 
 # ---------------------------------------------------------------------------
