@@ -4,8 +4,8 @@ for river-network forecasting graphs."""
 from .errors import (ConstantObserved, CsvFormatError, CycleDetected,
                      DegenerateSigma, DifferentComponents, DuplicateEdge,
                      IsolatedRow, MuOutOfRange, NonfiniteLoss,
-                     NonpositiveLength, RiverDenseError, ShapeMismatch,
-                     UnknownStation)
+                     NonpositiveLength, RiverDenseError, RowWriterFailed,
+                     ShapeMismatch, UnknownStation)
 from .network import (DistanceMatrix, Edge, RiverNetwork, build_network,
                       read_edge_csv, topological_distances, write_edge_csv)
 from .adjacency import (ADJACENCY_KINDS, AdjacencyMatrix, RewireConfig,

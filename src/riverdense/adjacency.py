@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from ._csvrows import write_rows
-from .errors import CsvFormatError, DegenerateSigma, IsolatedRow
+from .errors import CsvFormatError, DegenerateSigma, IsolatedRow, RowWriterFailed
 from .network import DistanceMatrix, RiverNetwork, read_csv_rows
 
 ADJACENCY_KINDS = ("isolated", "topology", "dense", "learned")
@@ -211,6 +211,8 @@ def write_adjacency_csv(adj: AdjacencyMatrix, path, nodes: Sequence[int] | None 
     endings, so every weight reads back exactly. From CSV_SPLIT_NNZ entries on, a
     ``_csvrows.py`` child per further usable CPU formats a row slice, balanced by entry
     count, into an unnamed temp file appended in order; ``writers`` gets the writer count.
+    The text goes to ``<name>.part``, which replaces ``path`` once complete and is removed
+    if the write fails, so a failed write leaves an earlier ``path`` as it was.
 
     When its n²·8 bytes are fewer than the text's, the matrix is also saved
     as ``<stem>.npy`` beside it, and the meta entry that lets
@@ -225,8 +227,9 @@ def write_adjacency_csv(adj: AdjacencyMatrix, path, nodes: Sequence[int] | None 
     parts = cpus if adj.nnz >= CSV_SPLIT_NNZ else 1
     ends = np.count_nonzero(w, axis=1).cumsum()  # entries up to each row's end
     cuts = np.unique([0, n, *np.searchsorted(ends, adj.nnz * np.arange(1, parts) / parts) + 1])
-    digest, children = blake2b(), []
-    with path.open("wb") as fh, ExitStack() as stack:
+    digest, children, part = blake2b(), [], path.with_name(path.name + ".part")
+    with part.open("wb") as fh, ExitStack() as stack:
+        stack.callback(part.unlink, missing_ok=True)  # nothing is left once it replaced path
         stack.callback(lambda: [child.kill() or child.wait() for child, _ in children])
         for lo, hi in zip(cuts[1:], cuts[2:]):
             import subprocess  # ~0.6 MB of modules that a write without children never needs
@@ -247,10 +250,13 @@ def write_adjacency_csv(adj: AdjacencyMatrix, path, nodes: Sequence[int] | None 
                     for i in range(*cuts[:2])))
         for child, lines in children:
             if child.wait():
-                raise RuntimeError(f"adjacency row writer exited with status {child.returncode}")
+                raise RowWriterFailed(f"adjacency row writer for {path} exited with status "
+                                      f"{child.returncode}")
             lines.seek(0)
             while chunk := lines.read(1 << 20):
                 emit(chunk)
+        fh.close()  # flushed first, so a failed flush cannot take the name
+        os.replace(part, path)
     if writers is not None:
         writers.append(1 + len(children))
     sidecar = path.with_suffix(".npy")

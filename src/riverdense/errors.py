@@ -49,6 +49,10 @@ class ConstantObserved(RiverDenseError):
     """NSE is undefined when the observed series has zero variance."""
 
 
+class RowWriterFailed(RiverDenseError):
+    """A child process formatting adjacency CSV rows exited with an error."""
+
+
 class CsvFormatError(RiverDenseError):
     """A CSV input failed to parse; message carries file:line context."""
 

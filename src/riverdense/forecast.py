@@ -14,7 +14,8 @@ is the same handful of GEMMs transposed. ``train`` moves its windows to
 node-major order once per call and gathers each batch into a reused array;
 ``loss_and_gradients`` writes activations into buffers the model keeps for
 the last two batch sizes (the full batch and the ragged last one), so a
-training step allocates only the small gradient arrays it returns.
+training step allocates only the one gradient vector it returns views of;
+the weights and Adam's moments are vectors of the same layout.
 
 Propagation operator per adjacency kind:
   isolated -> identity (no message paths, the model degenerates to an MLP)
@@ -32,6 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,6 +45,13 @@ CHECKPOINT_FORMAT = "riverdense-forecast"
 CHECKPOINT_VERSION = 2
 
 
+def _check_counts(*named: tuple[str, int]) -> None:
+    """Raise ValueError naming the first ``(name, value)`` pair below 1."""
+    for name, value in named:
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ForecastTask:
     """History length, forecast horizon (both hours) and channel count."""
@@ -52,10 +61,9 @@ class ForecastTask:
     feature_dim: int = 1
 
     def __post_init__(self):
-        names = ("alpha_hist (--history)", "beta_horizon (--horizon)", "feature_dim")
-        for name, value in zip(names, (self.alpha_hist, self.beta_horizon, self.feature_dim)):
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value!r}")
+        _check_counts(("alpha_hist (--history)", self.alpha_hist),
+                      ("beta_horizon (--horizon)", self.beta_horizon),
+                      ("feature_dim", self.feature_dim))
 
     @property
     def input_width(self) -> int:
@@ -80,10 +88,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.lr, self.weight_decay, self.clip_norm) < 0 or self.lr == 0:
-            raise ValueError("lr must be positive; weight_decay and clip_norm nonnegative")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        if not 0 < self.lr < np.inf:  # false for NaN too
+            raise ValueError(f"lr (--lr) must be positive and finite, got {self.lr!r}")
+        for name, value in (("weight_decay", self.weight_decay), ("clip_norm", self.clip_norm)):
+            if not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
+        _check_counts(("epochs (--epochs)", self.epochs), ("batch_size", self.batch_size))
 
     def lr_at(self, epoch: int) -> float:
         """Effective learning rate during a 1-indexed epoch; halvings apply
@@ -100,17 +110,17 @@ class TrainResult:
 
 
 class ForecastModel:
-    """Layered message-passing forecaster with explicit weight arrays.
+    """Layered message-passing forecaster whose weights are one vector, ``flat``.
 
-    ``params`` maps names to numpy arrays. For the learned adjacency kind the
-    propagation matrix itself lives in ``params['adj']`` (masked to the dense
-    support) and receives gradients like any other weight.
+    ``params`` maps each name, in checkpoint order, to a reshaped view of
+    ``flat``; it is read-only, so weights are written in place. For the learned
+    adjacency kind the propagation matrix itself lives in ``params['adj']``
+    (masked to the dense support) and receives gradients like any other weight.
     """
 
     def __init__(self, task: ForecastTask, adjacency: AdjacencyMatrix,
                  latent: int = 32, n_layers: int = 3, seed: int = 0):
-        if latent < 1 or n_layers < 1:
-            raise ValueError("latent and n_layers must be >= 1")
+        _check_counts(("latent (--latent)", latent), ("n_layers (--layers)", n_layers))
         self.task = task
         self.adjacency = adjacency
         self.latent = latent
@@ -120,24 +130,33 @@ class ForecastModel:
         rng = np.random.default_rng(seed)
         # biases start small but nonzero; an all-zero bias vector parks every
         # dead-relu unit exactly on the kink, where subgradients are ambiguous
-        self.params: dict[str, np.ndarray] = {
+        drawn = {
             "w_in": _glorot(rng, task.input_width, latent),
             "b_in": rng.uniform(-0.05, 0.05, size=latent),
         }
         for layer in range(1, n_layers + 1):
-            self.params[f"w_l{layer}"] = _glorot(rng, latent, latent)
-            self.params[f"b_l{layer}"] = rng.uniform(-0.05, 0.05, size=latent)
-        self.params["w_out"] = _glorot(rng, latent, task.beta_horizon)
-        self.params["b_out"] = rng.uniform(-0.05, 0.05, size=task.beta_horizon)
+            drawn[f"w_l{layer}"] = _glorot(rng, latent, latent)
+            drawn[f"b_l{layer}"] = rng.uniform(-0.05, 0.05, size=latent)
+        drawn["w_out"] = _glorot(rng, latent, task.beta_horizon)
+        drawn["b_out"] = rng.uniform(-0.05, 0.05, size=task.beta_horizon)
 
         self._buffers: dict[int, _Buffers] = {}
         self._support = None
         if adjacency.kind == "learned":
             self._support = adjacency.w > 0
-            self.params["adj"] = adjacency.w.copy()
+            drawn["adj"] = adjacency.w
             self._prop = None
         else:
             self._prop = _propagation_matrix(adjacency)
+        ends = np.cumsum([arr.size for arr in drawn.values()]).tolist()
+        self._slots = {name: (slice(end - arr.size, end), arr.shape)
+                       for (name, arr), end in zip(drawn.items(), ends)}
+        self.flat = np.concatenate([arr.ravel() for arr in drawn.values()])
+        self.params = MappingProxyType(self._views(self.flat))
+
+    def _views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's reshaped view of ``vector``, laid out as ``flat``."""
+        return {name: vector[at].reshape(shape) for name, (at, shape) in self._slots.items()}
 
     def propagation(self) -> np.ndarray:
         if self._prop is not None:
@@ -247,37 +266,36 @@ def _forward(model: ForecastModel, x: np.ndarray, buf: _Buffers) -> np.ndarray:
     return a_hat
 
 
-def _backward(model: ForecastModel, x: np.ndarray, buf: _Buffers, a_hat: np.ndarray,
-              with_params: bool = True) -> tuple[dict | None, np.ndarray]:
+def _backward(model: ForecastModel, x: np.ndarray, buf: _Buffers,
+              a_hat: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Backprop from dLoss/dY in ``buf.dy`` to parameter grads and dLoss/dZ0.
 
-    The returned dLoss/dZ0 is ``buf.dh``; the gradients are fresh arrays.
+    The gradients, keyed in backprop order, are views of one fresh vector laid
+    out as ``model.flat`` (their common ``.base``); dLoss/dZ0 is ``buf.dh``.
     """
-    grads: dict[str, np.ndarray] | None = {} if with_params else None
+    g = model._views(np.empty_like(model.flat))
+    grads: dict[str, np.ndarray] = {}
     params = model.params
     n = model.n
     dh, dm = buf.dh, buf.dm
-    if with_params:
-        grads["w_out"] = buf.h[model.n_layers].T @ buf.dy
-        grads["b_out"] = buf.dy.sum(axis=0)
+    grads["w_out"] = np.matmul(buf.h[model.n_layers].T, buf.dy, out=g["w_out"])
+    grads["b_out"] = buf.dy.sum(axis=0, out=g["b_out"])
     np.matmul(buf.dy, params["w_out"].T, out=dh)
-    d_adj = np.zeros((n, n)) if (with_params and model._support is not None) else None
+    d_adj = np.zeros((n, n)) if model._support is not None else None
     for layer in range(model.n_layers, 0, -1):
         dh *= buf.h[layer] > 0  # now dLoss/dZ; relu(z) > 0 exactly where z > 0
-        if with_params:
-            grads[f"w_l{layer}"] = buf.m[layer - 1].T @ dh
-            grads[f"b_l{layer}"] = dh.sum(axis=0)
+        grads[f"w_l{layer}"] = np.matmul(buf.m[layer - 1].T, dh, out=g[f"w_l{layer}"])
+        grads[f"b_l{layer}"] = dh.sum(axis=0, out=g[f"b_l{layer}"])
         np.matmul(dh, params[f"w_l{layer}"].T, out=dm)
         if d_adj is not None:
             d_adj += dm.reshape(n, -1) @ buf.h[layer - 1].reshape(n, -1).T
         np.matmul(a_hat.T, dm.reshape(n, -1), out=dh.reshape(n, -1))
     dh *= buf.h[0] > 0
-    if with_params:
-        grads["w_in"] = x.T @ dh
-        grads["b_in"] = dh.sum(axis=0)
-        if d_adj is not None:
-            # operator is (P + I)/2, so dL/dP carries the 1/2 factor
-            grads["adj"] = 0.5 * d_adj * model._support
+    grads["w_in"] = np.matmul(x.T, dh, out=g["w_in"])
+    grads["b_in"] = dh.sum(axis=0, out=g["b_in"])
+    if d_adj is not None:
+        # operator is (P + I)/2, so dL/dP carries the 1/2 factor
+        grads["adj"] = np.multiply(0.5 * d_adj, model._support, out=g["adj"])
     return grads, dh
 
 
@@ -323,7 +341,7 @@ def input_jacobian(model: ForecastModel, u: int, v: int,
     buf.dy.fill(0.0)
     steps = np.arange(beta)
     buf.dy.reshape(model.n, beta, beta)[u, steps, steps] = 1.0
-    _, dz0 = _backward(model, x, buf, a_hat, with_params=False)
+    _, dz0 = _backward(model, x, buf, a_hat)  # the parameter gradients go unused
     return dz0.reshape(model.n, beta, -1)[v] @ model.params["w_in"].T
 
 
@@ -332,8 +350,9 @@ def loss_and_gradients(model: ForecastModel, history: np.ndarray,
     """MAE loss over one batch plus analytic gradients for every parameter.
 
     Activations go to buffers the model keeps per batch size, so one model
-    must not run this from two threads at once; the returned gradients are
-    fresh arrays.
+    must not run this from two threads at once. The gradients are views of
+    one vector allocated by this call, laid out as ``model.flat`` and keyed
+    in backprop order; no later call writes to them.
     """
     history, target = _check_batch(model, history, target)
     s = history.shape[0]
@@ -345,7 +364,7 @@ def loss_and_gradients(model: ForecastModel, history: np.ndarray,
     loss = float(np.mean(np.abs(diff, out=buf.y)))  # y is spent once diff exists
     np.sign(diff, out=buf.dy)
     buf.dy /= diff.size
-    grads, _ = _backward(model, x, buf, a_hat, with_params=True)
+    grads, _ = _backward(model, x, buf, a_hat)
     return loss, grads
 
 
@@ -396,13 +415,14 @@ def train(model: ForecastModel, data, config: TrainConfig) -> TrainResult:
     gathered: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     rng = np.random.default_rng(config.seed)
-    decayed = [name for name in model.params if name.startswith("w_") or name == "adj"]
+    flat = model.flat
+    decay_mask = np.concatenate([np.full(p.size, name.startswith("w_") or name == "adj")
+                                 for name, p in model.params.items()])
     losses = np.empty(config.epochs)
     lrs = np.empty(config.epochs)
     clipped = np.zeros(config.epochs, dtype=int)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    moment1 = {k: np.zeros_like(v) for k, v in model.params.items()}
-    moment2 = {k: np.zeros_like(v) for k, v in model.params.items()}
+    m, v = np.zeros_like(flat), np.zeros_like(flat)  # Adam's first and second moments
     steps = 0
 
     for epoch in range(1, config.epochs + 1):
@@ -425,16 +445,15 @@ def train(model: ForecastModel, data, config: TrainConfig) -> TrainResult:
                                     f"batch {start // config.batch_size}, lr {lr}")
             epoch_abs_sum += loss * batch.size
             clipped[epoch - 1] += _clip_global_norm(grads, config.clip_norm)
+            grad = grads["w_in"].base  # the whole gradient vector, laid out as flat
             steps += 1
-            for name, grad in grads.items():
-                moment1[name] = beta1 * moment1[name] + (1 - beta1) * grad
-                moment2[name] = beta2 * moment2[name] + (1 - beta2) * grad * grad
-                m_hat = moment1[name] / (1 - beta1 ** steps)
-                v_hat = moment2[name] / (1 - beta2 ** steps)
-                model.params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            m = beta1 * m + (1 - beta1) * grad
+            v = beta2 * v + (1 - beta2) * grad * grad
+            m_hat = m / (1 - beta1 ** steps)
+            v_hat = v / (1 - beta2 ** steps)
+            flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
             if config.weight_decay:
-                for name in decayed:
-                    model.params[name] -= lr * config.weight_decay * model.params[name]
+                np.subtract(flat, lr * config.weight_decay * flat, out=flat, where=decay_mask)
         losses[epoch - 1] = epoch_abs_sum / n_samples
         lrs[epoch - 1] = lr
     return TrainResult(losses=losses, lrs=lrs, clipped=clipped)
@@ -675,7 +694,7 @@ def load_model(path) -> ForecastModel:
         if arr.shape != model.params[name].shape:
             raise ValueError(f"checkpoint {path}: parameter {name} has shape {arr.shape}, "
                              f"the architecture needs {model.params[name].shape}")
-        model.params[name] = arr
+        model.params[name][...] = arr
     return model
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import shutil
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -723,6 +724,22 @@ def test_train_bad_split_argument_exits_2_naming_it(basin8_dir, tmp_path, capsys
     assert caught == []
 
 
+@pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"),
+                                         ("--latent", "0"), ("--layers", "0"),
+                                         ("--epochs", "0")])
+def test_train_bad_model_or_optimizer_flag_exits_2_naming_it(basin8_dir, tmp_path, capsys,
+                                                              flag, value):
+    out = tmp_path / "tr"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("train", "--edges", basin8_dir / "edges.csv",
+                       "--gauges", basin8_dir / "gauges", "--history", "12",
+                       "--horizon", "4", "--epochs", "1", flag, value, "--out", out)
+    assert code == 2
+    assert f"({flag}) must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--history", "0"), ("--horizon", "0"),
                                          ("--history", "-3")])
 def test_train_empty_window_exits_2_naming_the_flag(basin8_dir, tmp_path, capsys, flag, value):
@@ -838,6 +855,26 @@ def test_rewire_manifest_records_csv_writers(tmp_path, monkeypatch, kind, cpus, 
     if kind == "dense":
         files.add("adjacency.npy")
     assert {p.name for p in out.iterdir()} == files
+
+
+def test_failed_rewire_exits_3_and_keeps_the_earlier_outputs(tmp_path, monkeypatch, capsys):
+    rd.write_edge_csv(rd.random_river_tree(300, np.random.default_rng(5)),
+                      tmp_path / "edges.csv")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    out = tmp_path / "rw"
+    assert run_cli("rewire", "--edges", tmp_path / "edges.csv", "--kind", "dense",
+                   "--out", out) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert {"adjacency.csv", "adjacency.npy", "adjacency_meta.json"} <= before.keys()
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "executable", shutil.which("false"))
+    assert run_cli("rewire", "--edges", tmp_path / "edges.csv", "--kind", "dense",
+                   "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "computation error: adjacency row writer" in err and "Traceback" not in err
+    with pytest.raises(ChildProcessError):  # both row writers were reaped
+        os.waitpid(-1, os.WNOHANG)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_train_refuses_sigma_with_a_loaded_adjacency(basin8_dir, tmp_path, capsys):

@@ -14,7 +14,7 @@ from riverdense.errors import ConstantObserved, NonfiniteLoss, ShapeMismatch
 
 from util import (chronological_split, hop_distances, make_windows, outlets,
                   random_weighted_tree, reference_input_jacobian,
-                  reference_loss_and_gradients)
+                  reference_loss_and_gradients, reference_train)
 
 
 def isolated_adj(n):
@@ -243,14 +243,57 @@ def test_parameter_gradients_match_finite_differences():
 
 def test_zero_targets_zero_init_keeps_zero_loss():
     model = small_model(isolated_adj(3), seed=0)
-    for name in model.params:
-        model.params[name] = np.zeros_like(model.params[name])
+    for param in model.params.values():
+        param[...] = 0.0  # in place: the entries are views of model.flat
+    assert not np.any(model.flat)
     x = np.random.default_rng(0).normal(size=(8, 4, 3, 2))
     y = np.zeros((8, 3, 3))
     result = rd.train(model, (x, y), rd.TrainConfig(epochs=1, seed=0))
     assert result.losses[0] == 0.0
     assert result.clipped.tolist() == [0]
     assert all(not np.any(p) for p in model.params.values())
+    with pytest.raises(TypeError):  # a rebound entry would leave flat behind
+        model.params["w_in"] = np.ones_like(model.params["w_in"])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_train_equals_the_per_parameter_reference_bitwise(kind):
+    rng = np.random.default_rng(89)
+    net = random_weighted_tree(6, rng)
+    x = rng.normal(size=(23, 4, 6, 2))
+    y = rng.normal(size=(23, 3, 6))
+    x[:2] *= 1e4  # every batch holding one of these windows is clipped
+    y[:2] *= 1e4
+    # 23 windows in batches of 6: a ragged last batch of 5 in every epoch
+    config = rd.TrainConfig(epochs=4, batch_size=6, weight_decay=1e-2, seed=97)
+    model = small_model(adj_of_kind(net, kind), seed=101)
+    oracle = small_model(adj_of_kind(net, kind), seed=101)
+    result = rd.train(model, (x, y), config)
+    expected = reference_train(oracle, (x, y), config)
+    assert 0 < expected.clipped.sum() < 4 * 4
+    assert result.clipped.tolist() == expected.clipped.tolist()
+    assert result.losses.tobytes() == expected.losses.tobytes()
+    assert result.lrs.tobytes() == expected.lrs.tobytes()
+    assert model.params.keys() == oracle.params.keys()
+    for name, param in model.params.items():
+        assert param.tobytes() == oracle.params[name].tobytes(), name
+
+
+def test_checkpoint_round_trip_trains_on_bitwise_equal(tmp_path):
+    rng = np.random.default_rng(103)
+    net = random_weighted_tree(5, rng)
+    x = rng.normal(size=(9, 4, 5, 2))
+    y = rng.normal(size=(9, 3, 5))
+    model = small_model(adj_of_kind(net, "learned"), seed=107)
+    rd.train(model, (x, y), rd.TrainConfig(epochs=2, batch_size=4, seed=109))
+    rd.save_model(model, tmp_path / "checkpoint.json")
+    loaded = rd.load_model(tmp_path / "checkpoint.json")
+    # training reads flat, so a loader that left flat at its random start fails here
+    config = rd.TrainConfig(epochs=1, batch_size=4, seed=113)
+    rd.train(model, (x, y), config)
+    rd.train(loaded, (x, y), config)
+    for name, param in model.params.items():
+        assert param.tobytes() == loaded.params[name].tobytes(), name
 
 
 def test_loss_curve_finite_and_deterministic():

@@ -277,6 +277,52 @@ def reference_input_jacobian(model: rd.ForecastModel, u: int, v: int,
     return jac
 
 
+def reference_train(model: rd.ForecastModel, data, config: rd.TrainConfig) -> rd.TrainResult:
+    """``train`` as a per-parameter loop: each gradient is clipped, then stepped
+    by Adam and weight-decayed one name at a time, with Adam moments kept per
+    name. ``model.params`` is updated in place."""
+    history, target = data
+    n_samples = history.shape[0]
+    rng = np.random.default_rng(config.seed)
+    decayed = [name for name in model.params if name.startswith("w_") or name == "adj"]
+    losses, lrs = np.empty(config.epochs), np.empty(config.epochs)
+    clipped = np.zeros(config.epochs, dtype=int)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    moment1 = {k: np.zeros_like(v) for k, v in model.params.items()}
+    moment2 = {k: np.zeros_like(v) for k, v in model.params.items()}
+    steps = 0
+    for epoch in range(1, config.epochs + 1):
+        lr = config.lr_at(epoch)
+        order = rng.permutation(n_samples)
+        epoch_abs_sum = 0.0
+        for start in range(0, n_samples, config.batch_size):
+            batch = order[start:start + config.batch_size]
+            loss, grads = rd.loss_and_gradients(model, history[batch], target[batch])
+            grads = {name: grad.copy() for name, grad in grads.items()}  # one array each
+            epoch_abs_sum += loss * batch.size
+            total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            if config.clip_norm > 0 and total > config.clip_norm:
+                scale = config.clip_norm / total
+                for g in grads.values():
+                    g *= scale
+                clipped[epoch - 1] += 1
+            steps += 1
+            for name, grad in grads.items():
+                moment1[name] = beta1 * moment1[name] + (1 - beta1) * grad
+                moment2[name] = beta2 * moment2[name] + (1 - beta2) * grad * grad
+                m_hat = moment1[name] / (1 - beta1 ** steps)
+                v_hat = moment2[name] / (1 - beta2 ** steps)
+                param = model.params[name]
+                param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            if config.weight_decay:
+                for name in decayed:
+                    param = model.params[name]
+                    param -= lr * config.weight_decay * param
+        losses[epoch - 1] = epoch_abs_sum / n_samples
+        lrs[epoch - 1] = lr
+    return rd.TrainResult(losses=losses, lrs=lrs, clipped=clipped)
+
+
 # ---------------------------------------------------------------------------
 # resistance reference: eigendecomposition and SVD pseudoinverses, DFS labels
 
