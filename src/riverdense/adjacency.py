@@ -112,9 +112,9 @@ def resolve_sigma(D: DistanceMatrix, sigma: float | str) -> float:
     """Resolve 'auto' to the population standard deviation of finite distances."""
     if sigma != "auto":
         return float(sigma)
-    off = ~np.eye(D.n, dtype=bool)
-    vals = D.d[off]
-    vals = vals[np.isfinite(vals)]
+    keep = np.isfinite(D.d)
+    np.fill_diagonal(keep, False)
+    vals = D.d[keep]
     if vals.size == 0:
         raise DegenerateSigma("no finite off-diagonal distances to take sigma from")
     resolved = float(np.std(vals))  # population std, ddof=0
@@ -124,11 +124,10 @@ def resolve_sigma(D: DistanceMatrix, sigma: float | str) -> float:
 
 
 def rbf_kernel(d: np.ndarray, sigma: float) -> np.ndarray:
-    """exp(-d^2 / (2 sigma^2)); infinite distances map to weight 0."""
-    out = np.zeros_like(d, dtype=float)
-    finite = np.isfinite(d)
-    out[finite] = np.exp(-(d[finite] ** 2) / (2.0 * sigma * sigma))
-    return out
+    """exp(-d^2 / (2 sigma^2)) in one array; an infinite distance maps to exp(-inf) = 0.0."""
+    out = np.square(d, dtype=float)
+    np.divide(np.negative(out, out=out), 2.0 * sigma * sigma, out=out)
+    return np.exp(out, out=out)
 
 
 def dense_transform(D: DistanceMatrix, config: RewireConfig) -> AdjacencyMatrix:
@@ -163,8 +162,8 @@ def dense_transform(D: DistanceMatrix, config: RewireConfig) -> AdjacencyMatrix:
     dead = np.flatnonzero(row_sums == 0.0)
     if dead.size:
         raise IsolatedRow(f"rows {dead.tolist()} have zero weight before normalization")
-    w = k / row_sums[:, None]
-    return AdjacencyMatrix("dense", w)
+    k /= row_sums[:, None]
+    return AdjacencyMatrix("dense", k)
 
 
 def build_adjacency(net: RiverNetwork, D: DistanceMatrix,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import re
 import sys
 import time
 from dataclasses import replace
@@ -37,7 +38,11 @@ _CONFIG_OPTIONS = {"column_map": tuple(DEFAULT_COLUMN_MAP), "period": ("start", 
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems exit 64, not argparse's default 2
+    # usage problems exit 64, not argparse's default 2; -1e-3 is a value, not an option
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(64, f"{self.prog}: error: {message}\n")

@@ -10,12 +10,12 @@ Activations are node-major: a batch of S windows over N nodes is held as
 (N*S, latent) rows, row n*S + k for node n in window k. Every weight product
 is then one GEMM over all rows, propagation is one GEMM of the (N, N)
 operator with the same memory viewed as (N, S*latent), and the backward pass
-is the same handful of GEMMs transposed. ``train`` moves its windows to
-node-major order once per call and gathers each batch into a reused array;
-``loss_and_gradients`` writes activations into buffers the model keeps for
-the last two batch sizes (the full batch and the ragged last one), so a
-training step allocates only the one gradient vector it returns views of;
-the weights and Adam's moments are vectors of the same layout.
+is the same handful of GEMMs transposed. ``train`` copies its windows, views
+of the z-scored series, to node-major order once per call and gathers each
+batch into a reused array; ``loss_and_gradients`` writes activations into
+buffers the model keeps for the full and the ragged last batch, and Adam
+updates the weight vector in place, so a training step allocates only the
+gradient vector. A forward-only pass keeps two layer states at any depth.
 
 Propagation operator per adjacency kind:
   isolated -> identity (no message paths, the model degenerates to an MLP)
@@ -187,12 +187,13 @@ class _Buffers:
 
     Rows are node-major: row ``n * s + k`` holds node n in window k, so a
     (N*S, L) state viewed as (N, S*L) is the operand of one propagation GEMM.
+    Without ``backward`` the layers take turns on two states and share one message.
     """
 
     def __init__(self, model: ForecastModel, s: int, backward: bool):
         rows, latent = model.n * s, model.latent
-        self.h = [np.empty((rows, latent)) for _ in range(model.n_layers + 1)]
-        self.m = [np.empty((rows, latent)) for _ in range(model.n_layers)]
+        self.h = [np.empty((rows, latent)) for _ in range(model.n_layers + 1 if backward else 2)]
+        self.m = [np.empty((rows, latent)) for _ in range(model.n_layers if backward else 1)]
         self.y = np.empty((rows, model.task.beta_horizon))
         if backward:
             self.dy = np.empty_like(self.y)
@@ -256,8 +257,8 @@ def _forward(model: ForecastModel, x: np.ndarray, buf: _Buffers) -> np.ndarray:
     h += params["b_in"]
     np.maximum(h, 0.0, out=h)
     for layer in range(1, model.n_layers + 1):
-        m, h = buf.m[layer - 1], buf.h[layer]
-        np.matmul(a_hat, buf.h[layer - 1].reshape(n, -1), out=m.reshape(n, -1))
+        m, h_in, h = buf.m[(layer - 1) % len(buf.m)], h, buf.h[layer % len(buf.h)]
+        np.matmul(a_hat, h_in.reshape(n, -1), out=m.reshape(n, -1))
         np.matmul(m, params[f"w_l{layer}"], out=h)
         h += params[f"b_l{layer}"]
         np.maximum(h, 0.0, out=h)
@@ -422,7 +423,7 @@ def train(model: ForecastModel, data, config: TrainConfig) -> TrainResult:
     lrs = np.empty(config.epochs)
     clipped = np.zeros(config.epochs, dtype=int)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    m, v = np.zeros_like(flat), np.zeros_like(flat)  # Adam's first and second moments
+    m, v, step, denom = np.zeros((4, flat.size))  # Adam's two moments, then scratch
     steps = 0
 
     for epoch in range(1, config.epochs + 1):
@@ -447,13 +448,18 @@ def train(model: ForecastModel, data, config: TrainConfig) -> TrainResult:
             clipped[epoch - 1] += _clip_global_norm(grads, config.clip_norm)
             grad = grads["w_in"].base  # the whole gradient vector, laid out as flat
             steps += 1
-            m = beta1 * m + (1 - beta1) * grad
-            v = beta2 * v + (1 - beta2) * grad * grad
-            m_hat = m / (1 - beta1 ** steps)
-            v_hat = v / (1 - beta2 ** steps)
-            flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            # m = beta1 * m + (1 - beta1) * grad and so on, operation for operation
+            m *= beta1
+            m += np.multiply(1 - beta1, grad, out=step)
+            v *= beta2
+            v += np.multiply(np.multiply(1 - beta2, grad, out=step), grad, out=step)
+            np.sqrt(np.divide(v, 1 - beta2 ** steps, out=denom), out=denom)
+            denom += eps
+            np.multiply(lr, np.divide(m, 1 - beta1 ** steps, out=step), out=step)
+            flat -= np.divide(step, denom, out=step)  # lr * m_hat / (sqrt(v_hat) + eps)
             if config.weight_decay:
-                np.subtract(flat, lr * config.weight_decay * flat, out=flat, where=decay_mask)
+                np.subtract(flat, np.multiply(lr * config.weight_decay, flat, out=step),
+                            out=flat, where=decay_mask)
         losses[epoch - 1] = epoch_abs_sum / n_samples
         lrs[epoch - 1] = lr
     return TrainResult(losses=losses, lrs=lrs, clipped=clipped)
@@ -587,7 +593,8 @@ def prepare_dataset(features: np.ndarray, task: ForecastTask, train_frac: float,
     int(S * train_frac) on and train those before, less the last
     ceil((alpha + beta) / stride), so train and test share no raw observation.
 
-    Returns ``((x_train, y_train), (x_test, y_test))``; raises ValueError
+    Returns ``((x_train, y_train), (x_test, y_test))``, read-only views of
+    one z-scored copy of the series (copy before writing); raises ValueError
     when ``train_frac`` is outside (0, 1), ``stride`` is below 1, no window
     fits, or either block is empty.
     """
@@ -604,17 +611,16 @@ def prepare_dataset(features: np.ndarray, task: ForecastTask, train_frac: float,
     std = np.where(std == 0, 1.0, std)
     features = (features - mean) / std
     alpha, beta = task.alpha_hist, task.beta_horizon
-    starts = np.arange(0, features.shape[0] - alpha - beta + 1, stride)
-    if starts.size == 0:
+    if features.shape[0] < alpha + beta:
         raise ValueError(f"alpha_hist (--history) {alpha} + beta_horizon (--horizon) {beta} "
                          f"do not fit in a series of {features.shape[0]} time steps")
-    # history and target are gathered apart, so no whole window is ever copied
-    windows = np.lib.stride_tricks.sliding_window_view(features, alpha + beta, axis=0)
-    xs = np.moveaxis(windows[starts, :, :, :alpha], -1, 1)
-    ys = np.moveaxis(windows[starts, :, 0, alpha:], -1, 1)
-    split = int(starts.size * train_frac)
+    # a basic slice of the sliding view copies no window
+    windows = np.lib.stride_tricks.sliding_window_view(features, alpha + beta, axis=0)[::stride]
+    xs = np.moveaxis(windows[..., :alpha], -1, 1)
+    ys = np.moveaxis(windows[:, :, 0, alpha:], -1, 1)
+    split = int(len(windows) * train_frac)
     gap = -(-(alpha + beta) // stride)
-    n_train, n_test = max(split - gap, 0), starts.size - split
+    n_train, n_test = max(split - gap, 0), len(windows) - split
     if n_train == 0 or n_test == 0:
         raise ValueError(f"window split left train={n_train} test={n_test}; "
                          "series too short for the requested task")

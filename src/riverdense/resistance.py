@@ -198,27 +198,31 @@ def graph_laplacian(adj, mode: str = "symmetric") -> LaplacianBundle:
     the SVD, since L_rw is asymmetric and may be singular.
     """
     w = _weights(adj)
-    n = w.shape[0]
     support = w != 0
     labels = _component_labels(support)
 
     if mode == "symmetric":
-        sym = 0.5 * (w + w.T)
-        lap = np.diag(sym.sum(axis=1)) - sym
-        pinv = _grounded_pinv(lap, labels)
-        scale = np.ones(n)
-        solver = "grounded-inverse"
+        lap = np.add(w, w.T)
+        lap *= 0.5
+        diagonal = lap.sum(axis=1) - np.diagonal(lap)
+        scale = np.ones(w.shape[0])
     elif mode == "random-walk":
         d_out = w.sum(axis=1)
         d_out = np.where(d_out == 0, 1.0, d_out)
-        lap = np.eye(n) - w / d_out[:, None]
-        if _is_acyclic(support):
-            pinv, solver = np.linalg.inv(lap), "triangular-inverse"
-        else:
-            pinv, solver = _svd_pinv(lap), "svd"
+        lap = w / d_out[:, None]
+        diagonal = 1.0 - np.diagonal(lap)
         scale = 1.0 / np.sqrt(d_out)
     else:
         raise ValueError(f"mode must be 'symmetric' or 'random-walk', got {mode!r}")
+    # L = diag(d) - W or I - P, in place: off the diagonal 0.0 - w, +0.0 where w is 0
+    np.subtract(0.0, lap, out=lap)
+    np.fill_diagonal(lap, diagonal)
+    if mode == "symmetric":
+        pinv, solver = _grounded_pinv(lap, labels), "grounded-inverse"
+    elif _is_acyclic(support):
+        pinv, solver = np.linalg.inv(lap), "triangular-inverse"
+    else:
+        pinv, solver = _svd_pinv(lap), "svd"
 
     lap.flags.writeable = False
     pinv.flags.writeable = False
@@ -262,9 +266,11 @@ def pairwise_resistances(bundle: LaplacianBundle) -> np.ndarray:
     m = bundle.pseudoinverse
     s = bundle.indicator_scale
     q = np.diag(m) * s * s
-    r = q[:, None] + q[None, :] - (m + m.T) * np.outer(s, s)
+    r = np.add(m, m.T)  # q_i + q_j - (m + m.T) * s_i s_j, in place
+    r *= np.outer(s, s)
+    np.subtract(np.add.outer(q, q), r, out=r)
     np.fill_diagonal(r, 0.0)
-    r = np.maximum(r, 0.0)  # clamp -1e-17-style rounding noise of the pseudoinverse
+    np.maximum(r, 0.0, out=r)  # clamp -1e-17-style rounding noise of the pseudoinverse
     cross = bundle.component_labels[:, None] != bundle.component_labels[None, :]
     r[cross] = np.inf
     return r
@@ -283,10 +289,9 @@ def resistance_report(adj, mode: str = "symmetric") -> ResistanceReport:
 
     labels = bundle.component_labels
     sizes = np.bincount(labels)
-    main = int(np.argmax(sizes))  # ties resolve to the lowest label
-    members = np.flatnonzero(labels == main)
-    iu, ju = np.triu_indices(len(members), k=1)
-    vals = r[members[iu], members[ju]]
+    inside = labels == np.argmax(sizes)  # ties resolve to the lowest label
+    # pairs i < j of the main component, row by row, through an n^2 bool mask
+    vals = r[np.triu(np.logical_and.outer(inside, inside), k=1)]
     total_pairs = n * (n - 1) // 2
     excluded = total_pairs - vals.size
 

@@ -16,7 +16,7 @@ from riverdense.adjacency import (CSV_SPLIT_NNZ, _file_digest, _read_adjacency_b
 from riverdense.errors import CsvFormatError, DegenerateSigma, IsolatedRow
 from riverdense.network import DistanceMatrix
 
-from util import random_weighted_tree, write_adjacency_csv_by_rows
+from util import random_weighted_tree, reference_rbf_kernel, write_adjacency_csv_by_rows
 
 
 def dm(matrix) -> DistanceMatrix:
@@ -69,6 +69,16 @@ def test_infinite_distances_become_zero_weight():
                   [np.inf, np.inf, 0.0]])
     with pytest.raises(IsolatedRow, match=r"\[2\]"):
         rd.dense_transform(dm(d), rd.RewireConfig(sigma=1.0))
+
+
+def test_rbf_kernel_equals_the_masked_formula_bitwise():
+    # with infinite distances, and finite ones whose weight underflows to 0
+    rng = np.random.default_rng(8)
+    d = rng.uniform(0.0, 60.0, size=(30, 30))
+    d[rng.random(d.shape) < 0.3] = np.inf
+    np.fill_diagonal(d, 0.0)
+    for sigma in (0.3, 4.0, 250.0):
+        assert rd.rbf_kernel(d, sigma).tobytes() == reference_rbf_kernel(d, sigma).tobytes()
 
 
 def test_prune_applies_before_normalization():

@@ -725,8 +725,9 @@ def test_train_bad_split_argument_exits_2_naming_it(basin8_dir, tmp_path, capsys
 
 
 @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"),
-                                         ("--latent", "0"), ("--layers", "0"),
-                                         ("--epochs", "0")])
+                                         ("--lr", "-1e-3"), ("--lr", "-1E-3"),
+                                         ("--lr", "-.5e1"), ("--latent", "0"),
+                                         ("--layers", "0"), ("--epochs", "0")])
 def test_train_bad_model_or_optimizer_flag_exits_2_naming_it(basin8_dir, tmp_path, capsys,
                                                               flag, value):
     out = tmp_path / "tr"

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 import riverdense as rd
 from riverdense.errors import ConstantObserved, NonfiniteLoss, ShapeMismatch
 
+from riverdense.forecast import _Buffers, _flatten_history, _forward
+
 from util import (chronological_split, hop_distances, make_windows, outlets,
                   random_weighted_tree, reference_input_jacobian,
-                  reference_loss_and_gradients, reference_train)
+                  reference_loss_and_gradients, reference_train, traced_peak)
 
 
 def isolated_adj(n):
@@ -58,6 +60,29 @@ def test_forward_shapes_single_and_batch():
     assert single.shape == (3, 5)
     batch = rd.forward(model, np.ones((7, 4, 5, 2)))
     assert batch.shape == (7, 3, 5)
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("kind", KINDS)
+def test_forward_equals_the_backward_buffer_pass_bitwise(kind, layers):
+    # forward alternates two state arrays; even and odd layer counts end on either
+    net = random_weighted_tree(7, np.random.default_rng(layers))
+    model = small_model(adj_of_kind(net, kind), layers=layers)
+    history = np.random.default_rng(4).normal(size=(5, 4, net.n, 2))
+    buf = _Buffers(model, 5, backward=True)
+    _forward(model, _flatten_history(model, history), buf)
+    want = buf.y.reshape(net.n, 5, -1).transpose(1, 2, 0)
+    assert rd.forward(model, history).tobytes() == want.tobytes()
+
+
+def test_forward_peak_does_not_grow_with_the_layer_count():
+    net = path_net(6)
+    history = np.random.default_rng(5).normal(size=(200, 4, 6, 2))
+    peaks = {layers: traced_peak(rd.forward, small_model(dense_adj_for(net), latent=16,
+                                                         layers=layers), history)[1]
+             for layers in (1, 4)}
+    state = 6 * 200 * 16 * 8  # one (N*S, latent) array; keeping every layer's took 6 more
+    assert peaks[4] < peaks[1] + state
 
 
 def test_forward_shape_mismatch():
@@ -544,6 +569,19 @@ def test_prepare_dataset_equals_window_and_split_oracle(later, rest, n, c, alpha
                                                                 stride)
     for got, want in ((got_xtr, xtr), (got_ytr, ytr), (got_xte, xte), (got_yte, yte)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("alpha", [1, 24, 96])
+def test_prepare_dataset_windows_are_read_only_views_at_a_bounded_peak(alpha):
+    # z-scoring makes the one copy, about twice the series at its peak; copied
+    # windows would take alpha / stride times the series
+    features = np.random.default_rng(alpha).normal(size=(2000, 4, 2))
+    task = rd.ForecastTask(alpha_hist=alpha, beta_horizon=4, feature_dim=2)
+    ((xtr, ytr), (xte, yte)), peak = traced_peak(rd.prepare_dataset, features, task, 0.7, 1)
+    assert peak < 4 * features.nbytes
+    assert not any(a.flags.writeable for a in (xtr, ytr, xte, yte))
+    # overlapping windows, and targets that are later windows' histories
+    assert np.shares_memory(xtr[:-1], xtr[1:]) and np.shares_memory(xte, yte)
 
 
 @pytest.mark.parametrize("train_frac, stride, flag", [

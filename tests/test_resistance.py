@@ -11,7 +11,8 @@ from riverdense.resistance import HIST_BINS, _component_labels, _histogram
 
 from util import (conductance_matrix, dfs_component_labels, disconnected_graph,
                   eigh_pinv, hop_distances, random_connected_graph, random_weighted_dag,
-                  random_weighted_tree, svd_pinv)
+                  random_weighted_tree, reference_laplacian, reference_main_component_pairs,
+                  reference_pairwise_resistances, svd_pinv, traced_peak)
 
 UNIT_EDGE = np.array([[0.0, 1.0], [1.0, 0.0]])
 UNIT_PATH3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
@@ -342,6 +343,53 @@ def test_cyclic_random_walk_support_takes_svd(w):
     assert _relative(pinv @ lap @ pinv, pinv) < 1e-9
     assert _relative((lap @ pinv).T, lap @ pinv) < 1e-9
     assert _relative((pinv @ lap).T, pinv @ lap) < 1e-9
+
+
+def _oracle_graphs() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(11)
+    loops = random_connected_graph(6, rng)
+    loops[[0, 3], [0, 3]] = 0.7, 2.0
+    net = random_weighted_tree(12, rng)
+    return {
+        "components": disconnected_graph([5, 4, 1], rng),  # the 1 is a lone node
+        "dag": random_weighted_dag(9, rng, 0.3),  # asymmetric, with zero rows
+        "self-loops": loops,
+        "dense": rd.build_adjacency(net, rd.topological_distances(net),
+                                    rd.RewireConfig(kind="dense")).w,
+    }
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "random-walk"])
+@pytest.mark.parametrize("graph", ["components", "dag", "self-loops", "dense"])
+def test_matrices_built_in_place_equal_the_formula_oracles_bitwise(graph, mode):
+    w = _oracle_graphs()[graph]
+    bundle = rd.graph_laplacian(w, mode=mode)
+    assert bundle.laplacian.tobytes() == reference_laplacian(w, mode).tobytes()
+    r = rd.pairwise_resistances(bundle)
+    assert r.tobytes() == reference_pairwise_resistances(bundle).tobytes()
+    # the report's statistics of the triangle gathered through triu_indices
+    report = rd.resistance_report(w, mode=mode)
+    vals = reference_main_component_pairs(r, bundle.component_labels)
+    edges, counts = _histogram(vals)
+    assert report.pairwise.tobytes() == r.tobytes()
+    assert (report.mean, report.median, report.p95) == (
+        float(vals.mean()), float(np.median(vals)), float(np.percentile(vals, 95)))
+    assert np.array_equal(report.histogram[0], edges)
+    assert np.array_equal(report.histogram[1], counts)
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "random-walk"])
+def test_report_peak_memory_on_a_300_node_dense_graph(mode):
+    """The report keeps r, L and L+, three n^2 float64 arrays, and the main
+    component's upper triangle, half of one; _histogram's temporaries of the
+    triangle's size lift the traced peak to about 5.1 n^2 (LAPACK's workspace
+    is not traced). The temporaries of L and r and the triu index arrays the
+    report once made reached 6.1 n^2."""
+    n = 300
+    net = random_weighted_tree(n, np.random.default_rng(3))
+    adj = rd.build_adjacency(net, rd.topological_distances(net), rd.RewireConfig(kind="dense"))
+    _, peak = traced_peak(rd.resistance_report, adj, mode)
+    assert peak < 5.25 * n * n * 8
 
 
 def test_component_labels_match_dfs_oracle():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,14 @@ def hop_distances(support: np.ndarray) -> np.ndarray:
     return dist
 
 
+def reference_rbf_kernel(d: np.ndarray, sigma: float) -> np.ndarray:
+    """exp(-d^2 / (2 sigma^2)) over the finite distances only; 0.0 elsewhere."""
+    out = np.zeros_like(d, dtype=float)
+    finite = np.isfinite(d)
+    out[finite] = np.exp(-(d[finite] ** 2) / (2.0 * sigma * sigma))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # adjacency export reference: one process, one matrix row at a time
 
@@ -324,7 +333,8 @@ def reference_train(model: rd.ForecastModel, data, config: rd.TrainConfig) -> rd
 
 
 # ---------------------------------------------------------------------------
-# resistance reference: eigendecomposition and SVD pseudoinverses, DFS labels
+# resistance reference: eigendecomposition and SVD pseudoinverses, DFS labels,
+# and the n^2 matrices built from fresh temporaries
 
 ZERO_RTOL = 1e-10
 
@@ -367,6 +377,53 @@ def dfs_component_labels(support: np.ndarray) -> np.ndarray:
                     stack.append(int(v))
         current += 1
     return labels
+
+
+def reference_laplacian(w: np.ndarray, mode: str) -> np.ndarray:
+    """L from fresh temporaries: diag(d) - (W + W^T)/2, or I - D_out^-1 W with
+    a zero out-degree counted as 1."""
+    if mode == "symmetric":
+        sym = 0.5 * (w + w.T)
+        return np.diag(sym.sum(axis=1)) - sym
+    d_out = w.sum(axis=1)
+    d_out = np.where(d_out == 0, 1.0, d_out)
+    return np.eye(w.shape[0]) - w / d_out[:, None]
+
+
+def reference_pairwise_resistances(bundle) -> np.ndarray:
+    """q_i + q_j - (m_ij + m_ji) s_i s_j from fresh temporaries, clamped at 0,
+    with a zero diagonal and +inf across components."""
+    m, s = bundle.pseudoinverse, bundle.indicator_scale
+    q = np.diag(m) * s * s
+    r = q[:, None] + q[None, :] - (m + m.T) * np.outer(s, s)
+    np.fill_diagonal(r, 0.0)
+    r = np.maximum(r, 0.0)
+    labels = bundle.component_labels
+    r[labels[:, None] != labels[None, :]] = np.inf
+    return r
+
+
+def reference_main_component_pairs(r: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """r[i, j] for i < j both in the largest component (ties to the lowest
+    label), gathered through triu_indices over the member list."""
+    members = np.flatnonzero(labels == int(np.argmax(np.bincount(labels))))
+    iu, ju = np.triu_indices(len(members), k=1)
+    return r[members[iu], members[ju]]
+
+
+# ---------------------------------------------------------------------------
+# memory: tracemalloc sees numpy's data buffers, so a peak repeats exactly
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes tracemalloc traced while it ran. An
+    untraced call first does the one-time work, such as numpy's lazy imports."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
