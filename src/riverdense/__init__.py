@@ -10,8 +10,7 @@ from .network import (DistanceMatrix, Edge, RiverNetwork, build_network,
                       read_edge_csv, topological_distances, write_edge_csv)
 from .adjacency import (ADJACENCY_KINDS, AdjacencyMatrix, RewireConfig,
                         build_adjacency, dense_transform, rbf_kernel,
-                        read_adjacency_csv, resolve_sigma, write_adjacency_csv,
-                        write_adjacency_meta)
+                        read_adjacency_csv, resolve_sigma, write_adjacency_csv)
 from .resistance import (BoundParams, LaplacianBundle, ResistanceReport,
                          effective_resistance, graph_laplacian, jacobian_bound,
                          pairwise_resistances, report_to_json,

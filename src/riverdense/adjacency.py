@@ -203,19 +203,20 @@ def build_adjacency(net: RiverNetwork, D: DistanceMatrix,
 # export / import
 
 def write_adjacency_csv(adj: AdjacencyMatrix, path, nodes: Sequence[int] | None = None, *,
-                        writers: list | None = None) -> dict | None:
-    """Coordinate-list export `src,dst,weight`, row-major by node index.
+                        sigma: float | None = None) -> dict:
+    """Coordinate-list export `src,dst,weight`, row-major by node index, and its meta.
 
     Lines are written as :mod:`csv` writes them: ``repr`` weights, ``\\r\\n``
     endings, so every weight reads back exactly. From CSV_SPLIT_NNZ entries on, a
     ``_csvrows.py`` child per further usable CPU formats a row slice, balanced by entry
-    count, into an unnamed temp file appended in order; ``writers`` gets the writer count.
-    The text goes to ``<name>.part``, which replaces ``path`` once complete and is removed
-    if the write fails, so a failed write leaves an earlier ``path`` as it was.
+    count, into an unnamed temp file appended in order. The text goes to
+    ``<name>.part``, which replaces ``path`` once complete and is removed if the write
+    fails, so a failed write leaves an earlier ``path`` as it was.
 
-    When its n²·8 bytes are fewer than the text's, the matrix is also saved
-    as ``<stem>.npy`` beside it, and the meta entry that lets
-    :func:`read_adjacency_csv` load that copy is returned; else None.
+    ``<stem>_meta.json`` beside it records kind, ``sigma``, n, nnz and the node ids.
+    When its n²·8 bytes are fewer than the text's, the matrix is also saved as
+    ``<stem>.npy``, and the meta's ``sidecar`` entry lets :func:`read_adjacency_csv`
+    load that copy. Returns the ``.npy`` name (or None) and the writer count.
     """
     path = Path(path)
     n, w = adj.n, adj.w
@@ -256,67 +257,77 @@ def write_adjacency_csv(adj: AdjacencyMatrix, path, nodes: Sequence[int] | None 
                 emit(chunk)
         fh.close()  # flushed first, so a failed flush cannot take the name
         os.replace(part, path)
-    if writers is not None:
-        writers.append(1 + len(children))
-    sidecar = path.with_suffix(".npy")
+    meta = {"kind": adj.kind, "sigma": sigma, "n": n, "nnz": adj.nnz,
+            "nodes": list(nodes) if nodes is not None else list(range(n))}
+    npy = path.with_suffix(".npy")
     order = [int(x) for x in ids if x.isdecimal()]  # the ids as the reader parses them
-    if (n * n * 8 >= path.stat().st_size or sidecar == path or len(order) != n
+    if not (n * n * 8 >= path.stat().st_size or npy == path or len(order) != n
             or order != sorted(set(order)) or np.signbit(w).any()):  # -0.0 parses as +0.0
-        return None
-    np.save(sidecar, w, allow_pickle=False)
-    return {"file": sidecar.name, "csv_blake2b": digest.hexdigest(),
-            "npy_blake2b": _file_digest(sidecar), "nodes": order}
+        np.save(npy, w, allow_pickle=False)
+        meta["sidecar"] = {"file": npy.name, "csv_blake2b": digest.hexdigest(),
+                           "npy_blake2b": _file_digest(npy), "nodes": order}
+    path.with_name(path.stem + "_meta.json").write_text(json.dumps(meta, indent=2) + "\n",
+                                                        encoding="utf-8")
+    return {"sidecar": npy.name if "sidecar" in meta else None, "csv_writers": 1 + len(children)}
 
 
-def write_adjacency_meta(adj: AdjacencyMatrix, path, *, sigma: float | None,
-                         nodes: Sequence[int] | None = None, sidecar: dict | None = None) -> None:
-    path = Path(path)
-    meta = {"kind": adj.kind, "sigma": sigma, "n": adj.n, "nnz": adj.nnz,
-            "nodes": list(nodes) if nodes is not None else list(range(adj.n))}
-    if sidecar is not None:
-        meta["sidecar"] = sidecar
-    path.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
-
-
-def read_adjacency_csv(path, *, nodes: Sequence[int] | None = None, meta: dict | None = None,
-                       sidecars: list | None = None) -> tuple[np.ndarray, list[int]]:
+def read_adjacency_csv(path, *, meta=None,
+                       nodes: Sequence[int] | None = None) -> tuple[np.ndarray, list[int], str]:
     """Read a coordinate-list adjacency back into a weight matrix.
 
-    Without an explicit node list the ids appearing in the file define the
-    index order (sorted). Returns the raw matrix plus the node order; callers
-    wrap it in :class:`AdjacencyMatrix` when the kind invariants apply.
-    Repeated ``(src, dst)`` entries and, with ``nodes``, entries outside that
-    set raise :class:`CsvFormatError` at their line.
+    The meta is the file ``meta`` names, else ``<stem>_meta.json`` beside ``path`` when
+    there is one; one that is not a JSON object whose ``nodes`` lists integer ids raises
+    ValueError naming it. The node ids are ``nodes``, else the meta's, else the file's;
+    sorted, they are the index order. Returns the raw matrix, that order and its source,
+    ``"sidecar"`` or ``"csv"``; callers wrap the matrix in :class:`AdjacencyMatrix` when
+    the kind invariants apply. Repeated ``(src, dst)`` entries, entries outside a given
+    node set and weights that are not finite raise :class:`CsvFormatError` at their line.
 
-    Given ``nodes`` and the writer's ``meta``, the ``.npy`` it names is loaded
-    (and appended to ``sidecars``) when both files' digests and the node
-    order match the entry and it holds float64 (n, n); else the text is parsed.
-
-    The body is parsed with numpy's C reader. A file it cannot take, or one
-    that fails a check, is read again row by row, which either raises the
-    error at its line or returns the matrix.
+    Given node ids, the ``.npy`` the meta's ``sidecar`` entry names is loaded when both
+    files' digests and the node order match the entry and it holds float64 (n, n).
+    Else the body is parsed with numpy's C reader. A file it cannot take, or one that
+    fails a check, is read again row by row, which either raises the error at its line
+    or returns the matrix.
     """
     path = Path(path)
-    try:  # no entry, a file missing or not .npy: parse the text
-        order, entry = sorted(set(int(x) for x in nodes)), meta["sidecar"]
-        npy = path.with_name(entry["file"])
-        raw = npy.read_bytes()
-        if (entry["nodes"] == order and blake2b(raw).hexdigest() == entry["npy_blake2b"]
-                and _file_digest(path) == entry["csv_blake2b"]):
-            w = np.lib.format.read_array(io.BytesIO(raw), allow_pickle=False)
-            if w.dtype == np.float64 and w.shape == (len(order),) * 2 and w.flags.c_contiguous:
-                if sidecars is not None:
-                    sidecars.append(npy)
-                return w, order
+    if not path.exists():
+        raise FileNotFoundError(f"adjacency file {path} does not exist")
+    meta_path = Path(meta) if meta else path.with_name(path.stem + "_meta.json")
+    if meta and not meta_path.exists():  # the sibling *_meta.json is optional
+        raise FileNotFoundError(f"metadata file {meta_path} does not exist")
+    info = {}
+    if meta_path.exists():
+        try:
+            info = json.loads(meta_path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # malformed JSON or undecodable bytes
+            raise ValueError(f"metadata file {meta_path}: {exc}") from None
+        if not isinstance(info, dict):
+            raise ValueError(f"metadata file {meta_path}: expected an object, "
+                             f"got {type(info).__name__}")
+        ids = info.get("nodes")
+        if ids is not None and not (isinstance(ids, list) and all(type(x) is int for x in ids)):
+            raise ValueError(f"metadata file {meta_path}: key 'nodes' must list integer "
+                             "station ids")
+    nodes = info.get("nodes") if nodes is None else nodes
+    order = None if nodes is None else sorted(set(int(x) for x in nodes))
+    try:  # no node ids, no entry, a file missing or not .npy: parse the text
+        entry = info["sidecar"]
+        if order is not None and entry["nodes"] == order:
+            raw = path.with_name(entry["file"]).read_bytes()
+            if (blake2b(raw).hexdigest() == entry["npy_blake2b"]
+                    and _file_digest(path) == entry["csv_blake2b"]):
+                w = np.lib.format.read_array(io.BytesIO(raw), allow_pickle=False)
+                if w.dtype == np.float64 and w.shape == (len(order),) * 2 and w.flags.c_contiguous:
+                    return w, order, "sidecar"
     except (KeyError, TypeError, OSError, ValueError):
         pass
     with path.open(newline="", encoding="utf-8") as fh:
         read_csv_rows(path, fh, ADJACENCY_CSV_HEADER, ())  # the header; numpy reads the rest
-        fast = _read_adjacency_body(fh, nodes)
-        if fast is not None:
-            return fast
-        fh.seek(0)
-        return _read_adjacency_rows(path, fh, nodes)
+        fast = _read_adjacency_body(fh, order)
+        if fast is None:
+            fh.seek(0)
+            fast = _read_adjacency_rows(path, fh, order)
+    return *fast, "csv"
 
 
 def _file_digest(path: Path) -> str:
@@ -327,19 +338,19 @@ def _file_digest(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _read_adjacency_body(fh, nodes: Sequence[int] | None) -> tuple[np.ndarray, list[int]] | None:
+def _read_adjacency_body(fh, order: list[int] | None) -> tuple[np.ndarray, list[int]] | None:
     """The matrix and node order of a well-formed body, else None."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. an empty body
             body = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=1,
                               dtype=[("src", "i8"), ("dst", "i8"), ("weight", "f8")])
-        ids = np.array(sorted(set(int(x) for x in nodes)), dtype=np.int64) if nodes is not None \
+        ids = np.array(order, dtype=np.int64) if order is not None \
             else np.unique(np.concatenate([body["src"], body["dst"]]))
     except (ValueError, OverflowError, Warning):
         return None
     n = ids.size
-    if n == 0:
+    if n == 0 or not np.isfinite(body["weight"]).all():
         return None
     i = np.minimum(np.searchsorted(ids, body["src"]), n - 1)
     j = np.minimum(np.searchsorted(ids, body["dst"]), n - 1)
@@ -353,13 +364,11 @@ def _read_adjacency_body(fh, nodes: Sequence[int] | None) -> tuple[np.ndarray, l
     return w, ids.tolist()
 
 
-def _read_adjacency_rows(path: Path, fh, nodes: Sequence[int] | None):
+def _read_adjacency_rows(path: Path, fh, order: list[int] | None):
     """Row-by-row parse of the whole file; reports the line of the first bad row."""
     rows = read_csv_rows(path, fh, ADJACENCY_CSV_HEADER, (int, int, float))
     entries = [(lineno, *values) for lineno, values in rows]
-    if nodes is not None:
-        order = sorted(set(int(x) for x in nodes))
-    else:
+    if order is None:
         order = sorted({node for _, src, dst, _ in entries for node in (src, dst)})
     pos = {node: k for k, node in enumerate(order)}
     n = len(order)
@@ -373,6 +382,9 @@ def _read_adjacency_rows(path: Path, fh, nodes: Sequence[int] | None):
                                  "node set") from None
         if filled[i * n + j]:
             raise CsvFormatError(path, lineno, f"duplicate entry ({src},{dst})")
+        if not np.isfinite(weight):
+            raise CsvFormatError(path, lineno, f"weight {weight!r} of ({src},{dst}) is not "
+                                 "finite")
         filled[i * n + j] = 1
         w[i, j] = weight
     return w, order

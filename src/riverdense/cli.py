@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .adjacency import (ADJACENCY_KINDS, AdjacencyMatrix, RewireConfig,
                         build_adjacency, read_adjacency_csv, resolve_sigma,
-                        write_adjacency_csv, write_adjacency_meta)
+                        write_adjacency_csv)
 from .errors import (CsvFormatError, CycleDetected, DuplicateEdge,
                      NonpositiveLength, RiverDenseError, UnknownStation)
 from .forecast import (ForecastModel, ForecastTask, TrainConfig, nse_by_horizon,
@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rs = sub.add_parser("resist", help="effective-resistance report for an adjacency")
     rs.add_argument("--adjacency", required=True, help="coordinate-list CSV src,dst,weight")
-    rs.add_argument("--meta", default=None, help="metadata JSON (defaults to sibling *_meta.json)")
+    rs.add_argument("--meta", default=None, help="metadata JSON (default: the one beside it)")
     rs.add_argument("--mode", choices=("symmetric", "random-walk"), default="symmetric")
     rs.add_argument("--out", required=True)
 
@@ -219,36 +219,6 @@ def _rewire(net, kind: str, sigma: str,
     return build_adjacency(net, distances, config), resolved
 
 
-def _read_meta(path: Path) -> dict:
-    """The JSON object at ``path``; ValueError names the file and the bad key."""
-    try:
-        meta = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # malformed JSON or undecodable bytes
-        raise ValueError(f"metadata file {path}: {exc}") from None
-    if not isinstance(meta, dict):
-        raise ValueError(f"metadata file {path}: expected an object, got {type(meta).__name__}")
-    nodes = meta.get("nodes")
-    if nodes is not None and not (isinstance(nodes, list) and all(type(x) is int for x in nodes)):
-        raise ValueError(f"metadata file {path}: key 'nodes' must list integer station ids")
-    return meta
-
-
-def _read_adjacency(path: Path, meta_file: str | None,
-                    nodes=None) -> tuple[np.ndarray, list[int], str]:
-    """Matrix, node order and source (``sidecar``/``csv``) of an adjacency CSV whose
-    meta is ``meta_file`` or else the optional ``<stem>_meta.json`` beside it."""
-    if not path.exists():
-        raise FileNotFoundError(f"adjacency file {path} does not exist")
-    meta_path = Path(meta_file) if meta_file else path.with_name(path.stem + "_meta.json")
-    if meta_file and not meta_path.exists():  # the sibling *_meta.json is optional
-        raise FileNotFoundError(f"metadata file {meta_path} does not exist")
-    meta = _read_meta(meta_path) if meta_path.exists() else {}
-    sidecars = []
-    w, order = read_adjacency_csv(path, nodes=meta.get("nodes") if nodes is None else nodes,
-                                  meta=meta, sidecars=sidecars)
-    return w, order, "sidecar" if sidecars else "csv"
-
-
 def _period_bound(args, config: configparser.ConfigParser,
                   bound: str) -> tuple[str | None, np.datetime64 | None, str]:
     """The study period's start or end as given, as parsed, and where it
@@ -325,22 +295,18 @@ def cmd_rewire(args) -> int:
     adj, resolved = _rewire(net, args.kind, args.sigma, args.prune)
 
     out = _outdir(args)
-    writers = []
-    sidecar = write_adjacency_csv(adj, out / "adjacency.csv", nodes=net.nodes, writers=writers)
-    write_adjacency_meta(adj, out / "adjacency_meta.json", sigma=resolved, nodes=net.nodes,
-                         sidecar=sidecar)
+    written = write_adjacency_csv(adj, out / "adjacency.csv", net.nodes, sigma=resolved)
     _write_manifest(out, args, [args.edges],
                     {"kind": args.kind, "sigma": args.sigma,
                      "sigma_resolved": resolved, "prune": args.prune, "n": adj.n,
-                     "nnz": adj.nnz, "sidecar": sidecar["file"] if sidecar else None,
-                     "csv_writers": writers[0]},
+                     "nnz": adj.nnz, **written},
                     started)
     return 0
 
 
 def cmd_resist(args) -> int:
     started = time.perf_counter()
-    w, order, source = _read_adjacency(Path(args.adjacency), args.meta)
+    w, order, source = read_adjacency_csv(args.adjacency, meta=args.meta)
 
     report = resistance_report(w, mode=args.mode)
     out = _outdir(args)
@@ -380,12 +346,16 @@ def cmd_train(args) -> int:
     features = np.stack(
         [np.stack([g.channels()[c] for c in channel_names], axis=1) for g in ordered],
         axis=1)  # (T, N, C)
+    if not np.isfinite(features).all():
+        t, i, c = np.argwhere(~np.isfinite(features))[0]  # the first hour holding one
+        raise ValueError(f"station {ordered[i].station} channel {channel_names[c]!r} has a "
+                         f"non-finite value at {base[t]}")
     task = ForecastTask(alpha_hist=args.history, beta_horizon=args.horizon,
                         feature_dim=len(channel_names))
 
     sigma_resolved = source = None
     if args.adjacency:
-        w, _, source = _read_adjacency(Path(args.adjacency), None, net.nodes)
+        w, _, source = read_adjacency_csv(args.adjacency, nodes=net.nodes)
         adj = AdjacencyMatrix(args.kind, w,
                               support=net.edge_mask() if args.kind == "topology" else None)
     else:

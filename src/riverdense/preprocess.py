@@ -78,9 +78,9 @@ def qc_station(series: GaugeSeries, period_start, period_end) -> QCReport:
 
     Only strictly negative values count; zero is a valid reading. Missing
     slots are counted over [period_start, period_end): a slot counts as
-    present only when an exactly grid-aligned timestamp exists; duplicated
-    timestamps are counted as gaps on top, so a series that repeats an hour
-    can never pass.
+    present only when an exactly grid-aligned timestamp with a finite
+    reading exists; duplicated timestamps are counted as gaps on top, so a
+    series that repeats an hour can never pass.
     """
     start = _as_datetime64(period_start)
     end = _as_datetime64(period_end)
@@ -91,6 +91,7 @@ def qc_station(series: GaugeSeries, period_start, period_end) -> QCReport:
     stamps = series.timestamps
     unique, counts = np.unique(stamps, return_counts=True)
     duplicates = int((counts - 1).sum())
+    unique = unique[~np.isin(unique, stamps[~np.isfinite(series.discharge)])]  # NaN, ±inf
     in_window = unique[(unique >= start) & (unique < end)]
     offsets = (in_window - start) // HOUR
     aligned = in_window[start + offsets * HOUR == in_window]

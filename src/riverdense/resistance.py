@@ -23,6 +23,7 @@ from .errors import DifferentComponents, MuOutOfRange
 
 EIG_ZERO_RTOL = 1e-10  # singular values below this share of the largest count as zero
 HIST_BINS = 50  # uniform bins of the resistance histogram over [0, max]
+HIST_BLOCK = 1 << 16  # values snapped and counted at a time
 SNAP_RTOL = 1e-9  # a resistance this share of the largest from a bin edge is on it
 
 
@@ -90,8 +91,8 @@ def _weights(adj) -> np.ndarray:
     w = adj.w if isinstance(adj, AdjacencyMatrix) else np.asarray(adj, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"adjacency must be a square matrix, got shape {w.shape}")
-    if np.any(w < 0):
-        raise ValueError("adjacency weights must be nonnegative")
+    if not (np.all(w >= 0) and np.all(np.isfinite(w))):
+        raise ValueError("adjacency weights must be finite and nonnegative")
     return w
 
 
@@ -315,12 +316,16 @@ def _histogram(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     On trees many resistances are exact multiples of the bin width, which the
     solver leaves up to ~1e-13 of the largest off their edge. Each value within
     SNAP_RTOL of the largest of an edge is counted as on it, so that neither
-    that noise nor a last-bit change in any value picks its bin."""
+    that noise nor a last-bit change in any value picks its bin. Values are
+    snapped and counted HIST_BLOCK at a time; the counts add up across blocks."""
     top = float(vals.max()) if vals.size else 0.0
     edges = np.linspace(0.0, top if top > 0 else 1.0, HIST_BINS + 1)
-    nearest = edges[np.rint(vals / edges[1]).astype(int)]
-    on_edge = np.abs(vals - nearest) <= SNAP_RTOL * edges[-1]
-    counts, _ = np.histogram(np.where(on_edge, nearest, vals), bins=edges)
+    counts = np.zeros(HIST_BINS, dtype=np.intp)
+    for lo in range(0, vals.size, HIST_BLOCK):
+        block = vals[lo:lo + HIST_BLOCK]
+        nearest = edges[np.rint(block / edges[1]).astype(int)]
+        on_edge = np.abs(block - nearest) <= SNAP_RTOL * edges[-1]
+        counts += np.histogram(np.where(on_edge, nearest, block), bins=edges)[0]
     return edges, counts
 
 

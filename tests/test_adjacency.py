@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 import sys
 
@@ -221,13 +222,11 @@ def test_sigma_scaling_invariance(case, scale):
 def test_adjacency_csv_round_trip(tmp_path):
     adj = rd.dense_transform(CHAIN_D, rd.RewireConfig(sigma=1.0))
     path = tmp_path / "adjacency.csv"
-    rd.write_adjacency_csv(adj, path, nodes=[10, 20, 30])
-    w, order = rd.read_adjacency_csv(path)
+    rd.write_adjacency_csv(adj, path, nodes=[10, 20, 30], sigma=1.0)
+    w, order, _ = rd.read_adjacency_csv(path)
     assert order == [10, 20, 30]
     assert np.array_equal(w, adj.w)
-    meta_path = tmp_path / "adjacency_meta.json"
-    rd.write_adjacency_meta(adj, meta_path, sigma=1.0, nodes=[10, 20, 30])
-    meta = meta_path.read_text()
+    meta = (tmp_path / "adjacency_meta.json").read_text()
     for key in ('"kind"', '"sigma"', '"n"', '"nnz"'):
         assert key in meta
 
@@ -235,22 +234,28 @@ def test_adjacency_csv_round_trip(tmp_path):
 def test_adjacency_sidecar_reads_back_what_parsing_returns(tmp_path):
     adj = rd.dense_transform(CHAIN_D, rd.RewireConfig(sigma=1.0))
     path = tmp_path / "adjacency.csv"
-    entry = rd.write_adjacency_csv(adj, path, nodes=[10, 20, 30])
-    assert entry["file"] == "adjacency.npy" and entry["nodes"] == [10, 20, 30]
+    written = rd.write_adjacency_csv(adj, path, nodes=[10, 20, 30], sigma=1.0)
+    assert written == {"sidecar": "adjacency.npy", "csv_writers": 1}
     meta_path = tmp_path / "adjacency_meta.json"
-    rd.write_adjacency_meta(adj, meta_path, sigma=1.0, nodes=[10, 20, 30], sidecar=entry)
     meta = json.loads(meta_path.read_text())
     assert list(meta) == ["kind", "sigma", "n", "nnz", "nodes", "sidecar"]
-    sidecars = []
-    w, order = rd.read_adjacency_csv(path, nodes=[30, 10, 20, 10], meta=meta,
-                                     sidecars=sidecars)
-    assert sidecars == [tmp_path / "adjacency.npy"]
-    parsed, parsed_order = rd.read_adjacency_csv(path, nodes=[10, 20, 30])
+    entry = meta["sidecar"]
+    assert entry["file"] == "adjacency.npy" and entry["nodes"] == [10, 20, 30]
+    w, order, source = rd.read_adjacency_csv(path, nodes=[30, 10, 20, 10])
+    assert source == "sidecar"
+    assert rd.read_adjacency_csv(path)[2] == "sidecar"  # the sibling meta's node list
+    text = tmp_path / "text"  # the same CSV without its meta and .npy
+    text.mkdir()
+    shutil.copy(path, text / "adjacency.csv")
+    parsed, parsed_order, source = rd.read_adjacency_csv(text / "adjacency.csv",
+                                                         nodes=[10, 20, 30])
+    assert source == "csv"
     assert order == parsed_order == [10, 20, 30]
     assert w.dtype == parsed.dtype and w.tobytes() == parsed.tobytes()
     # without a node list the sidecar is not consulted
-    assert rd.read_adjacency_csv(path, meta=meta, sidecars=sidecars)[1] == order
-    assert sidecars == [tmp_path / "adjacency.npy"]
+    no_nodes = tmp_path / "no_nodes.json"
+    no_nodes.write_text(json.dumps({key: meta[key] for key in meta if key != "nodes"}))
+    assert rd.read_adjacency_csv(path, meta=no_nodes)[1:] == (order, "csv")
 
 
 @pytest.mark.parametrize("case", ["unsorted-ids", "negative-zero", "npy-suffix", "topology",
@@ -270,8 +275,10 @@ def test_adjacency_csv_writer_adds_no_sidecar_it_cannot_vouch_for(tmp_path, case
         adj = rd.AdjacencyMatrix("topology", support * 1.0, support=support)
     else:
         adj = rd.AdjacencyMatrix("isolated", np.zeros((3, 3)))
-    assert rd.write_adjacency_csv(adj, path, nodes=nodes) is None
-    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert rd.write_adjacency_csv(adj, path, nodes=nodes)["sidecar"] is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [path.name, path.stem + "_meta.json"])
+    assert "sidecar" not in json.loads((tmp_path / (path.stem + "_meta.json")).read_text())
     assert path.read_bytes().startswith(b"src,dst,weight\r\n")
 
 
@@ -320,17 +327,21 @@ def _node_ids(case: str, n: int):
 def test_adjacency_csv_writer_equals_the_row_at_a_time_writer(tmp_path, monkeypatch, kind, n,
                                                               cpus, ids):
     adj, nodes = _tree_adjacency(kind, n), _node_ids(ids, n)
+    sigma = None if kind == "isolated" else 1.5
     (tmp_path / "rows").mkdir()
     (tmp_path / "split").mkdir()
-    expected = write_adjacency_csv_by_rows(adj, tmp_path / "rows" / "adjacency.csv", nodes)
+    # the reference meta is tests/util.write_adjacency_meta's
+    expected = write_adjacency_csv_by_rows(adj, tmp_path / "rows" / "adjacency.csv", nodes,
+                                           sigma=sigma)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    writers = []
-    entry = rd.write_adjacency_csv(adj, tmp_path / "split" / "adjacency.csv", nodes,
-                                   writers=writers)
+    written = rd.write_adjacency_csv(adj, tmp_path / "split" / "adjacency.csv", nodes,
+                                     sigma=sigma)
     # a 300-node dense tree has 89,700 entries, learned as many; topology has 299
-    assert writers == [cpus if adj.nnz >= CSV_SPLIT_NNZ else 1]
+    assert written["csv_writers"] == (cpus if adj.nnz >= CSV_SPLIT_NNZ else 1)
     assert (adj.nnz >= CSV_SPLIT_NNZ) == (n == 300 and kind in ("dense", "learned"))
+    entry = json.loads((tmp_path / "split" / "adjacency_meta.json").read_text()).get("sidecar")
     assert entry == expected
+    assert written["sidecar"] == (entry["file"] if entry else None)
     names = sorted(p.name for p in (tmp_path / "rows").iterdir())
     assert sorted(p.name for p in (tmp_path / "split").iterdir()) == names
     for name in names:
@@ -385,7 +396,7 @@ def test_adjacency_csv_fast_reader_matches_row_loop(tmp_path, name, nodes):
     path = tmp_path / "adjacency.csv"
     path.write_text("src,dst,weight\r\n" + {**FAST_BODIES, **SLOW_BODIES}[name],
                     newline="", encoding="utf-8")
-    w, order = rd.read_adjacency_csv(path, nodes=nodes)
+    w, order, _ = rd.read_adjacency_csv(path, nodes=nodes)
     w_rows, order_rows = _row_loop(path, nodes)
     assert order == order_rows
     assert np.array_equal(w, w_rows)
@@ -407,7 +418,7 @@ def test_adjacency_csv_well_formed_files_skip_the_row_loop(tmp_path, monkeypatch
         raise AssertionError("the row loop ran on a well-formed file")
 
     monkeypatch.setattr(riverdense.adjacency, "_read_adjacency_rows", no_row_loop)
-    w, order = rd.read_adjacency_csv(path)
+    w, order, _ = rd.read_adjacency_csv(path)
     assert order == order_rows
     assert np.array_equal(w, w_rows)
 
@@ -419,6 +430,8 @@ def test_adjacency_csv_well_formed_files_skip_the_row_loop(tmp_path, monkeypatch
     ("0,1,0.5\n1,0\n", None),                # short row
     ("0,1,0.5\n1,0,0.5,\n", None),           # long row
     ("0,1,0.5\n# note\n", None),             # numpy would take this as a comment
+    ("0,1,0.5\n1,0,nan\n", None),            # not a finite weight
+    ("0,1,0.5\n1,0,inf\n", [0, 1]),
 ])
 def test_adjacency_csv_bad_bodies_go_to_the_row_loop(tmp_path, body, nodes):
     path = tmp_path / "adjacency.csv"
@@ -426,3 +439,54 @@ def test_adjacency_csv_bad_bodies_go_to_the_row_loop(tmp_path, body, nodes):
     assert _numpy_body(path, nodes) is None
     with pytest.raises(CsvFormatError, match=r"adjacency\.csv:3: "):
         rd.read_adjacency_csv(path, nodes=nodes)
+
+
+# ---------------------------------------------------------------------------
+# the meta beside the CSV
+
+@pytest.mark.parametrize("text, named", [
+    ("{bad", "Expecting property name"),
+    ("[1,2]", "expected an object, got list"),
+    ('{"nodes": "abc"}', "key 'nodes' must list"),
+    (b"\xff\xfe{}", "decode"),
+], ids=["not-json", "not-an-object", "nodes-a-string", "not-utf8"])
+@pytest.mark.parametrize("where", ["sibling", "explicit"])
+def test_adjacency_reader_names_a_bad_meta(tmp_path, text, named, where):
+    path = tmp_path / "pair.csv"
+    path.write_text("src,dst,weight\n0,1,1.0\n1,0,1.0\n")
+    meta = tmp_path / ("pair_meta.json" if where == "sibling" else "other.json")
+    if isinstance(text, bytes):
+        meta.write_bytes(text)
+    else:
+        meta.write_text(text)
+    with pytest.raises(ValueError, match=f"^metadata file {re.escape(str(meta))}: .*{named}"):
+        rd.read_adjacency_csv(path, meta=meta if where == "explicit" else None)
+
+
+def test_adjacency_reader_explicit_meta_must_exist_and_the_sibling_is_optional(tmp_path):
+    path = tmp_path / "pair.csv"
+    path.write_text("src,dst,weight\n0,1,1.0\n1,0,1.0\n")
+    missing = tmp_path / "missing.json"
+    with pytest.raises(FileNotFoundError, match=f"metadata file {re.escape(str(missing))}"):
+        rd.read_adjacency_csv(path, meta=missing)
+    assert rd.read_adjacency_csv(path)[1:] == ([0, 1], "csv")
+    # a sibling meta is picked up: its node ids, sorted, give the order
+    (tmp_path / "pair_meta.json").write_text('{"nodes": [5, 1, 0]}')
+    w, order, source = rd.read_adjacency_csv(path)
+    assert (order, source) == ([0, 1, 5], "csv")
+    assert np.array_equal(w, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    # given node ids outrank the meta's
+    assert rd.read_adjacency_csv(path, nodes=[1, 0])[1] == [0, 1]
+    with pytest.raises(FileNotFoundError, match="adjacency file"):
+        rd.read_adjacency_csv(tmp_path / "absent.csv")
+
+
+def test_isolated_adjacency_reads_back_over_the_meta_nodes(tmp_path):
+    adj, path = rd.AdjacencyMatrix("isolated", np.zeros((3, 3))), tmp_path / "adjacency.csv"
+    rd.write_adjacency_csv(adj, path, nodes=[4, 8, 15])
+    assert path.read_bytes() == b"src,dst,weight\r\n"
+    w, order, source = rd.read_adjacency_csv(path)
+    assert (order, source) == ([4, 8, 15], "csv")
+    assert np.array_equal(w, np.zeros((3, 3)))
+    (tmp_path / "adjacency_meta.json").unlink()  # the file alone names no node
+    assert rd.read_adjacency_csv(path)[0].shape == (0, 0)

@@ -121,6 +121,29 @@ def test_qc_negative_station_is_bypassed(basin8_dir, tmp_path):
     assert filtered.edges == expected.edges
 
 
+def test_qc_nonfinite_discharge_counts_as_missing_and_is_bypassed(basin8_dir, tmp_path):
+    gauges = tmp_path / "gauges"
+    shutil.copytree(basin8_dir / "gauges", gauges)
+    net = rd.read_edge_csv(basin8_dir / "edges.csv")
+    victim = next(s for s in net.nodes if net.out_edges(s) and net.in_edges(s))
+    lines = (gauges / f"{victim}.csv").read_text().splitlines()
+    for at, value in ((3, "nan"), (7, "inf")):
+        row = lines[at].split(",")
+        row[1] = value
+        lines[at] = ",".join(row)
+    (gauges / f"{victim}.csv").write_text("\n".join(lines) + "\n")
+
+    out = tmp_path / "qc"
+    assert run_cli("qc", "--edges", basin8_dir / "edges.csv",
+                   "--gauges", gauges, "--out", out) == 0
+    reports = {r["station"]: r for r in json.loads((out / "qc_report.json").read_text())}
+    assert reports[victim] == {"station": victim, "negative_count": 0, "missing_hours": 2,
+                               "passed": False}
+    filtered = rd.read_edge_csv(out / "network_filtered.csv")
+    expected = rd.bypass_remove(net, victim)
+    assert (filtered.nodes, filtered.edges) == (expected.nodes, expected.edges)
+
+
 def test_qc_scores_missing_and_extra_gauges(basin8_dir, tmp_path):
     gauges = tmp_path / "gauges"
     shutil.copytree(basin8_dir / "gauges", gauges)
@@ -346,7 +369,7 @@ def test_rewire_dense_rows_sum_to_one(basin8_dir, tmp_path):
     out = tmp_path / "rw"
     assert run_cli("rewire", "--edges", basin8_dir / "edges.csv",
                    "--kind", "dense", "--sigma", "auto", "--out", out) == 0
-    w, order = rd.read_adjacency_csv(out / "adjacency.csv")
+    w, order, _ = rd.read_adjacency_csv(out / "adjacency.csv")
     assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
     meta = json.loads((out / "adjacency_meta.json").read_text())
     assert meta["kind"] == "dense"
@@ -366,7 +389,7 @@ def test_rewire_bypassed_network_writes_its_adjacency(tmp_path):
                                                                    [3.0, 2.25, 0.0, 4.25],
                                                                    [3.5, 2.0, 4.25, 0.0]]))
     config = rd.RewireConfig(sigma=rd.resolve_sigma(expected, "auto"), kind="dense")
-    w, _ = rd.read_adjacency_csv(out / "adjacency.csv")
+    w, _, _ = rd.read_adjacency_csv(out / "adjacency.csv")
     assert np.array_equal(w, rd.build_adjacency(net, expected, config).w)
 
 
@@ -440,6 +463,17 @@ def test_resist_missing_explicit_meta_exits_2(tmp_path, capsys):
     assert not out.exists()
     # without --meta the sibling pair_meta.json stays optional
     assert run_cli("resist", "--adjacency", adj, "--out", out) == 0
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "random-walk"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_resist_nonfinite_weight_exits_2_at_its_line(tmp_path, capsys, value, mode):
+    adj = tmp_path / "a.csv"
+    adj.write_bytes(f"src,dst,weight\r\n1,2,{value}\r\n2,3,1.0\r\n".encode())
+    out = tmp_path / "rs"
+    assert run_cli("resist", "--adjacency", adj, "--mode", mode, "--out", out) == 2
+    assert f"{adj}:2: weight {float(value)!r} of (1,2) is not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_resist_dense_lower_than_topology(basin8_dir, tmp_path):
@@ -837,6 +871,49 @@ def test_train_bad_sibling_meta_exits_2_naming_it(basin8_dir, tmp_path, capsys):
                    "--horizon", "4", "--epochs", "1", "--out", tmp_path / "tr") == 2
     assert f"metadata file {rw_dir / 'adjacency_meta.json'}" in capsys.readouterr().err
     assert not (tmp_path / "tr").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_nonfinite_adjacency_weight_exits_2_at_its_line(basin8_dir, tmp_path, capsys,
+                                                             value):
+    rw_dir = tmp_path / "rw"
+    assert run_cli("rewire", "--edges", basin8_dir / "edges.csv",
+                   "--kind", "dense", "--out", rw_dir) == 0
+    csv_path = rw_dir / "adjacency.csv"
+    lines = csv_path.read_bytes().split(b"\r\n")
+    row = lines[2].split(b",")
+    lines[2] = b",".join(row[:2] + [value.encode()])
+    csv_path.write_bytes(b"\r\n".join(lines))  # the sidecar no longer matches the text
+    assert run_cli("train", "--edges", basin8_dir / "edges.csv",
+                   "--gauges", basin8_dir / "gauges", "--adjacency", csv_path,
+                   "--history", "12", "--horizon", "4", "--epochs", "1",
+                   "--out", tmp_path / "tr") == 2
+    assert f"{csv_path}:3: weight {float(value)!r} of" in capsys.readouterr().err
+    assert not (tmp_path / "tr").exists()
+
+
+@pytest.mark.parametrize("column, channel, value", [("qobs", "discharge", "nan"),
+                                                    ("rain", "rain", "nan"),
+                                                    ("rain", "rain", "-inf")])
+def test_train_nonfinite_reading_exits_2_naming_station_channel_and_hour(
+        basin8_dir, tmp_path, capsys, column, channel, value):
+    gauges = tmp_path / "gauges"
+    shutil.copytree(basin8_dir / "gauges", gauges)
+    net = rd.read_edge_csv(basin8_dir / "edges.csv")
+    first, later = net.nodes[-1], net.nodes[0]  # later: a lower index at a later hour
+    for station, at in ((first, 5), (later, 9)):
+        lines = (gauges / f"{station}.csv").read_text().splitlines()
+        row = lines[at].split(",")
+        row[lines[0].split(",").index(column)] = value
+        lines[at] = ",".join(row)
+        (gauges / f"{station}.csv").write_text("\n".join(lines) + "\n")
+    stamp = (gauges / f"{first}.csv").read_text().splitlines()[5].split(",")[0]
+    out = tmp_path / "tr"
+    assert run_cli("train", "--edges", basin8_dir / "edges.csv", "--gauges", gauges,
+                   "--history", "12", "--horizon", "4", "--epochs", "1", "--out", out) == 2
+    assert (f"station {first} channel {channel!r} has a non-finite value at "
+            f"{rd.parse_timestamp(stamp)}") in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind, cpus, writers", [("dense", 1, 1), ("dense", 2, 2),

@@ -72,6 +72,23 @@ def test_completeness_off_grid_stamp_does_not_count():
     assert report.missing_hours == 1
 
 
+def test_completeness_nonfinite_reading_counts_as_missing():
+    values = np.ones(48)
+    values[[3, 9, 20]] = [np.nan, np.inf, -np.inf]
+    report = rd.qc_station(hourly_series(1, values), T0, T0 + 48 * HOUR)
+    assert (report.negative_count, report.missing_hours) == (1, 3)
+    assert not report.passed
+    # outside the period a non-finite reading is not an hour of it
+    outside = rd.qc_station(hourly_series(1, values), T0 + 21 * HOUR, T0 + 48 * HOUR)
+    assert outside.missing_hours == 0
+    # a repeated hour stays a gap when one of its readings is NaN
+    stamps = np.sort(np.concatenate([np.arange(48), [5]])) * HOUR + T0
+    repeated = np.ones(49)
+    repeated[5] = np.nan
+    report = rd.qc_station(rd.GaugeSeries(1, stamps, repeated), T0, T0 + 48 * HOUR)
+    assert report.missing_hours == 2
+
+
 def test_qc_is_order_independent():
     values = [3.0, -1.0, 2.0]
     a = rd.qc_station(hourly_series(9, values), T0, T0 + 3 * HOUR)

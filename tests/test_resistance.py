@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import riverdense as rd
 from riverdense.errors import DifferentComponents, MuOutOfRange
-from riverdense.resistance import HIST_BINS, _component_labels, _histogram
+from riverdense.resistance import HIST_BINS, HIST_BLOCK, _component_labels, _histogram
 
 from util import (conductance_matrix, dfs_component_labels, disconnected_graph,
                   eigh_pinv, hop_distances, random_connected_graph, random_weighted_dag,
@@ -105,6 +105,14 @@ def test_resistance_requires_distinct_nodes():
     bundle = rd.graph_laplacian(UNIT_EDGE)
     with pytest.raises(ValueError):
         rd.effective_resistance(bundle, 1, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+def test_laplacian_refuses_weights_neither_finite_nor_nonnegative(bad):
+    w = UNIT_EDGE.copy()
+    w[0, 1] = bad
+    with pytest.raises(ValueError, match="adjacency weights must be finite and nonnegative"):
+        rd.resistance_report(w)
 
 
 def test_resistance_across_components_is_error():
@@ -390,6 +398,24 @@ def test_report_peak_memory_on_a_300_node_dense_graph(mode):
     adj = rd.build_adjacency(net, rd.topological_distances(net), rd.RewireConfig(kind="dense"))
     _, peak = traced_peak(rd.resistance_report, adj, mode)
     assert peak < 5.25 * n * n * 8
+
+
+def test_histogram_peak_memory_is_bounded_by_its_block():
+    """_histogram snaps and counts HIST_BLOCK values at a time, so its
+    temporaries stay about three blocks (1.5 MiB) however many pairs it is
+    given; a whole-array pass made three arrays the input's size (11.4 MiB on
+    a 1000-node graph's 499,500 pairs). Eight copies of a 300-node dense
+    graph's pairs span several blocks, and the counts add across them."""
+    n = 300
+    net = random_weighted_tree(n, np.random.default_rng(3))
+    adj = rd.build_adjacency(net, rd.topological_distances(net), rd.RewireConfig(kind="dense"))
+    pairs = rd.resistance_report(adj).pairwise[np.triu_indices(n, k=1)]
+    vals = np.tile(pairs, 8)
+    assert vals.size > 5 * HIST_BLOCK
+    (edges, counts), peak = traced_peak(_histogram, vals)
+    once = _histogram(pairs)
+    assert np.array_equal(edges, once[0]) and counts.tolist() == (8 * once[1]).tolist()
+    assert peak < 3.5 * HIST_BLOCK * 8
 
 
 def test_component_labels_match_dfs_oracle():

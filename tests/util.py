@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -183,9 +184,23 @@ def reference_rbf_kernel(d: np.ndarray, sigma: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # adjacency export reference: one process, one matrix row at a time
 
-def write_adjacency_csv_by_rows(adj: rd.AdjacencyMatrix, path, nodes=None) -> dict | None:
+def write_adjacency_meta(adj: rd.AdjacencyMatrix, path, *, sigma: float | None,
+                         nodes=None, sidecar: dict | None = None) -> None:
+    """The ``<stem>_meta.json`` of an adjacency export: kind, sigma, n, nnz and
+    the node ids, then the ``sidecar`` entry when a ``.npy`` copy was saved."""
+    meta = {"kind": adj.kind, "sigma": sigma, "n": adj.n, "nnz": adj.nnz,
+            "nodes": list(nodes) if nodes is not None else list(range(adj.n))}
+    if sidecar is not None:
+        meta["sidecar"] = sidecar
+    Path(path).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+
+
+def write_adjacency_csv_by_rows(adj: rd.AdjacencyMatrix, path, nodes=None, *,
+                                sigma: float | None = None) -> dict | None:
     """The coordinate-list export with every row formatted in this process,
-    the sidecar saved on the same rule and the CSV digested by reading it back."""
+    the sidecar saved on the same rule, the CSV digested by reading it back
+    and the meta written by :func:`write_adjacency_meta`. Returns the sidecar
+    entry, or None."""
     path = Path(path)
     n = adj.n
     ids = [str(x) for x in (nodes if nodes is not None else range(n))]
@@ -197,14 +212,16 @@ def write_adjacency_csv_by_rows(adj: rd.AdjacencyMatrix, path, nodes=None) -> di
             cols = np.flatnonzero(row)
             fh.write("".join([f"{src},{ids[j]},{v!r}\r\n"
                               for j, v in zip(cols.tolist(), row[cols].tolist())]))
-    sidecar = path.with_suffix(".npy")
+    npy, entry = path.with_suffix(".npy"), None
     order = [int(x) for x in ids if x.isdecimal()]
-    if (n * n * 8 >= path.stat().st_size or sidecar == path or len(order) != n
+    if not (n * n * 8 >= path.stat().st_size or npy == path or len(order) != n
             or order != sorted(set(order)) or np.signbit(adj.w).any()):
-        return None
-    np.save(sidecar, adj.w, allow_pickle=False)
-    return {"file": sidecar.name, "csv_blake2b": _file_digest(path),
-            "npy_blake2b": _file_digest(sidecar), "nodes": order}
+        np.save(npy, adj.w, allow_pickle=False)
+        entry = {"file": npy.name, "csv_blake2b": _file_digest(path),
+                 "npy_blake2b": _file_digest(npy), "nodes": order}
+    write_adjacency_meta(adj, path.with_name(path.stem + "_meta.json"), sigma=sigma,
+                         nodes=nodes, sidecar=entry)
+    return entry
 
 
 # ---------------------------------------------------------------------------
