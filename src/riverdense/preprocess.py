@@ -91,7 +91,9 @@ def qc_station(series: GaugeSeries, period_start, period_end) -> QCReport:
     stamps = series.timestamps
     unique, counts = np.unique(stamps, return_counts=True)
     duplicates = int((counts - 1).sum())
-    unique = unique[~np.isin(unique, stamps[~np.isfinite(series.discharge)])]  # NaN, ±inf
+    finite = (series.discharge < np.inf) & (series.discharge > -np.inf)
+    if not finite.all():  # an hour whose readings include a NaN or ±inf is missing
+        unique = unique[~np.isin(unique, stamps[~finite])]
     in_window = unique[(unique >= start) & (unique < end)]
     offsets = (in_window - start) // HOUR
     aligned = in_window[start + offsets * HOUR == in_window]
