@@ -44,11 +44,9 @@ class RewireConfig:
     def __post_init__(self):
         if self.kind not in ADJACENCY_KINDS:
             raise ValueError(f"kind must be one of {ADJACENCY_KINDS}, got {self.kind!r}")
-        if isinstance(self.sigma, str):
-            if self.sigma != "auto":
-                raise ValueError(f"sigma must be a positive number or 'auto', got {self.sigma!r}")
-        elif not self.sigma > 0:
-            raise ValueError(f"explicit sigma must be positive, got {self.sigma}")
+        if self.sigma != "auto" and (isinstance(self.sigma, str) or not 0 < self.sigma < np.inf):
+            raise ValueError(f"sigma (--sigma) must be 'auto' or positive and finite, "
+                             f"got {self.sigma!r}")
         if not 0 <= self.epsilon_prune < 1:
             raise ValueError(f"epsilon_prune must be in [0, 1), got {self.epsilon_prune}")
 

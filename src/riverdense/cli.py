@@ -210,8 +210,11 @@ def _rewire(net, kind: str, sigma: str,
     """The adjacency of one kind plus the bandwidth it used, resolved once;
     None for the isolated kind, which has no kernel."""
     distances = topological_distances(net)
-    config = RewireConfig(sigma=sigma if sigma == "auto" else float(sigma), kind=kind,
-                          epsilon_prune=prune)
+    try:
+        sigma = float(sigma)
+    except ValueError:
+        pass  # 'auto', or text RewireConfig refuses naming --sigma
+    config = RewireConfig(sigma=sigma, kind=kind, epsilon_prune=prune)
     resolved = None
     if kind != "isolated":
         resolved = resolve_sigma(distances, config.sigma)
@@ -327,6 +330,8 @@ def cmd_resist(args) -> int:
 def cmd_train(args) -> int:
     started = time.perf_counter()
     config = _load_config(args.config)
+    if config.has_section("period"):
+        raise ValueError(f"config file {args.config}: [period] applies to qc, not train")
     cmap = _column_map(config)
     net = read_edge_csv(args.edges)
     series, ingest = _read_gauge_dir(args.gauges, cmap)
@@ -335,14 +340,20 @@ def cmd_train(args) -> int:
     if missing:
         raise FileNotFoundError(f"no gauge series for stations {missing}")
 
-    # stack observations as (T, N, C); all stations must share the time axis
+    # stack observations as (T, N, C); all stations must share the time axis and channels
     ordered = [series[node] for node in net.nodes]
-    base = ordered[0].timestamps
+    first, base = ordered[0], ordered[0].timestamps
     for gauge in ordered[1:]:
-        if len(gauge) != len(ordered[0]) or np.any(gauge.timestamps != base):
+        if len(gauge) != len(first) or np.any(gauge.timestamps != base):
             raise ValueError(f"station {gauge.station} timestamps differ from "
-                             f"station {ordered[0].station}")
-    channel_names = ["discharge"] + sorted(ordered[0].features)
+                             f"station {first.station}")
+        differ = sorted(set(gauge.features) ^ set(first.features))
+        if differ:
+            name = differ[0]
+            has, lacks = (gauge, first) if name in gauge.features else (first, gauge)
+            raise ValueError(f"station {has.station} has channel {name!r}, "
+                             f"station {lacks.station} does not")
+    channel_names = ["discharge"] + sorted(first.features)
     features = np.stack(
         [np.stack([g.channels()[c] for c in channel_names], axis=1) for g in ordered],
         axis=1)  # (T, N, C)

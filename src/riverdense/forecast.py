@@ -10,12 +10,11 @@ Activations are node-major: a batch of S windows over N nodes is held as
 (N*S, latent) rows, row n*S + k for node n in window k. Every weight product
 is then one GEMM over all rows, propagation is one GEMM of the (N, N)
 operator with the same memory viewed as (N, S*latent), and the backward pass
-is the same handful of GEMMs transposed. ``train`` copies its windows, views
-of the z-scored series, to node-major order once per call and gathers each
-batch into a reused array; ``loss_and_gradients`` writes activations into
-buffers the model keeps for the full and the ragged last batch, and Adam
-updates the weight vector in place, so a training step allocates only the
-gradient vector. A forward-only pass keeps two layer states at any depth.
+is the same handful of GEMMs transposed. ``train`` hands each shuffled batch,
+``history[batch]``, to ``loss_and_gradients``, which copies it to node-major
+input rows and writes activations into buffers the model keeps for the full
+and the ragged last batch; Adam updates the weight vector in place. A
+forward-only pass keeps two layer states at any depth.
 
 Propagation operator per adjacency kind:
   isolated -> identity (no message paths, the model degenerates to an MLP)
@@ -213,11 +212,7 @@ def _batch_buffers(model: ForecastModel, s: int) -> _Buffers:
 
 
 def _flatten_history(model: ForecastModel, history: np.ndarray) -> np.ndarray:
-    """(S, alpha, N, C) -> node-major (N*S, alpha*C) input rows.
-
-    No copy is made when ``history`` is a view of node-major memory, as the
-    batches ``train`` gathers are.
-    """
+    """(S, alpha, N, C) -> node-major (N*S, alpha*C) input rows."""
     s = history.shape[0]
     return np.transpose(history, (2, 0, 1, 3)).reshape(model.n * s, model.task.input_width)
 
@@ -409,11 +404,6 @@ def train(model: ForecastModel, data, config: TrainConfig) -> TrainResult:
     n_samples = history.shape[0]
     if n_samples == 0:
         raise ValueError("empty training set")
-    # node-major once: a batch gathered along axis 1 is then, seen through a
-    # transposed view, a history loss_and_gradients flattens without a copy
-    x_nodes = np.ascontiguousarray(np.transpose(history, (2, 0, 1, 3)))
-    t_nodes = np.ascontiguousarray(np.transpose(target, (2, 0, 1)))
-    gathered: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     rng = np.random.default_rng(config.seed)
     flat = model.flat
@@ -432,15 +422,7 @@ def train(model: ForecastModel, data, config: TrainConfig) -> TrainResult:
         epoch_abs_sum = 0.0
         for start in range(0, n_samples, config.batch_size):
             batch = order[start:start + config.batch_size]
-            if batch.size not in gathered:
-                gathered[batch.size] = (np.empty_like(x_nodes[:, :batch.size]),
-                                        np.empty_like(t_nodes[:, :batch.size]))
-            x_batch, t_batch = gathered[batch.size]
-            # mode="clip" takes the unbuffered path; a permutation is in range
-            np.take(x_nodes, batch, axis=1, out=x_batch, mode="clip")
-            np.take(t_nodes, batch, axis=1, out=t_batch, mode="clip")
-            loss, grads = loss_and_gradients(model, np.transpose(x_batch, (1, 2, 0, 3)),
-                                             np.transpose(t_batch, (1, 2, 0)))
+            loss, grads = loss_and_gradients(model, history[batch], target[batch])
             if not np.isfinite(loss):
                 raise NonfiniteLoss(f"non-finite loss at epoch {epoch}, "
                                     f"batch {start // config.batch_size}, lr {lr}")

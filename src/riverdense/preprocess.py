@@ -79,8 +79,8 @@ def qc_station(series: GaugeSeries, period_start, period_end) -> QCReport:
     Only strictly negative values count; zero is a valid reading. Missing
     slots are counted over [period_start, period_end): a slot counts as
     present only when an exactly grid-aligned timestamp with a finite
-    reading exists; duplicated timestamps are counted as gaps on top, so a
-    series that repeats an hour can never pass.
+    reading on every channel exists; duplicated timestamps are counted as
+    gaps on top, so a series that repeats an hour can never pass.
     """
     start = _as_datetime64(period_start)
     end = _as_datetime64(period_end)
@@ -91,8 +91,10 @@ def qc_station(series: GaugeSeries, period_start, period_end) -> QCReport:
     stamps = series.timestamps
     unique, counts = np.unique(stamps, return_counts=True)
     duplicates = int((counts - 1).sum())
-    finite = (series.discharge < np.inf) & (series.discharge > -np.inf)
-    if not finite.all():  # an hour whose readings include a NaN or ±inf is missing
+    finite = True
+    for values in series.channels().values():
+        finite = finite & (values < np.inf) & (values > -np.inf)
+    if not finite.all():  # an hour where any channel reads NaN or ±inf is missing
         unique = unique[~np.isin(unique, stamps[~finite])]
     in_window = unique[(unique >= start) & (unique < end)]
     offsets = (in_window - start) // HOUR

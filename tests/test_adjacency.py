@@ -100,6 +100,9 @@ def test_rewire_config_validation():
         rd.RewireConfig(sigma=-1.0)
     with pytest.raises(ValueError):
         rd.RewireConfig(sigma="automatic")
+    for sigma in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"sigma \(--sigma\) must be"):
+            rd.RewireConfig(sigma=sigma)
     with pytest.raises(ValueError):
         rd.RewireConfig(epsilon_prune=1.0)
     with pytest.raises(ValueError):

@@ -144,6 +144,30 @@ def test_qc_nonfinite_discharge_counts_as_missing_and_is_bypassed(basin8_dir, tm
     assert (filtered.nodes, filtered.edges) == (expected.nodes, expected.edges)
 
 
+def test_qc_bypasses_a_nonfinite_rain_reading_and_train_runs_on_what_it_kept(basin8_dir,
+                                                                             tmp_path):
+    gauges = tmp_path / "gauges"
+    shutil.copytree(basin8_dir / "gauges", gauges)
+    net = rd.read_edge_csv(basin8_dir / "edges.csv")
+    victim = next(s for s in net.nodes if net.out_edges(s) and net.in_edges(s))
+    lines = (gauges / f"{victim}.csv").read_text().splitlines()
+    assert lines[0] == "timestamp,qobs,rain"
+    lines[4] = ",".join(lines[4].split(",")[:2] + ["nan"])
+    (gauges / f"{victim}.csv").write_text("\n".join(lines) + "\n")
+
+    qc = tmp_path / "qc"
+    assert run_cli("qc", "--edges", basin8_dir / "edges.csv", "--gauges", gauges,
+                   "--out", qc) == 0
+    reports = {r["station"]: r for r in json.loads((qc / "qc_report.json").read_text())}
+    assert reports[victim] == {"station": victim, "negative_count": 0, "missing_hours": 1,
+                               "passed": False}
+    filtered = rd.read_edge_csv(qc / "network_filtered.csv")
+    assert victim not in filtered.nodes
+    assert run_cli("train", "--edges", qc / "network_filtered.csv", "--gauges", gauges,
+                   "--history", "12", "--horizon", "4", "--epochs", "1",
+                   "--out", tmp_path / "tr") == 0
+
+
 def test_qc_scores_missing_and_extra_gauges(basin8_dir, tmp_path):
     gauges = tmp_path / "gauges"
     shutil.copytree(basin8_dir / "gauges", gauges)
@@ -913,6 +937,57 @@ def test_train_nonfinite_reading_exits_2_naming_station_channel_and_hour(
                    "--history", "12", "--horizon", "4", "--epochs", "1", "--out", out) == 2
     assert (f"station {first} channel {channel!r} has a non-finite value at "
             f"{rd.parse_timestamp(stamp)}") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("header, row, has_extra", [
+    ("timestamp,qobs", lambda r: ",".join(r.split(",")[:2]), False),
+    ("timestamp,qobs,rain,temp", lambda r: r + ",1.5", True),
+], ids=["missing-rain", "extra-temp"])
+def test_train_gauge_files_with_different_channels_exit_2_naming_both(
+        basin8_dir, tmp_path, capsys, header, row, has_extra):
+    gauges = tmp_path / "gauges"
+    shutil.copytree(basin8_dir / "gauges", gauges)
+    net = rd.read_edge_csv(basin8_dir / "edges.csv")
+    first, other = net.nodes[0], net.nodes[3]
+    lines = (gauges / f"{other}.csv").read_text().splitlines()
+    (gauges / f"{other}.csv").write_text(
+        "\n".join([header] + [row(line) for line in lines[1:]]) + "\n")
+    out = tmp_path / "tr"
+    assert run_cli("train", "--edges", basin8_dir / "edges.csv", "--gauges", gauges,
+                   "--history", "12", "--horizon", "4", "--epochs", "1", "--out", out) == 2
+    err = capsys.readouterr().err
+    if has_extra:
+        assert f"station {other} has channel 'temp', station {first} does not" in err
+    else:
+        assert f"station {first} has channel 'rain', station {other} does not" in err
+    assert not out.exists()
+
+
+def test_train_refuses_a_config_period_section(basin8_dir, tmp_path, capsys):
+    config = tmp_path / "config.ini"
+    config.write_text("[period]\nstart = 2000-01-05T00:00:00Z\nend = 2000-01-06T00:00:00Z\n")
+    out = tmp_path / "tr"
+    assert run_cli("train", "--edges", basin8_dir / "edges.csv",
+                   "--gauges", basin8_dir / "gauges", "--config", config, "--history", "12",
+                   "--horizon", "4", "--epochs", "1", "--out", out) == 2
+    assert (f"config file {config}: [period] applies to qc, not train"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["rewire", "train"])
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf", "1e400"])
+def test_bad_sigma_exits_2_naming_the_flag(basin8_dir, tmp_path, capsys, command, value):
+    out = tmp_path / "out"
+    argv = ["--edges", basin8_dir / "edges.csv", "--sigma", value, "--out", out]
+    if command == "train":
+        argv += ["--gauges", basin8_dir / "gauges", "--history", "12", "--horizon", "4",
+                 "--epochs", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(command, *argv) == 2
+    assert "sigma (--sigma) must be 'auto' or positive and finite" in capsys.readouterr().err
     assert not out.exists()
 
 

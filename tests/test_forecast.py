@@ -239,6 +239,19 @@ def test_train_hands_each_shuffled_batch_to_loss_and_gradients(monkeypatch):
         assert np.array_equal(target, y[batch])
 
 
+def test_train_peak_stays_below_a_copy_of_its_windows():
+    # the windows are views of one series; a copy of them, node-major or not,
+    # would take alpha / stride times the hours they cover, while each batch
+    # needs only a few arrays of its own size
+    features = np.random.default_rng(3).normal(size=(3000, 4, 2))
+    task = rd.ForecastTask(alpha_hist=48, beta_horizon=4, feature_dim=2)
+    (x, y), _ = rd.prepare_dataset(features, task, 0.9, 1)
+    model = rd.ForecastModel(task, isolated_adj(4), latent=8, n_layers=2)
+    _, peak = traced_peak(rd.train, model, (x, y), rd.TrainConfig(epochs=1, batch_size=64))
+    assert len(x) > 40 * 64  # a copy would hold forty batches
+    assert peak < x.size * x.itemsize / 4
+
+
 def test_parameter_gradients_match_finite_differences():
     rng = np.random.default_rng(19)
     net = random_weighted_tree(5, rng)

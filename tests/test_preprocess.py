@@ -89,6 +89,16 @@ def test_completeness_nonfinite_reading_counts_as_missing():
     assert report.missing_hours == 2
 
 
+def test_completeness_nonfinite_reading_on_any_channel_counts_as_missing():
+    rain, temp = np.zeros(48), np.ones(48)
+    rain[[4, 30]] = [np.nan, -np.inf]
+    temp[[4, 11]] = [np.inf, np.nan]  # hour 4 is bad on both channels, counted once
+    report = rd.qc_station(hourly_series(1, np.ones(48), rain=rain, temp=temp),
+                           T0, T0 + 48 * HOUR)
+    assert (report.negative_count, report.missing_hours) == (0, 3)
+    assert not report.passed
+
+
 def test_qc_is_order_independent():
     values = [3.0, -1.0, 2.0]
     a = rd.qc_station(hourly_series(9, values), T0, T0 + 3 * HOUR)
