@@ -347,11 +347,10 @@ def cmd_train(args) -> int:
         if len(gauge) != len(first) or np.any(gauge.timestamps != base):
             raise ValueError(f"station {gauge.station} timestamps differ from "
                              f"station {first.station}")
-        differ = sorted(set(gauge.features) ^ set(first.features))
+        differ = set(gauge.features) ^ set(first.features)
         if differ:
-            name = differ[0]
-            has, lacks = (gauge, first) if name in gauge.features else (first, gauge)
-            raise ValueError(f"station {has.station} has channel {name!r}, "
+            has, lacks = (gauge, first) if min(differ) in gauge.features else (first, gauge)
+            raise ValueError(f"station {has.station} has channel {min(differ)!r}, "
                              f"station {lacks.station} does not")
     channel_names = ["discharge"] + sorted(first.features)
     features = np.stack(

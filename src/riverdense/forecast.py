@@ -11,10 +11,10 @@ Activations are node-major: a batch of S windows over N nodes is held as
 is then one GEMM over all rows, propagation is one GEMM of the (N, N)
 operator with the same memory viewed as (N, S*latent), and the backward pass
 is the same handful of GEMMs transposed. ``train`` hands each shuffled batch,
-``history[batch]``, to ``loss_and_gradients``, which copies it to node-major
-input rows and writes activations into buffers the model keeps for the full
-and the ragged last batch; Adam updates the weight vector in place. A
-forward-only pass keeps two layer states at any depth.
+``history[batch]``, to ``loss_and_gradients``, which writes its node-major
+input rows and activations into buffers the model keeps for the full and the
+ragged last batch; Adam updates the weight vector in place. A forward-only
+pass keeps two layer states at any depth.
 
 Propagation operator per adjacency kind:
   isolated -> identity (no message paths, the model degenerates to an MLP)
@@ -182,7 +182,7 @@ def _propagation_matrix(adjacency: AdjacencyMatrix) -> np.ndarray:
 
 
 class _Buffers:
-    """Activations of one batch of ``s`` windows, plus its backward buffers.
+    """Input rows and activations of one batch of ``s`` windows, plus backward buffers.
 
     Rows are node-major: row ``n * s + k`` holds node n in window k, so a
     (N*S, L) state viewed as (N, S*L) is the operand of one propagation GEMM.
@@ -191,6 +191,7 @@ class _Buffers:
 
     def __init__(self, model: ForecastModel, s: int, backward: bool):
         rows, latent = model.n * s, model.latent
+        self.x = np.empty((rows, model.task.input_width))
         self.h = [np.empty((rows, latent)) for _ in range(model.n_layers + 1 if backward else 2)]
         self.m = [np.empty((rows, latent)) for _ in range(model.n_layers if backward else 1)]
         self.y = np.empty((rows, model.task.beta_horizon))
@@ -211,10 +212,13 @@ def _batch_buffers(model: ForecastModel, s: int) -> _Buffers:
     return cache[s]
 
 
-def _flatten_history(model: ForecastModel, history: np.ndarray) -> np.ndarray:
-    """(S, alpha, N, C) -> node-major (N*S, alpha*C) input rows."""
-    s = history.shape[0]
-    return np.transpose(history, (2, 0, 1, 3)).reshape(model.n * s, model.task.input_width)
+def _flatten_history(model: ForecastModel, history: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(S, alpha, N, C) -> node-major (N*S, alpha*C) input rows, written to ``out``."""
+    rows = out.reshape(model.n, history.shape[0], model.task.alpha_hist, model.task.feature_dim)
+    for c in range(model.task.feature_dim):
+        # a copy per channel runs along alpha, not along C's few values (3x faster at C = 2)
+        np.copyto(rows[..., c], np.transpose(history[..., c], (2, 0, 1)))
+    return out
 
 
 def _check_history(model: ForecastModel, history: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -300,7 +304,7 @@ def forward(model: ForecastModel, history: np.ndarray) -> np.ndarray:
     history, single = _check_history(model, history)
     s = history.shape[0]
     buf = _Buffers(model, s, backward=False)
-    _forward(model, _flatten_history(model, history), buf)
+    _forward(model, _flatten_history(model, history, buf.x), buf)
     out = buf.y.reshape(model.n, s, -1).transpose(1, 2, 0)  # (S, beta, N)
     return out[0] if single else out
 
@@ -331,8 +335,8 @@ def input_jacobian(model: ForecastModel, u: int, v: int,
     history, single = _check_history(model, history)
     if not single:
         raise ShapeMismatch("input_jacobian expects a single window, not a batch")
-    x = _flatten_history(model, np.broadcast_to(history, (beta,) + history.shape[1:]))
     buf = _Buffers(model, beta, backward=True)
+    x = _flatten_history(model, np.broadcast_to(history, (beta,) + history.shape[1:]), buf.x)
     a_hat = _forward(model, x, buf)
     buf.dy.fill(0.0)
     steps = np.arange(beta)
@@ -352,11 +356,11 @@ def loss_and_gradients(model: ForecastModel, history: np.ndarray,
     """
     history, target = _check_batch(model, history, target)
     s = history.shape[0]
-    x = _flatten_history(model, history)
     buf = _batch_buffers(model, s)
+    x = _flatten_history(model, history, buf.x)
     a_hat = _forward(model, x, buf)
-    diff = np.subtract(buf.y, np.transpose(target, (2, 0, 1)).reshape(buf.y.shape),
-                       out=buf.dy)
+    diff, shape = buf.dy, (model.n, s, model.task.beta_horizon)
+    np.subtract(buf.y.reshape(shape), np.transpose(target, (2, 0, 1)), out=diff.reshape(shape))
     loss = float(np.mean(np.abs(diff, out=buf.y)))  # y is spent once diff exists
     np.sign(diff, out=buf.dy)
     buf.dy /= diff.size

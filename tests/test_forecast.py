@@ -70,7 +70,7 @@ def test_forward_equals_the_backward_buffer_pass_bitwise(kind, layers):
     model = small_model(adj_of_kind(net, kind), layers=layers)
     history = np.random.default_rng(4).normal(size=(5, 4, net.n, 2))
     buf = _Buffers(model, 5, backward=True)
-    _forward(model, _flatten_history(model, history), buf)
+    _forward(model, _flatten_history(model, history, buf.x), buf)
     want = buf.y.reshape(net.n, 5, -1).transpose(1, 2, 0)
     assert rd.forward(model, history).tobytes() == want.tobytes()
 
