@@ -52,16 +52,18 @@ class RewireConfig:
 
 
 class AdjacencyMatrix:
-    """N x N nonnegative weight matrix tagged with its kind.
+    """N x N nonnegative weight matrix tagged with its kind and kernel bandwidth.
 
     Kind invariants are enforced on construction: ``isolated`` is all zero,
     ``dense``/``learned`` are row-stochastic with zero diagonal, ``topology``
-    only carries weight on existing directed edges.
+    only carries weight on existing directed edges. ``sigma`` is the bandwidth
+    the weights were built with, None when unknown (a loaded file) or kernel-free.
     """
 
-    __slots__ = ("kind", "w")
+    __slots__ = ("kind", "w", "_sigma")
 
-    def __init__(self, kind: str, w: np.ndarray, *, support: np.ndarray | None = None):
+    def __init__(self, kind: str, w: np.ndarray, *, support: np.ndarray | None = None,
+                 sigma: float | None = None):
         if kind not in ADJACENCY_KINDS:
             raise ValueError(f"unknown adjacency kind {kind!r}")
         w = np.asarray(w, dtype=float)
@@ -93,6 +95,11 @@ class AdjacencyMatrix:
         w.flags.writeable = False
         self.kind = kind
         self.w = w
+        self._sigma = sigma
+
+    @property
+    def sigma(self) -> float | None:
+        return self._sigma
 
     @property
     def n(self) -> int:
@@ -156,12 +163,18 @@ def dense_transform(D: DistanceMatrix, config: RewireConfig) -> AdjacencyMatrix:
     np.fill_diagonal(k, 0.0)
     if config.epsilon_prune > 0:
         k[k < config.epsilon_prune] = 0.0
-    row_sums = k.sum(axis=1)
-    dead = np.flatnonzero(row_sums == 0.0)
+    return AdjacencyMatrix("dense", _normalize_rows(k), sigma=sigma)
+
+
+def _normalize_rows(w: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
+    """Divide each row of ``w`` by its sum in place; a row summing to zero raises IsolatedRow
+    if it has support (all rows have when ``support`` is None), else it stays zero."""
+    sums = w.sum(axis=1)
+    live = np.ones(len(w), dtype=bool) if support is None else support.any(axis=1)
+    dead = np.flatnonzero(live & (sums == 0.0))
     if dead.size:
         raise IsolatedRow(f"rows {dead.tolist()} have zero weight before normalization")
-    k /= row_sums[:, None]
-    return AdjacencyMatrix("dense", k)
+    return np.divide(w, sums[:, None], out=w, where=live[:, None])
 
 
 def build_adjacency(net: RiverNetwork, D: DistanceMatrix,
@@ -180,28 +193,20 @@ def build_adjacency(net: RiverNetwork, D: DistanceMatrix,
     if config.kind == "topology":
         sigma = resolve_sigma(D, config.sigma)
         support = net.edge_mask()
-        w = np.where(support, rbf_kernel(D.d, sigma), 0.0)
-        rows = w.sum(axis=1)
-        nonzero = rows > 0
-        w[nonzero] = w[nonzero] / rows[nonzero, None]
-        return AdjacencyMatrix("topology", w, support=support)
+        w = _normalize_rows(np.where(support, rbf_kernel(D.d, sigma), 0.0), support)
+        return AdjacencyMatrix("topology", w, support=support, sigma=sigma)
 
     dense = dense_transform(D, config)
     if config.kind == "dense":
         return dense
-
     # learned: uniform initial weights over the dense support
-    support = dense.w > 0
-    counts = support.sum(axis=1)
-    w = support / counts[:, None]
-    return AdjacencyMatrix("learned", w)
+    return AdjacencyMatrix("learned", _normalize_rows((dense.w > 0) * 1.0), sigma=dense.sigma)
 
 
 # ---------------------------------------------------------------------------
 # export / import
 
-def write_adjacency_csv(adj: AdjacencyMatrix, path, nodes: Sequence[int] | None = None, *,
-                        sigma: float | None = None) -> dict:
+def write_adjacency_csv(adj: AdjacencyMatrix, path, nodes: Sequence[int] | None = None) -> dict:
     """Coordinate-list export `src,dst,weight`, row-major by node index, and its meta.
 
     Lines are written as :mod:`csv` writes them: ``repr`` weights, ``\\r\\n``
@@ -211,7 +216,7 @@ def write_adjacency_csv(adj: AdjacencyMatrix, path, nodes: Sequence[int] | None 
     ``<name>.part``, which replaces ``path`` once complete and is removed if the write
     fails, so a failed write leaves an earlier ``path`` as it was.
 
-    ``<stem>_meta.json`` beside it records kind, ``sigma``, n, nnz and the node ids.
+    ``<stem>_meta.json`` beside it records kind, ``adj.sigma``, n, nnz and the node ids.
     When its n²·8 bytes are fewer than the text's, the matrix is also saved as
     ``<stem>.npy``, and the meta's ``sidecar`` entry lets :func:`read_adjacency_csv`
     load that copy. Returns the ``.npy`` name (or None) and the writer count.
@@ -255,7 +260,7 @@ def write_adjacency_csv(adj: AdjacencyMatrix, path, nodes: Sequence[int] | None 
                 emit(chunk)
         fh.close()  # flushed first, so a failed flush cannot take the name
         os.replace(part, path)
-    meta = {"kind": adj.kind, "sigma": sigma, "n": n, "nnz": adj.nnz,
+    meta = {"kind": adj.kind, "sigma": adj.sigma, "n": n, "nnz": adj.nnz,
             "nodes": list(nodes) if nodes is not None else list(range(n))}
     npy = path.with_suffix(".npy")
     order = [int(x) for x in ids if x.isdecimal()]  # the ids as the reader parses them

@@ -14,15 +14,13 @@ import json
 import re
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .adjacency import (ADJACENCY_KINDS, AdjacencyMatrix, RewireConfig,
-                        build_adjacency, read_adjacency_csv, resolve_sigma,
-                        write_adjacency_csv)
+                        build_adjacency, read_adjacency_csv, write_adjacency_csv)
 from .errors import (CsvFormatError, CycleDetected, DuplicateEdge,
                      NonpositiveLength, RiverDenseError, UnknownStation)
 from .forecast import (ForecastModel, ForecastTask, TrainConfig, nse_by_horizon,
@@ -172,7 +170,7 @@ def _write_manifest(out: Path, args, inputs: list, parameters: dict, started: fl
         "wall_clock_seconds": round(time.perf_counter() - started, 6),
         "parameters": parameters,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n",
                                        encoding="utf-8")
 
 
@@ -205,21 +203,14 @@ def _ignored_flag(args) -> str | None:
     return None
 
 
-def _rewire(net, kind: str, sigma: str,
-            prune: float = 0.0) -> tuple[AdjacencyMatrix, float | None]:
-    """The adjacency of one kind plus the bandwidth it used, resolved once;
-    None for the isolated kind, which has no kernel."""
-    distances = topological_distances(net)
+def _rewire(net, kind: str, sigma: str, prune: float = 0.0) -> AdjacencyMatrix:
+    """The adjacency of one kind; its ``sigma`` is the bandwidth it used."""
     try:
         sigma = float(sigma)
     except ValueError:
         pass  # 'auto', or text RewireConfig refuses naming --sigma
-    config = RewireConfig(sigma=sigma, kind=kind, epsilon_prune=prune)
-    resolved = None
-    if kind != "isolated":
-        resolved = resolve_sigma(distances, config.sigma)
-        config = replace(config, sigma=resolved)
-    return build_adjacency(net, distances, config), resolved
+    return build_adjacency(net, topological_distances(net),
+                           RewireConfig(sigma=sigma, kind=kind, epsilon_prune=prune))
 
 
 def _period_bound(args, config: configparser.ConfigParser,
@@ -295,13 +286,13 @@ def cmd_qc(args) -> int:
 def cmd_rewire(args) -> int:
     started = time.perf_counter()
     net = read_edge_csv(args.edges)
-    adj, resolved = _rewire(net, args.kind, args.sigma, args.prune)
+    adj = _rewire(net, args.kind, args.sigma, args.prune)
 
     out = _outdir(args)
-    written = write_adjacency_csv(adj, out / "adjacency.csv", net.nodes, sigma=resolved)
+    written = write_adjacency_csv(adj, out / "adjacency.csv", net.nodes)
     _write_manifest(out, args, [args.edges],
                     {"kind": args.kind, "sigma": args.sigma,
-                     "sigma_resolved": resolved, "prune": args.prune, "n": adj.n,
+                     "sigma_resolved": adj.sigma, "prune": args.prune, "n": adj.n,
                      "nnz": adj.nnz, **written},
                     started)
     return 0
@@ -310,6 +301,9 @@ def cmd_rewire(args) -> int:
 def cmd_resist(args) -> int:
     started = time.perf_counter()
     w, order, source = read_adjacency_csv(args.adjacency, meta=args.meta)
+    if not order:
+        raise ValueError(f"adjacency file {args.adjacency} has no entries and no meta lists "
+                         "its stations")
 
     report = resistance_report(w, mode=args.mode)
     out = _outdir(args)
@@ -363,13 +357,13 @@ def cmd_train(args) -> int:
     task = ForecastTask(alpha_hist=args.history, beta_horizon=args.horizon,
                         feature_dim=len(channel_names))
 
-    sigma_resolved = source = None
+    source = None
     if args.adjacency:
         w, _, source = read_adjacency_csv(args.adjacency, nodes=net.nodes)
         adj = AdjacencyMatrix(args.kind, w,
                               support=net.edge_mask() if args.kind == "topology" else None)
     else:
-        adj, sigma_resolved = _rewire(net, args.kind, args.sigma)
+        adj = _rewire(net, args.kind, args.sigma)
 
     (x_tr, y_tr), (x_te, y_te) = prepare_dataset(features, task, args.train_frac,
                                                  args.stride)
@@ -393,7 +387,7 @@ def cmd_train(args) -> int:
             fh.write(f"{epoch},{lr!r},{mae!r},{clipped}\n")
     save_model(model, out / "checkpoint.json")
     _write_manifest(out, args, [p for p in (args.edges, args.gauges, args.adjacency) if p],
-                    {"kind": adj.kind, "sigma_resolved": sigma_resolved,
+                    {"kind": adj.kind, "sigma_resolved": adj.sigma,
                      "adjacency_source": source,
                      "history": args.history, "horizon": args.horizon,
                      "latent": args.latent, "layers": args.layers,

@@ -128,7 +128,7 @@ def build_network(node_list: Iterable[int], edge_list: Iterable) -> RiverNetwork
             raise ValueError(f"station id must be a non-negative integer, got {node!r}")
         if node in seen:
             raise ValueError(f"duplicate station id {node}")
-        seen.add(node)
+        seen.add(int(node))
 
     edges: list[Edge] = []
     pairs: set[tuple[int, int]] = set()

@@ -50,9 +50,9 @@ class ResistanceReport:
     n: int
     mode: str
     pairwise: np.ndarray
-    mean: float
-    median: float
-    p95: float
+    mean: float | None  # None, like median and p95, when the main component has no pair
+    median: float | None
+    p95: float | None
     histogram: tuple[np.ndarray, np.ndarray]  # (bin_edges, counts)
     excluded_pairs: int
     components: int
@@ -298,7 +298,7 @@ def resistance_report(adj, mode: str = "symmetric") -> ResistanceReport:
 
     edges, counts = _histogram(vals)
     if vals.size == 0:
-        mean = median = p95 = float("nan")
+        mean = median = p95 = None
     else:
         mean = float(vals.mean())
         median = float(np.median(vals))
@@ -343,7 +343,7 @@ def report_to_json(report: ResistanceReport) -> dict:
 
 
 def write_report_json(report: ResistanceReport, path) -> None:
-    Path(path).write_text(json.dumps(report_to_json(report), indent=2) + "\n",
+    Path(path).write_text(json.dumps(report_to_json(report), indent=2, allow_nan=False) + "\n",
                           encoding="utf-8")
 
 

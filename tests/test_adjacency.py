@@ -139,6 +139,41 @@ def test_dense_denser_than_topology():
     assert dense.nnz == 6 and topo.nnz == 2
 
 
+def test_topology_rows_that_underflow_raise_isolated_row_as_dense_rows_do():
+    # exp(-(2 km / 0.05)^2 / 2) underflows to 0.0; the outlet's row has no edge to lose
+    net = rd.build_network([0, 1, 2], [(0, 1, 3.0, 0.0), (1, 2, 2.0, 0.0)])
+    for kind, rows in (("topology", "[0, 1]"), ("dense", "[0, 1, 2]")):
+        with pytest.raises(IsolatedRow, match=re.escape(f"rows {rows} have zero weight")):
+            rd.build_adjacency(net, rd.topological_distances(net),
+                               rd.RewireConfig(sigma=0.05, kind=kind))
+
+
+def test_adjacency_carries_the_bandwidth_it_was_built_with(tmp_path):
+    sigma = rd.resolve_sigma(CHAIN_NET_D, "auto")
+    built = {kind: rd.build_adjacency(CHAIN_NET, CHAIN_NET_D, rd.RewireConfig(kind=kind))
+             for kind in rd.ADJACENCY_KINDS}
+    assert {kind: adj.sigma for kind, adj in built.items()} == {
+        "isolated": None, "topology": sigma, "dense": sigma, "learned": sigma}
+    assert rd.dense_transform(CHAIN_D, rd.RewireConfig(sigma=2)).sigma == 2.0
+    with pytest.raises(AttributeError):
+        built["dense"].sigma = 1.0
+    # a loaded file and a checkpoint do not know the bandwidth
+    rd.write_adjacency_csv(built["dense"], tmp_path / "adjacency.csv")
+    w, _, _ = rd.read_adjacency_csv(tmp_path / "adjacency.csv")
+    assert rd.AdjacencyMatrix("dense", w).sigma is None
+    task = rd.ForecastTask(alpha_hist=2, beta_horizon=1, feature_dim=1)
+    rd.save_model(rd.ForecastModel(task, built["dense"]), tmp_path / "checkpoint.json")
+    assert rd.load_model(tmp_path / "checkpoint.json").adjacency.sigma is None
+
+
+def test_numpy_station_ids_are_stored_as_ints(tmp_path):
+    net = rd.build_network(np.arange(3), [(0, 1, 1.0, 0.0), (1, 2, 2.0, 0.0)])
+    assert [type(node) for node in net.nodes] == [int, int, int]
+    adj = rd.build_adjacency(net, rd.topological_distances(net), rd.RewireConfig())
+    rd.write_adjacency_csv(adj, tmp_path / "adjacency.csv", net.nodes)
+    assert json.loads((tmp_path / "adjacency_meta.json").read_text())["nodes"] == [0, 1, 2]
+
+
 def test_learned_kind_uniform_and_trainable():
     adj = rd.build_adjacency(CHAIN_NET, CHAIN_NET_D,
                              rd.RewireConfig(sigma=1.0, kind="learned"))
@@ -225,7 +260,7 @@ def test_sigma_scaling_invariance(case, scale):
 def test_adjacency_csv_round_trip(tmp_path):
     adj = rd.dense_transform(CHAIN_D, rd.RewireConfig(sigma=1.0))
     path = tmp_path / "adjacency.csv"
-    rd.write_adjacency_csv(adj, path, nodes=[10, 20, 30], sigma=1.0)
+    rd.write_adjacency_csv(adj, path, nodes=[10, 20, 30])
     w, order, _ = rd.read_adjacency_csv(path)
     assert order == [10, 20, 30]
     assert np.array_equal(w, adj.w)
@@ -237,7 +272,7 @@ def test_adjacency_csv_round_trip(tmp_path):
 def test_adjacency_sidecar_reads_back_what_parsing_returns(tmp_path):
     adj = rd.dense_transform(CHAIN_D, rd.RewireConfig(sigma=1.0))
     path = tmp_path / "adjacency.csv"
-    written = rd.write_adjacency_csv(adj, path, nodes=[10, 20, 30], sigma=1.0)
+    written = rd.write_adjacency_csv(adj, path, nodes=[10, 20, 30])
     assert written == {"sidecar": "adjacency.npy", "csv_writers": 1}
     meta_path = tmp_path / "adjacency_meta.json"
     meta = json.loads(meta_path.read_text())
@@ -330,15 +365,13 @@ def _node_ids(case: str, n: int):
 def test_adjacency_csv_writer_equals_the_row_at_a_time_writer(tmp_path, monkeypatch, kind, n,
                                                               cpus, ids):
     adj, nodes = _tree_adjacency(kind, n), _node_ids(ids, n)
-    sigma = None if kind == "isolated" else 1.5
     (tmp_path / "rows").mkdir()
     (tmp_path / "split").mkdir()
     # the reference meta is tests/util.write_adjacency_meta's
     expected = write_adjacency_csv_by_rows(adj, tmp_path / "rows" / "adjacency.csv", nodes,
-                                           sigma=sigma)
+                                           sigma=adj.sigma)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    written = rd.write_adjacency_csv(adj, tmp_path / "split" / "adjacency.csv", nodes,
-                                     sigma=sigma)
+    written = rd.write_adjacency_csv(adj, tmp_path / "split" / "adjacency.csv", nodes)
     # a 300-node dense tree has 89,700 entries, learned as many; topology has 299
     assert written["csv_writers"] == (cpus if adj.nnz >= CSV_SPLIT_NNZ else 1)
     assert (adj.nnz >= CSV_SPLIT_NNZ) == (n == 300 and kind in ("dense", "learned"))

@@ -31,6 +31,13 @@ def snapshot(directory):
     return sorted(str(p) for p in Path(directory).rglob("*"))
 
 
+def strict_json(path):
+    """The JSON in ``path``, refusing NaN and ±Infinity, which JSON does not have."""
+    def refuse(constant):
+        raise ValueError(f"{path} holds {constant}")
+    return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=refuse)
+
+
 # ---------------------------------------------------------------------------
 # usage surface
 
@@ -437,6 +444,33 @@ def test_rewire_outputs_byte_identical_across_runs(basin8_dir, tmp_path):
     assert (out_a / "adjacency_meta.json").read_bytes() == (out_b / "adjacency_meta.json").read_bytes()
 
 
+@pytest.mark.parametrize("kind", rd.ADJACENCY_KINDS)
+def test_rewire_meta_sigma_is_the_adjacency_sigma(basin8_dir, tmp_path, kind):
+    out = tmp_path / "rw"
+    assert run_cli("rewire", "--edges", basin8_dir / "edges.csv", "--kind", kind,
+                   "--out", out) == 0
+    net = rd.read_edge_csv(basin8_dir / "edges.csv")
+    adj = rd.build_adjacency(net, rd.topological_distances(net), rd.RewireConfig(kind=kind))
+    meta = json.loads((out / "adjacency_meta.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert meta["sigma"] == adj.sigma == manifest["parameters"]["sigma_resolved"]
+    assert (adj.sigma is None) == (kind == "isolated")
+    with pytest.raises(TypeError):
+        rd.write_adjacency_csv(adj, tmp_path / "again.csv", net.nodes, sigma=adj.sigma)
+    assert not (tmp_path / "again.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["rewire", "train"])
+def test_topology_rows_that_underflow_exit_3(basin8_dir, tmp_path, capsys, command):
+    # basin8's edges are at least 1 km long: exp(-(1 / 0.01)^2 / 2) is 0.0
+    gauges = ("--gauges", basin8_dir / "gauges") if command == "train" else ()
+    out = tmp_path / "out"
+    assert run_cli(command, "--edges", basin8_dir / "edges.csv", *gauges, "--kind", "topology",
+                   "--sigma", "0.01", "--out", out) == 3
+    assert "have zero weight before normalization" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rewire_degenerate_sigma_exits_3(tmp_path, capsys):
     edges = tmp_path / "edges.csv"
     edges.write_text("src,dst,stream_length_km,elevation_diff_m\n0,1,2.0,1.0\n")
@@ -487,6 +521,18 @@ def test_resist_missing_explicit_meta_exits_2(tmp_path, capsys):
     assert not out.exists()
     # without --meta the sibling pair_meta.json stays optional
     assert run_cli("resist", "--adjacency", adj, "--out", out) == 0
+
+
+def test_resist_header_only_csv_without_meta_exits_2_naming_it(tmp_path, capsys):
+    adj = tmp_path / "empty.csv"
+    adj.write_text("src,dst,weight\n")
+    out = tmp_path / "rs"
+    assert run_cli("resist", "--adjacency", adj, "--out", out) == 2
+    assert (f"input error: adjacency file {adj} has no entries and no meta lists its "
+            "stations") in capsys.readouterr().err
+    assert not out.exists()
+    w, order, _ = rd.read_adjacency_csv(adj)  # the library still reads it as 0 x 0
+    assert w.shape == (0, 0) and order == []
 
 
 @pytest.mark.parametrize("mode", ["symmetric", "random-walk"])
@@ -548,7 +594,13 @@ def test_resist_manifest_records_numerics(basin8_dir, tmp_path):
         out = tmp_path / f"rs_{kind}_{mode}"
         assert run_cli("resist", "--adjacency", tmp_path / kind / "adjacency.csv",
                        "--mode", mode, "--out", out) == 0
-        numerics = json.loads((out / "manifest.json").read_text())["parameters"]["numerics"]
+        parameters = strict_json(out / "manifest.json")["parameters"]
+        report = strict_json(out / "resistance.json")
+        # an isolated main component is one station, with no pair to summarize
+        assert (parameters["mean"] is None) == (kind == "isolated")
+        assert [report[key] is None for key in ("mean", "median", "p95")] == [
+            kind == "isolated"] * 3
+        numerics = parameters["numerics"]
         assert set(numerics) == {"components", "solver", "pinv_residual"}
         assert numerics["components"] == components
         assert numerics["solver"] == solver
@@ -1067,3 +1119,24 @@ def test_commands_write_only_inside_out_dir(basin8_dir, tmp_path, monkeypatch):
     assert snapshot(basin8_dir) == before
     stray = [p for p in tmp_path.iterdir() if p != out]
     assert stray == []
+
+
+def test_every_json_output_parses_strictly(basin8_dir, tmp_path):
+    edges, gauges = basin8_dir / "edges.csv", basin8_dir / "gauges"
+    assert run_cli("qc", "--edges", edges, "--gauges", gauges, "--out", tmp_path / "qc") == 0
+    for kind in rd.ADJACENCY_KINDS:
+        rewired = tmp_path / "rw" / kind
+        assert run_cli("rewire", "--edges", edges, "--kind", kind, "--out", rewired) == 0
+        for mode in ("symmetric", "random-walk"):
+            assert run_cli("resist", "--adjacency", rewired / "adjacency.csv", "--mode", mode,
+                           "--out", tmp_path / "rs" / kind / mode) == 0
+        assert run_cli("train", "--edges", edges, "--gauges", gauges, "--kind", kind,
+                       "--history", "12", "--horizon", "4", "--epochs", "1", "--latent", "8",
+                       "--out", tmp_path / "tr" / kind) == 0
+    written = sorted(tmp_path.rglob("*.json"))
+    assert {path.name for path in written} == {"qc_report.json", "manifest.json",
+                                               "adjacency_meta.json", "resistance.json",
+                                               "checkpoint.json"}
+    assert len(written) == 2 + 4 * 2 + 4 * 2 * 2 + 4 * 2
+    for path in written:
+        strict_json(path)
