@@ -13,8 +13,8 @@ from .adjacency import (ADJACENCY_KINDS, AdjacencyMatrix, RewireConfig,
                         read_adjacency_csv, resolve_sigma, write_adjacency_csv)
 from .resistance import (BoundParams, LaplacianBundle, ResistanceReport,
                          effective_resistance, graph_laplacian, jacobian_bound,
-                         pairwise_resistances, report_to_json,
-                         resistance_report, write_report_csv, write_report_json)
+                         pairwise_resistances, resistance_report,
+                         write_report_csv, write_report_json)
 from .preprocess import (GaugeSeries, QCReport, bypass_remove, extract_subgraph,
                          parse_timestamp, qc_station, read_gauge_csv,
                          write_qc_json)

@@ -8,8 +8,8 @@ from the dense support with uniform weights that training then updates.
 
 from __future__ import annotations
 
-import io
 import json
+import operator
 import os
 import sys
 import tempfile
@@ -60,7 +60,7 @@ class AdjacencyMatrix:
     the weights were built with, None when unknown (a loaded file) or kernel-free.
     """
 
-    __slots__ = ("kind", "w", "_sigma")
+    __slots__ = ("_kind", "_w", "_sigma")
 
     def __init__(self, kind: str, w: np.ndarray, *, support: np.ndarray | None = None,
                  sigma: float | None = None):
@@ -91,15 +91,12 @@ class AdjacencyMatrix:
             if np.any((w > 0) & ~support):
                 raise ValueError("topology adjacency has weight off the directed edge set")
 
-        w = w.copy()
-        w.flags.writeable = False
-        self.kind = kind
-        self.w = w
-        self._sigma = sigma
+        self._kind, self._w, self._sigma = kind, w.copy(), sigma
+        self._w.flags.writeable = False
 
-    @property
-    def sigma(self) -> float | None:
-        return self._sigma
+    kind = property(lambda self: self._kind)  # read-only, as the weights are
+    w = property(lambda self: self._w)
+    sigma = property(lambda self: self._sigma)
 
     @property
     def n(self) -> int:
@@ -223,7 +220,8 @@ def write_adjacency_csv(adj: AdjacencyMatrix, path, nodes: Sequence[int] | None 
     """
     path = Path(path)
     n, w = adj.n, adj.w
-    ids = [str(x) for x in (nodes if nodes is not None else range(n))]
+    nodes = list(range(n)) if nodes is None else [operator.index(x) for x in nodes]  # json's ints
+    ids = [str(x) for x in nodes]
     if len(ids) != n:
         raise ValueError(f"{len(ids)} node ids for an {n}-node adjacency")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -260,8 +258,7 @@ def write_adjacency_csv(adj: AdjacencyMatrix, path, nodes: Sequence[int] | None 
                 emit(chunk)
         fh.close()  # flushed first, so a failed flush cannot take the name
         os.replace(part, path)
-    meta = {"kind": adj.kind, "sigma": adj.sigma, "n": n, "nnz": adj.nnz,
-            "nodes": list(nodes) if nodes is not None else list(range(n))}
+    meta = {"kind": adj.kind, "sigma": adj.sigma, "n": n, "nnz": adj.nnz, "nodes": nodes}
     npy = path.with_suffix(".npy")
     order = [int(x) for x in ids if x.isdecimal()]  # the ids as the reader parses them
     if not (n * n * 8 >= path.stat().st_size or npy == path or len(order) != n
@@ -286,8 +283,9 @@ def read_adjacency_csv(path, *, meta=None,
     the kind invariants apply. Repeated ``(src, dst)`` entries, entries outside a given
     node set and weights that are not finite raise :class:`CsvFormatError` at their line.
 
-    Given node ids, the ``.npy`` the meta's ``sidecar`` entry names is loaded when both
-    files' digests and the node order match the entry and it holds float64 (n, n).
+    Given node ids, the ``.npy`` the meta's ``sidecar`` entry names is read into the matrix
+    when its 1.0 or 2.0 header gives float64 (n, n) in C order, the data fill the rest of the
+    file, and the node order and the digests of the CSV and the bytes read match the entry.
     Else the body is parsed with numpy's C reader. A file it cannot take, or one that
     fails a check, is read again row by row, which either raises the error at its line
     or returns the matrix.
@@ -316,12 +314,19 @@ def read_adjacency_csv(path, *, meta=None,
     try:  # no node ids, no entry, a file missing or not .npy: parse the text
         entry = info["sidecar"]
         if order is not None and entry["nodes"] == order:
-            raw = path.with_name(entry["file"]).read_bytes()
-            if (blake2b(raw).hexdigest() == entry["npy_blake2b"]
-                    and _file_digest(path) == entry["csv_blake2b"]):
-                w = np.lib.format.read_array(io.BytesIO(raw), allow_pickle=False)
-                if w.dtype == np.float64 and w.shape == (len(order),) * 2 and w.flags.c_contiguous:
-                    return w, order, "sidecar"
+            with path.with_name(entry["file"]).open("rb") as fh:  # read into w, no second copy
+                read_header = {(1, 0): np.lib.format.read_array_header_1_0,
+                               (2, 0): np.lib.format.read_array_header_2_0}
+                header = read_header[np.lib.format.read_magic(fh)](fh)  # KeyError: other versions
+                w, end = np.empty((len(order),) * 2), fh.tell()
+                fh.seek(0)
+                digest = blake2b(fh.read(end))  # the magic and header bytes, then w's
+                if (header == (w.shape, False, w.dtype) and fh.readinto(w) == w.nbytes
+                        and not fh.read(1)):
+                    digest.update(w)
+                    if (digest.hexdigest() == entry["npy_blake2b"]
+                            and _file_digest(path) == entry["csv_blake2b"]):
+                        return w, order, "sidecar"
     except (KeyError, TypeError, OSError, ValueError):
         pass
     with path.open(newline="", encoding="utf-8") as fh:

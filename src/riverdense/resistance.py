@@ -125,7 +125,8 @@ def _grounded_pinv(lap: np.ndarray, labels: np.ndarray) -> np.ndarray:
     a is the component's mean degree, the mean of L's eigenvalues: at most the
     largest and at least (k - 1)/k of the smallest nonzero one. So the
     grounding at most doubles the condition number of L on the range of L,
-    and the result scales with the weights.
+    and the result scales with the weights. The shift is added to ``lap``
+    itself, so a connected ``lap`` comes back shifted by a/k.
     """
     sizes = np.bincount(labels)
     if sizes.size == 1 and sizes[0] > 1:  # one component: no n x n copy through np.ix_
@@ -141,7 +142,8 @@ def _grounded_pinv(lap: np.ndarray, labels: np.ndarray) -> np.ndarray:
 def _grounded_block(lap: np.ndarray) -> np.ndarray:
     k = lap.shape[0]
     a = np.trace(lap) / k
-    pinv = np.linalg.inv(lap + a / k)
+    lap += a / k  # in place: no second n x n array beside LAPACK's copies
+    pinv = np.linalg.inv(lap)
     pinv -= 1.0 / (a * k)
     return pinv
 
@@ -220,6 +222,10 @@ def graph_laplacian(adj, mode: str = "symmetric") -> LaplacianBundle:
     np.fill_diagonal(lap, diagonal)
     if mode == "symmetric":
         pinv, solver = _grounded_pinv(lap, labels), "grounded-inverse"
+        np.add(w, w.T, out=lap)  # L again, bit for bit, after the grounding shifted it
+        lap *= 0.5
+        np.subtract(0.0, lap, out=lap)
+        np.fill_diagonal(lap, diagonal)
     elif _is_acyclic(support):
         pinv, solver = np.linalg.inv(lap), "triangular-inverse"
     else:
@@ -329,9 +335,9 @@ def _histogram(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edges, counts
 
 
-def report_to_json(report: ResistanceReport) -> dict:
+def write_report_json(report: ResistanceReport, path) -> None:
     edges, counts = report.histogram
-    return {
+    payload = {
         "n": report.n,
         "mode": report.mode,
         "mean": report.mean,
@@ -340,11 +346,7 @@ def report_to_json(report: ResistanceReport) -> dict:
         "histogram": {"edges": edges.tolist(), "counts": counts.tolist()},
         "excluded_pairs": report.excluded_pairs,
     }
-
-
-def write_report_json(report: ResistanceReport, path) -> None:
-    Path(path).write_text(json.dumps(report_to_json(report), indent=2, allow_nan=False) + "\n",
-                          encoding="utf-8")
+    Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def write_report_csv(report: ResistanceReport, path) -> None:

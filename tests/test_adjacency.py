@@ -17,7 +17,8 @@ from riverdense.adjacency import (CSV_SPLIT_NNZ, _file_digest, _read_adjacency_b
 from riverdense.errors import CsvFormatError, DegenerateSigma, IsolatedRow
 from riverdense.network import DistanceMatrix
 
-from util import random_weighted_tree, reference_rbf_kernel, write_adjacency_csv_by_rows
+from util import (random_weighted_tree, reference_rbf_kernel, traced_peak,
+                  write_adjacency_csv_by_rows)
 
 
 def dm(matrix) -> DistanceMatrix:
@@ -172,6 +173,51 @@ def test_numpy_station_ids_are_stored_as_ints(tmp_path):
     adj = rd.build_adjacency(net, rd.topological_distances(net), rd.RewireConfig())
     rd.write_adjacency_csv(adj, tmp_path / "adjacency.csv", net.nodes)
     assert json.loads((tmp_path / "adjacency_meta.json").read_text())["nodes"] == [0, 1, 2]
+
+
+def test_adjacency_writer_takes_numpy_ids_and_refuses_others_before_writing(tmp_path):
+    adj = rd.build_adjacency(CHAIN_NET, CHAIN_NET_D, rd.RewireConfig())
+    for name, nodes in (("numpy", np.arange(3)), ("plain", [0, 1, 2])):
+        (tmp_path / name).mkdir()
+        assert rd.write_adjacency_csv(adj, tmp_path / name / "adjacency.csv", nodes)["sidecar"]
+    files = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert files == ["adjacency.csv", "adjacency.npy", "adjacency_meta.json"]
+    for name in files:
+        assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    for bad in (["0", "1", "2"], [0.0, 1.0, 2.0], np.array([0.5, 1, 2])):
+        out = tmp_path / "bad"
+        out.mkdir()
+        with pytest.raises(TypeError):
+            rd.write_adjacency_csv(adj, out / "adjacency.csv", bad)
+        assert list(out.iterdir()) == []
+        out.rmdir()
+
+
+def test_adjacency_kind_and_weights_are_read_only():
+    adj = rd.build_adjacency(CHAIN_NET, CHAIN_NET_D, rd.RewireConfig())
+    with pytest.raises(AttributeError):
+        adj.w = np.ones((3, 3))
+    with pytest.raises(AttributeError):
+        adj.kind = "isolated"
+    assert adj.kind == "dense" and adj.nnz == 6 and not adj.w.flags.writeable
+
+
+def test_sidecar_is_read_into_its_matrix_without_a_second_copy(tmp_path):
+    """The traced peak of a sidecar read is the n^2 float64 matrix plus the
+    meta's parse and one digest chunk, about 1.1 MiB here; reading the file's bytes and then parsing
+    them held two copies at once (n^2 + 8.2 MiB)."""
+    n = 1000
+    w = np.random.default_rng(5).random((n, n))
+    path, npy = tmp_path / "adjacency.csv", tmp_path / "adjacency.npy"
+    path.write_bytes(b"src,dst,weight\r\n")  # a stand-in: the reader checks only its digest
+    np.save(npy, w, allow_pickle=False)
+    order = list(range(n))
+    (tmp_path / "adjacency_meta.json").write_text(json.dumps({"nodes": order, "sidecar": {
+        "file": npy.name, "csv_blake2b": _file_digest(path), "npy_blake2b": _file_digest(npy),
+        "nodes": order}}))
+    (read, _, source), peak = traced_peak(rd.read_adjacency_csv, path)
+    assert source == "sidecar" and read.tobytes() == w.tobytes()
+    assert peak < n * n * 8 + 4 * 2**20
 
 
 def test_learned_kind_uniform_and_trainable():

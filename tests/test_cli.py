@@ -689,14 +689,25 @@ def _edit_weight(value: bytes):
     return edit
 
 
-def _save_sidecar(make, record: bool):
+def _save_sidecar(make, record: bool, allow_pickle: bool = False, version=None):
     """Replace the .npy with ``make(w)``; with ``record`` its digest is
-    recorded too, so only the dtype or shape check stands in the way."""
+    recorded too, so only the dtype, shape or header check stands in the way."""
     def edit(rw: Path, meta: dict, edges: Path) -> None:
         npy = rw / "adjacency.npy"
-        np.save(npy, make(np.load(npy)), allow_pickle=False)
+        w = make(np.load(npy))
+        with npy.open("wb") as fh:  # np.save's bytes, at any header version
+            np.lib.format.write_array(fh, w, version, allow_pickle)
         if record:
             meta["sidecar"]["npy_blake2b"] = _file_digest(npy)
+    return edit
+
+
+def _edit_sidecar(edit_bytes):
+    """Replace the .npy's bytes with ``edit_bytes(raw)`` and record their digest."""
+    def edit(rw: Path, meta: dict, edges: Path) -> None:
+        npy = rw / "adjacency.npy"
+        npy.write_bytes(edit_bytes(npy.read_bytes()))
+        meta["sidecar"]["npy_blake2b"] = _file_digest(npy)
     return edit
 
 
@@ -724,6 +735,11 @@ SIDECAR_TAMPERS = {
     "npy-shape": _save_sidecar(lambda w: w[:-1, :-1], record=True),
     "npy-flat": _save_sidecar(np.ravel, record=True),
     "npy-fortran-order": _save_sidecar(np.asfortranarray, record=True),
+    "npy-trailing-byte": _edit_sidecar(lambda raw: raw + b"\0"),
+    "npy-truncated-recorded": _edit_sidecar(lambda raw: raw[:-8]),
+    "npy-object-dtype": _save_sidecar(lambda w: w.astype(object), record=True,
+                                      allow_pickle=True),
+    "npy-version-3": _save_sidecar(lambda w: w, record=True, version=(3, 0)),
     "entry-removed": _strip_sidecar,
     "entry-file-renamed": lambda rw, meta, edges: meta["sidecar"].update(file="other.npy"),
     "entry-nodes-changed": lambda rw, meta, edges: meta["sidecar"]["nodes"].reverse(),

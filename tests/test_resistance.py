@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,12 +186,11 @@ def test_dense_transform_lowers_mean_resistance_on_caterpillar():
 
 def test_report_json_and_csv_schema(tmp_path):
     report = rd.resistance_report(UNIT_TRIANGLE)
-    payload = rd.report_to_json(report)
-    assert set(payload) >= {"n", "mode", "mean", "median", "p95", "histogram"}
-    assert set(payload["histogram"]) == {"edges", "counts"}
     json_path = tmp_path / "report.json"
     rd.write_report_json(report, json_path)
     loaded = json.loads(json_path.read_text())
+    assert set(loaded) >= {"n", "mode", "mean", "median", "p95", "histogram"}
+    assert set(loaded["histogram"]) == {"edges", "counts"}
     assert loaded["n"] == 3 and loaded["mode"] == "symmetric"
     csv_path = tmp_path / "hist.csv"
     rd.write_report_csv(report, csv_path)
@@ -398,6 +398,22 @@ def test_report_peak_memory_on_a_300_node_dense_graph(mode):
     adj = rd.build_adjacency(net, rd.topological_distances(net), rd.RewireConfig(kind="dense"))
     _, peak = traced_peak(rd.resistance_report, adj, mode)
     assert peak < 5.25 * n * n * 8
+
+
+def test_grounded_inverse_holds_no_second_laplacian(monkeypatch):
+    """When LAPACK is called, the symmetric mode holds L shifted in its own
+    buffer and the n^2 bool support, about 1.13 n^2 float64; a shifted copy
+    beside L read 2.14 n^2. L is rebuilt from the weights afterwards."""
+    n = 300
+    net = random_weighted_tree(n, np.random.default_rng(3))
+    adj = rd.build_adjacency(net, rd.topological_distances(net), rd.RewireConfig(kind="dense"))
+    held, inv = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: held.append(tracemalloc.get_traced_memory()[0])
+                        or inv(a))
+    bundle, _ = traced_peak(rd.graph_laplacian, adj, "symmetric")
+    assert bundle.solver == "grounded-inverse" and len(held) == 2
+    assert held[1] < 1.5 * n * n * 8
+    assert bundle.laplacian.tobytes() == reference_laplacian(adj.w, "symmetric").tobytes()
 
 
 def test_histogram_peak_memory_is_bounded_by_its_block():
