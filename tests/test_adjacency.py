@@ -204,8 +204,8 @@ def test_adjacency_kind_and_weights_are_read_only():
 
 def test_sidecar_is_read_into_its_matrix_without_a_second_copy(tmp_path):
     """The traced peak of a sidecar read is the n^2 float64 matrix plus the
-    meta's parse and one digest chunk, about 1.1 MiB here; reading the file's bytes and then parsing
-    them held two copies at once (n^2 + 8.2 MiB)."""
+    meta's parse and one digest chunk, about 1.1 MiB here; reading the file's
+    bytes and then parsing them held two copies at once (n^2 + 8.2 MiB)."""
     n = 1000
     w = np.random.default_rng(5).random((n, n))
     path, npy = tmp_path / "adjacency.csv", tmp_path / "adjacency.npy"

@@ -696,7 +696,7 @@ def _save_sidecar(make, record: bool, allow_pickle: bool = False, version=None):
         npy = rw / "adjacency.npy"
         w = make(np.load(npy))
         with npy.open("wb") as fh:  # np.save's bytes, at any header version
-            np.lib.format.write_array(fh, w, version, allow_pickle)
+            np.lib.format.write_array(fh, w, version=version, allow_pickle=allow_pickle)
         if record:
             meta["sidecar"]["npy_blake2b"] = _file_digest(npy)
     return edit

@@ -402,7 +402,7 @@ def test_report_peak_memory_on_a_300_node_dense_graph(mode):
 
 def test_grounded_inverse_holds_no_second_laplacian(monkeypatch):
     """When LAPACK is called, the symmetric mode holds L shifted in its own
-    buffer and the n^2 bool support, about 1.13 n^2 float64; a shifted copy
+    buffer and the n^2 bool support, about 1.14 n^2 float64; a shifted copy
     beside L read 2.14 n^2. L is rebuilt from the weights afterwards."""
     n = 300
     net = random_weighted_tree(n, np.random.default_rng(3))
