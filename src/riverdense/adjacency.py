@@ -291,11 +291,11 @@ def read_adjacency_csv(path, *, meta=None,
     or returns the matrix.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"adjacency file {path} does not exist")
-    meta_path = Path(meta) if meta else path.with_name(path.stem + "_meta.json")
-    if meta and not meta_path.exists():  # the sibling *_meta.json is optional
-        raise FileNotFoundError(f"metadata file {meta_path} does not exist")
+    if not path.is_file():
+        raise FileNotFoundError(f"adjacency file {path} does not exist or is not a file")
+    meta_path = path.with_name(path.stem + "_meta.json") if meta is None else Path(meta)
+    if meta is not None and not meta_path.is_file():  # the sibling *_meta.json is optional
+        raise FileNotFoundError(f"metadata file {meta_path} does not exist or is not a file")
     info = {}
     if meta_path.exists():
         try:

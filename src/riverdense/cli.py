@@ -31,7 +31,8 @@ from .preprocess import (DEFAULT_COLUMN_MAP, GaugeSeries, extract_subgraph,
 from .resistance import resistance_report, write_report_csv, write_report_json
 
 _INPUT_ERRORS = (CsvFormatError, CycleDetected, DuplicateEdge, NonpositiveLength,
-                 UnknownStation, FileNotFoundError, NotADirectoryError, ValueError)
+                 UnknownStation, FileNotFoundError, IsADirectoryError,
+                 NotADirectoryError, ValueError)
 _CONFIG_OPTIONS = {"column_map": tuple(DEFAULT_COLUMN_MAP), "period": ("start", "end")}
 
 
@@ -198,7 +199,7 @@ def _ignored_flag(args) -> str | None:
     """A usage error for a flag the chosen mode would silently ignore."""
     if args.command == "rewire" and args.kind in ("topology", "isolated") and args.prune > 0:
         return f"--prune applies to the dense and learned kinds, not --kind {args.kind}"
-    if args.command == "train" and args.adjacency and args.sigma != "auto":
+    if args.command == "train" and args.adjacency is not None and args.sigma != "auto":
         return "--sigma cannot be combined with --adjacency, whose weights are used as loaded"
     return None
 
@@ -358,7 +359,7 @@ def cmd_train(args) -> int:
                         feature_dim=len(channel_names))
 
     source = None
-    if args.adjacency:
+    if args.adjacency is not None:
         w, _, source = read_adjacency_csv(args.adjacency, nodes=net.nodes)
         adj = AdjacencyMatrix(args.kind, w,
                               support=net.edge_mask() if args.kind == "topology" else None)
@@ -386,7 +387,8 @@ def cmd_train(args) -> int:
                 start=1):
             fh.write(f"{epoch},{lr!r},{mae!r},{clipped}\n")
     save_model(model, out / "checkpoint.json")
-    _write_manifest(out, args, [p for p in (args.edges, args.gauges, args.adjacency) if p],
+    _write_manifest(out, args, [p for p in (args.edges, args.gauges, args.adjacency)
+                                if p is not None],
                     {"kind": adj.kind, "sigma_resolved": adj.sigma,
                      "adjacency_source": source,
                      "history": args.history, "horizon": args.horizon,

@@ -17,10 +17,6 @@ class NonpositiveLength(RiverDenseError):
     """A stream length is zero or negative."""
 
 
-class DifferentComponents(RiverDenseError):
-    """Effective resistance requested across disconnected components."""
-
-
 class MuOutOfRange(RiverDenseError):
     """Spectral parameter mu must lie in [0, 1)."""
 

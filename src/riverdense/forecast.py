@@ -4,7 +4,7 @@ The network is a GCN-style stack implemented directly in numpy: an input
 projection over each node's flattened history window, a fixed number of
 propagation layers H' = relu(A_hat @ H @ W), and a linear output head that
 emits one value per forecast step. Gradients are hand-derived backprop, which
-keeps training deterministic and lets sensitivities be computed analytically.
+keeps training deterministic and lets input Jacobians be computed analytically.
 
 Activations are node-major: a batch of S windows over N nodes is held as
 (N*S, latent) rows, row n*S + k for node n in window k. Every weight product
@@ -309,24 +309,16 @@ def forward(model: ForecastModel, history: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def sensitivity(model: ForecastModel, u: int, v: int,
-                history: np.ndarray | None = None) -> float:
-    """Frobenius norm of d(prediction at node u) / d(history of node v).
+def input_jacobian(model: ForecastModel, u: int,
+                   history: np.ndarray | None = None) -> np.ndarray:
+    """(N, beta, alpha*C) Jacobian of node u's forecast; block v is its
+    derivative w.r.t. node v's history window, in (alpha, C) order.
 
     Evaluated at ``history`` (an all-ones window by default, since gradients
-    depend on the linearization point through the ReLU gates).
-    """
-    jac = input_jacobian(model, u, v, history)
-    return float(np.sqrt(np.sum(jac * jac)))
-
-
-def input_jacobian(model: ForecastModel, u: int, v: int,
-                   history: np.ndarray | None = None) -> np.ndarray:
-    """Full (beta, alpha*C) Jacobian block of node u's forecast w.r.t. node v.
-
-    One backward pass: the window is tiled beta times on the batch axis and
-    copy k seeds d(forecast step k at node u), so copy k's input gradient at
-    node v is Jacobian row k.
+    depend on the linearization point through the ReLU gates). One backward
+    pass: the window is tiled beta times on the batch axis and copy k seeds
+    d(forecast step k at node u), so copy k's input gradient is row k of
+    every block.
     """
     task = model.task
     beta = task.beta_horizon
@@ -342,7 +334,7 @@ def input_jacobian(model: ForecastModel, u: int, v: int,
     steps = np.arange(beta)
     buf.dy.reshape(model.n, beta, beta)[u, steps, steps] = 1.0
     _, dz0 = _backward(model, x, buf, a_hat)  # the parameter gradients go unused
-    return dz0.reshape(model.n, beta, -1)[v] @ model.params["w_in"].T
+    return dz0.reshape(model.n, beta, -1) @ model.params["w_in"].T
 
 
 def loss_and_gradients(model: ForecastModel, history: np.ndarray,

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .adjacency import AdjacencyMatrix
-from .errors import DifferentComponents, MuOutOfRange
+from .errors import MuOutOfRange
 
 EIG_ZERO_RTOL = 1e-10  # singular values below this share of the largest count as zero
 HIST_BINS = 50  # uniform bins of the resistance histogram over [0, max]
@@ -253,19 +253,6 @@ def _pinv_residual(bundle: LaplacianBundle) -> float:
     if norm == 0.0:
         return 0.0
     return float(np.linalg.norm(lap @ (bundle.pseudoinverse @ lx) - lx)) / norm
-
-
-def effective_resistance(bundle: LaplacianBundle, u: int, v: int) -> float:
-    """Resistance between matrix positions u and v under the bundle's mode."""
-    if u == v:
-        raise ValueError("effective resistance needs two distinct nodes")
-    if bundle.component_labels[u] != bundle.component_labels[v]:
-        raise DifferentComponents(
-            f"nodes {u} and {v} sit in different components; resistance is infinite")
-    x = np.zeros(bundle.n)
-    x[u] = bundle.indicator_scale[u]
-    x[v] = -bundle.indicator_scale[v]
-    return float(x @ bundle.pseudoinverse @ x)
 
 
 def pairwise_resistances(bundle: LaplacianBundle) -> np.ndarray:

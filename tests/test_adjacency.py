@@ -65,6 +65,12 @@ def test_auto_sigma_degenerate_when_equal():
         rd.dense_transform(dm(d), rd.RewireConfig(sigma="auto"))
 
 
+def test_dense_rewire_of_stations_without_edges_has_no_sigma():
+    net = rd.build_network([0, 1], [])
+    with pytest.raises(DegenerateSigma, match="no finite off-diagonal distances"):
+        rd.build_adjacency(net, rd.topological_distances(net), rd.RewireConfig(kind="dense"))
+
+
 def test_infinite_distances_become_zero_weight():
     d = np.array([[0.0, 1.0, np.inf],
                   [1.0, 0.0, np.inf],

@@ -224,6 +224,19 @@ def test_qc_malformed_gauge_row_exits_2(basin8_dir, tmp_path, capsys):
     assert "3.csv:2" in capsys.readouterr().err
 
 
+def test_qc_gauge_header_without_discharge_column_exits_2_at_line_1(basin8_dir, tmp_path,
+                                                                     capsys):
+    gauges = tmp_path / "gauges"
+    shutil.copytree(basin8_dir / "gauges", gauges)
+    bad = gauges / "3.csv"
+    bad.write_text(bad.read_text().replace("qobs", "flow", 1))
+    out = tmp_path / "qc"
+    assert run_cli("qc", "--edges", basin8_dir / "edges.csv",
+                   "--gauges", gauges, "--out", out) == 2
+    assert f"{bad}:1: missing column 'qobs'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["qc", "train"])
 def test_duplicate_station_files_exit_2_naming_both(basin8_dir, tmp_path, capsys, command):
     gauges = tmp_path / "gauges"
@@ -390,6 +403,51 @@ def test_missing_input_exits_2_before_out_is_created(basin8_dir, tmp_path, comma
     out = tmp_path / "out"
     argv = [part for flag, path in inputs.items() for part in (flag, path)]
     assert run_cli(command, *argv, "--out", out) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["qc --edges", "qc --gauges/99.csv", "resist --adjacency",
+                                  "resist --meta", "train --adjacency"])
+def test_a_directory_given_as_an_input_file_exits_2_naming_it(basin8_dir, tmp_path, capsys,
+                                                              case):
+    edges, gauges = basin8_dir / "edges.csv", basin8_dir / "gauges"
+    folder = tmp_path / "folder.csv"
+    folder.mkdir()
+    adjacency = tmp_path / "adjacency.csv"
+    adjacency.write_text("src,dst,weight\n0,1,1.0\n1,0,1.0\n")
+    named = folder
+    if case == "qc --gauges/99.csv":
+        shutil.copytree(gauges, tmp_path / "gauges")
+        gauges, named = tmp_path / "gauges", tmp_path / "gauges" / "99.csv"
+        named.mkdir()
+    argv = {"qc --edges": ["qc", "--edges", folder, "--gauges", gauges],
+            "qc --gauges/99.csv": ["qc", "--edges", edges, "--gauges", gauges],
+            "resist --adjacency": ["resist", "--adjacency", folder],
+            "resist --meta": ["resist", "--adjacency", adjacency, "--meta", folder],
+            "train --adjacency": ["train", "--edges", edges, "--gauges", gauges,
+                                  "--adjacency", folder, "--epochs", "1"]}[case]
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and str(named) in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["train --adjacency", "resist --adjacency", "resist --meta"])
+def test_an_empty_path_flag_exits_2_naming_it(basin8_dir, tmp_path, capsys, case):
+    rw = tmp_path / "rw"
+    assert run_cli("rewire", "--edges", basin8_dir / "edges.csv", "--out", rw) == 0
+    argv = {"train --adjacency": ["train", "--edges", basin8_dir / "edges.csv",
+                                  "--gauges", basin8_dir / "gauges", "--adjacency", "",
+                                  "--epochs", "1"],
+            "resist --adjacency": ["resist", "--adjacency", ""],
+            # the sibling meta beside adjacency.csv must not stand in for it
+            "resist --meta": ["resist", "--adjacency", rw / "adjacency.csv",
+                              "--meta", ""]}[case]
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", out) == 2
+    named = "metadata" if case == "resist --meta" else "adjacency"
+    assert f"{named} file . does not exist or is not a file" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1029,6 +1087,32 @@ def test_train_gauge_files_with_different_channels_exit_2_naming_both(
         assert f"station {other} has channel 'temp', station {first} does not" in err
     else:
         assert f"station {first} has channel 'rain', station {other} does not" in err
+    assert not out.exists()
+
+
+def test_train_station_without_gauge_file_exits_2_naming_it(basin8_dir, tmp_path, capsys):
+    gauges = tmp_path / "gauges"
+    shutil.copytree(basin8_dir / "gauges", gauges)
+    station = rd.read_edge_csv(basin8_dir / "edges.csv").nodes[2]
+    (gauges / f"{station}.csv").unlink()
+    out = tmp_path / "tr"
+    assert run_cli("train", "--edges", basin8_dir / "edges.csv", "--gauges", gauges,
+                   "--history", "12", "--horizon", "4", "--epochs", "1", "--out", out) == 2
+    assert f"no gauge series for stations [{station}]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_stations_on_different_hours_exit_2_naming_both(basin8_dir, tmp_path, capsys):
+    gauges = tmp_path / "gauges"
+    shutil.copytree(basin8_dir / "gauges", gauges)
+    first, other = rd.read_edge_csv(basin8_dir / "edges.csv").nodes[:4:3]
+    lines = (gauges / f"{other}.csv").read_text().splitlines()
+    (gauges / f"{other}.csv").write_text("\n".join(lines[:-1]) + "\n")  # one hour short
+    out = tmp_path / "tr"
+    assert run_cli("train", "--edges", basin8_dir / "edges.csv", "--gauges", gauges,
+                   "--history", "12", "--horizon", "4", "--epochs", "1", "--out", out) == 2
+    assert (f"station {other} timestamps differ from station {first}"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -111,24 +111,24 @@ def test_isolated_kind_has_no_cross_node_paths():
     rng = np.random.default_rng(2)
     history = rng.normal(size=(4, 4, 2))
     for u in range(4):
+        jac = rd.input_jacobian(model, u, history)
         for v in range(4):
-            s = rd.sensitivity(model, u, v, history)
             if u == v:
-                assert s > 0
+                assert np.linalg.norm(jac[v]) > 0
             else:
-                assert s == 0.0
+                assert not np.any(jac[v])
 
 
 # ---------------------------------------------------------------------------
-# sensitivity
+# input Jacobian
 
 def test_sensitivity_respects_hop_distance_on_path():
     net = path_net(7)
     model = small_model(topology_adj_for(net), layers=3, seed=5)
     history = np.abs(np.random.default_rng(7).normal(size=(4, 7, 2)))
-    assert rd.sensitivity(model, 6, 0, history) == 0.0  # 6 hops away, 3 layers
+    assert not np.any(rd.input_jacobian(model, 6, history)[0])  # 6 hops away, 3 layers
     dense_model = small_model(dense_adj_for(net), layers=3, seed=5)
-    assert rd.sensitivity(dense_model, 6, 0, history) > 0
+    assert np.linalg.norm(rd.input_jacobian(dense_model, 6, history)[0]) > 0
 
 
 def test_receptive_field_exact_on_random_trees():
@@ -142,9 +142,9 @@ def test_receptive_field_exact_on_random_trees():
         hops = hop_distances(model.propagation() != 0)
         history = np.abs(rng.normal(size=(4, n, 2)))
         u, v = rng.integers(0, n, size=2)
-        s = rd.sensitivity(model, int(u), int(v), history)
+        jac = rd.input_jacobian(model, int(u), history)
         if hops[u, v] > layers:
-            assert s == 0.0
+            assert not np.any(jac[v])
 
 
 def test_sensitivity_matches_finite_differences():
@@ -153,7 +153,7 @@ def test_sensitivity_matches_finite_differences():
     model = small_model(dense_adj_for(net), alpha=3, beta=2, c=2, latent=5, seed=17)
     history = rng.normal(size=(3, 6, 2))
     u, v = 2, 4
-    analytic = rd.input_jacobian(model, u, v, history)
+    analytic = rd.input_jacobian(model, u, history)[v]
     step = 1e-5
     fd = np.zeros_like(analytic)
     flat_idx = 0
@@ -176,10 +176,11 @@ def test_input_jacobian_one_pass_matches_per_step_loop(kind):
     net = random_weighted_tree(7, rng)
     model = small_model(adj_of_kind(net, kind), alpha=5, beta=4, c=2, latent=6, seed=43)
     history = rng.normal(size=(5, 7, 2))
-    for u, v in ((0, 0), (2, 5), (6, 1)):
-        jac = rd.input_jacobian(model, u, v, history)
-        assert jac.shape == (4, 10)
-        assert np.max(np.abs(jac - reference_input_jacobian(model, u, v, history))) < 1e-12
+    for u in range(7):
+        jac = rd.input_jacobian(model, u, history)
+        assert jac.shape == (7, 4, 10)
+        for v in range(7):
+            assert np.max(np.abs(jac[v] - reference_input_jacobian(model, u, v, history))) < 1e-12
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -213,6 +214,31 @@ def test_returned_gradients_do_not_alias_reused_buffers():
     for name in kept:
         assert np.array_equal(first[name], kept[name]), name
         assert not np.shares_memory(first[name], second[name]), name
+
+
+def test_a_third_batch_size_evicts_the_oldest_buffers():
+    rng = np.random.default_rng(89)
+    net = random_weighted_tree(5, rng)
+    model = small_model(dense_adj_for(net), seed=97)
+    x = rng.normal(size=(5, 4, 5, 2))
+    y = rng.normal(size=(5, 3, 5))
+    for size in (5, 3, 4, 5):
+        loss, grads = rd.loss_and_gradients(model, x[:size], y[:size])
+        fresh_loss, fresh_grads = rd.loss_and_gradients(small_model(dense_adj_for(net), seed=97),
+                                                        x[:size], y[:size])
+        assert loss == fresh_loss
+        for name, grad in grads.items():
+            assert np.array_equal(grad, fresh_grads[name]), name
+    assert list(model._buffers) == [4, 5]  # 5 went when 4 came, 3 when 5 came back
+
+
+def test_input_jacobian_defaults_to_all_ones_and_refuses_a_batch():
+    rng = np.random.default_rng(101)
+    model = small_model(dense_adj_for(random_weighted_tree(5, rng)), seed=103)
+    assert np.array_equal(rd.input_jacobian(model, 2),
+                          rd.input_jacobian(model, 2, np.ones((4, 5, 2))))
+    with pytest.raises(ShapeMismatch, match="single window"):
+        rd.input_jacobian(model, 2, np.ones((3, 4, 5, 2)))
 
 
 def test_train_hands_each_shuffled_batch_to_loss_and_gradients(monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riverdense as rd
-from riverdense.errors import DifferentComponents, MuOutOfRange
+from riverdense.errors import MuOutOfRange
 from riverdense.resistance import HIST_BINS, HIST_BLOCK, _component_labels, _histogram
 
 from util import (conductance_matrix, dfs_component_labels, disconnected_graph,
@@ -80,32 +80,32 @@ def test_random_walk_outlet_policy():
 
 
 def test_resistance_unit_edge():
-    bundle = rd.graph_laplacian(UNIT_EDGE)
-    assert rd.effective_resistance(bundle, 0, 1) == pytest.approx(1.0, abs=1e-9)
+    r = rd.pairwise_resistances(rd.graph_laplacian(UNIT_EDGE))
+    assert r[0, 1] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_resistance_two_unit_edges_in_series():
-    bundle = rd.graph_laplacian(UNIT_PATH3)
-    assert rd.effective_resistance(bundle, 0, 2) == pytest.approx(2.0, abs=1e-9)
+    r = rd.pairwise_resistances(rd.graph_laplacian(UNIT_PATH3))
+    assert r[0, 2] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_resistance_unit_triangle():
     # one direct unit resistor in parallel with a two-resistor path: 1*2/(1+2)
-    bundle = rd.graph_laplacian(UNIT_TRIANGLE)
+    r = rd.pairwise_resistances(rd.graph_laplacian(UNIT_TRIANGLE))
     for u, v in ((0, 1), (0, 2), (1, 2)):
-        assert rd.effective_resistance(bundle, u, v) == pytest.approx(2.0 / 3.0, abs=1e-9)
+        assert r[u, v] == pytest.approx(2.0 / 3.0, abs=1e-9)
 
 
 def test_resistance_unit_4cycle_adjacent():
     # direct resistor in parallel with the three-edge path: 1*3/(1+3)
-    bundle = rd.graph_laplacian(UNIT_4CYCLE)
-    assert rd.effective_resistance(bundle, 0, 1) == pytest.approx(0.75, abs=1e-9)
+    r = rd.pairwise_resistances(rd.graph_laplacian(UNIT_4CYCLE))
+    assert r[0, 1] == pytest.approx(0.75, abs=1e-9)
 
 
-def test_resistance_requires_distinct_nodes():
-    bundle = rd.graph_laplacian(UNIT_EDGE)
-    with pytest.raises(ValueError):
-        rd.effective_resistance(bundle, 1, 1)
+def test_resistance_of_a_node_to_itself_is_zero():
+    for mode in ("symmetric", "random-walk"):
+        r = rd.pairwise_resistances(rd.graph_laplacian(UNIT_TRIANGLE, mode=mode))
+        assert np.all(np.diagonal(r) == 0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
@@ -116,13 +116,13 @@ def test_laplacian_refuses_weights_neither_finite_nor_nonnegative(bad):
         rd.resistance_report(w)
 
 
-def test_resistance_across_components_is_error():
+def test_resistance_across_components_is_infinite():
     w = np.zeros((4, 4))
     w[0, 1] = w[1, 0] = 1.0
     w[2, 3] = w[3, 2] = 1.0
-    bundle = rd.graph_laplacian(w)
-    with pytest.raises(DifferentComponents):
-        rd.effective_resistance(bundle, 0, 2)
+    r = rd.pairwise_resistances(rd.graph_laplacian(w))
+    assert np.isinf(r[0, 2]) and np.isinf(r[2, 0])
+    assert r[0, 1] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_random_walk_resistance_matches_symmetric_on_regular_graph():
@@ -130,11 +130,9 @@ def test_random_walk_resistance_matches_symmetric_on_regular_graph():
     # indicator scaling 1/sqrt(2) on both ends: R_rw = R_sym * 2 / 2 = ... the
     # two formulations agree up to the degree normalization; check finiteness
     # and symmetry of the evaluation instead of a specific identity
-    bundle = rd.graph_laplacian(UNIT_TRIANGLE, mode="random-walk")
-    r01 = rd.effective_resistance(bundle, 0, 1)
-    r10 = rd.effective_resistance(bundle, 1, 0)
-    assert r01 == pytest.approx(r10, abs=1e-12)
-    assert r01 > 0
+    r = rd.pairwise_resistances(rd.graph_laplacian(UNIT_TRIANGLE, mode="random-walk"))
+    assert r[0, 1] == pytest.approx(r[1, 0], abs=1e-12)
+    assert r[0, 1] > 0
 
 
 def test_report_two_node_graph():
