@@ -9,11 +9,11 @@ from the dense support with uniform weights that training then updates.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import os
 import sys
 import tempfile
-import warnings
 from _blake2 import blake2b  # hashlib's import loads OpenSSL, ~3.5 MB more memory
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -286,9 +286,7 @@ def read_adjacency_csv(path, *, meta=None,
     Given node ids, the ``.npy`` the meta's ``sidecar`` entry names is read into the matrix
     when its 1.0 or 2.0 header gives float64 (n, n) in C order, the data fill the rest of the
     file, and the node order and the digests of the CSV and the bytes read match the entry.
-    Else the body is parsed with numpy's C reader. A file it cannot take, or one that
-    fails a check, is read again row by row, which either raises the error at its line
-    or returns the matrix.
+    Else the text is parsed row by row, and a bad row raises its error at its line.
     """
     path = Path(path)
     if not path.is_file():
@@ -330,12 +328,7 @@ def read_adjacency_csv(path, *, meta=None,
     except (KeyError, TypeError, OSError, ValueError):
         pass
     with path.open(newline="", encoding="utf-8") as fh:
-        read_csv_rows(path, fh, ADJACENCY_CSV_HEADER, ())  # the header; numpy reads the rest
-        fast = _read_adjacency_body(fh, order)
-        if fast is None:
-            fh.seek(0)
-            fast = _read_adjacency_rows(path, fh, order)
-    return *fast, "csv"
+        return *_read_adjacency_rows(path, fh, order), "csv"
 
 
 def _file_digest(path: Path) -> str:
@@ -346,43 +339,20 @@ def _file_digest(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _read_adjacency_body(fh, order: list[int] | None) -> tuple[np.ndarray, list[int]] | None:
-    """The matrix and node order of a well-formed body, else None."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # e.g. an empty body
-            body = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=1,
-                              dtype=[("src", "i8"), ("dst", "i8"), ("weight", "f8")])
-        ids = np.array(order, dtype=np.int64) if order is not None \
-            else np.unique(np.concatenate([body["src"], body["dst"]]))
-    except (ValueError, OverflowError, Warning):
-        return None
-    n = ids.size
-    if n == 0 or not np.isfinite(body["weight"]).all():
-        return None
-    i = np.minimum(np.searchsorted(ids, body["src"]), n - 1)
-    j = np.minimum(np.searchsorted(ids, body["dst"]), n - 1)
-    if np.any(ids[i] != body["src"]) or np.any(ids[j] != body["dst"]):
-        return None  # outside the declared node set
-    cells = np.sort(i * n + j)
-    if np.any(cells[1:] == cells[:-1]):
-        return None  # repeated entry
-    w = np.zeros((n, n))
-    w[i, j] = body["weight"]
-    return w, ids.tolist()
-
-
 def _read_adjacency_rows(path: Path, fh, order: list[int] | None):
-    """Row-by-row parse of the whole file; reports the line of the first bad row."""
+    """The matrix and node order of the text in ``fh``; a bad row raises at its line.
+    Given the node order, each row fills the matrix as it is read, so the first bad row
+    raises; else every row is read first, for the node ids it names, and a row that does
+    not parse raises before any repeated entry."""
     rows = read_csv_rows(path, fh, ADJACENCY_CSV_HEADER, (int, int, float))
-    entries = [(lineno, *values) for lineno, values in rows]
     if order is None:
-        order = sorted({node for _, src, dst, _ in entries for node in (src, dst)})
+        rows = list(rows)
+        order = sorted({node for _, (src, dst, _) in rows for node in (src, dst)})
     pos = {node: k for k, node in enumerate(order)}
     n = len(order)
     w = np.zeros((n, n))
     filled = bytearray(n * n)  # row-major flags of the cells set so far
-    for lineno, src, dst, weight in entries:
+    for lineno, (src, dst, weight) in rows:
         try:
             i, j = pos[src], pos[dst]
         except KeyError:
@@ -390,7 +360,7 @@ def _read_adjacency_rows(path: Path, fh, order: list[int] | None):
                                  "node set") from None
         if filled[i * n + j]:
             raise CsvFormatError(path, lineno, f"duplicate entry ({src},{dst})")
-        if not np.isfinite(weight):
+        if not math.isfinite(weight):
             raise CsvFormatError(path, lineno, f"weight {weight!r} of ({src},{dst}) is not "
                                  "finite")
         filled[i * n + j] = 1

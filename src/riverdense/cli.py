@@ -25,7 +25,7 @@ from .errors import (CsvFormatError, CycleDetected, DuplicateEdge,
                      NonpositiveLength, RiverDenseError, UnknownStation)
 from .forecast import (ForecastModel, ForecastTask, TrainConfig, nse_by_horizon,
                        prepare_dataset, save_model, train)
-from .network import read_edge_csv, topological_distances, write_edge_csv
+from .network import RiverNetwork, read_edge_csv, topological_distances, write_edge_csv
 from .preprocess import (DEFAULT_COLUMN_MAP, GaugeSeries, extract_subgraph,
                          parse_timestamp, qc_station, read_gauge_csv, write_qc_json)
 from .resistance import resistance_report, write_report_csv, write_report_json
@@ -109,6 +109,9 @@ def main(argv=None) -> int:
     handler = {"qc": cmd_qc, "rewire": cmd_rewire,
                "resist": cmd_resist, "train": cmd_train}[args.command]
     try:
+        for flag in ("gauges", "out"):  # Path("") is the working directory
+            if getattr(args, flag, None) == "":
+                raise ValueError(f"--{flag} is an empty path")
         return handler(args)
     except _INPUT_ERRORS as exc:
         print(f"riverdense {args.command}: input error: {exc}", file=sys.stderr)
@@ -180,7 +183,8 @@ def _read_gauge_dir(gauge_dir, column_map) -> tuple[dict[int, GaugeSeries], dict
     and files that took the row-by-row reader."""
     gauge_dir = Path(gauge_dir)
     if not gauge_dir.is_dir():
-        raise NotADirectoryError(f"gauge directory {gauge_dir} does not exist")
+        raise NotADirectoryError(f"gauge directory {gauge_dir} does not exist or is not a "
+                                 "directory")
     files = sorted(gauge_dir.glob("*.csv"))
     if not files:
         raise FileNotFoundError(f"no stations found in {gauge_dir}")
@@ -193,6 +197,14 @@ def _read_gauge_dir(gauge_dir, column_map) -> tuple[dict[int, GaugeSeries], dict
         series[gauge.station], sources[gauge.station] = gauge, path
         rows += len(gauge)
     return series, {"rows_ingested": rows, "row_loop_files": len(fallbacks)}
+
+
+def _read_stations(path) -> RiverNetwork:
+    """The network in edge CSV ``path``, refused when it has no station to rewire or train."""
+    net = read_edge_csv(path)
+    if not net.n:
+        raise ValueError(f"edge file {path} has no edges, so no stations")
+    return net
 
 
 def _ignored_flag(args) -> str | None:
@@ -286,7 +298,7 @@ def cmd_qc(args) -> int:
 
 def cmd_rewire(args) -> int:
     started = time.perf_counter()
-    net = read_edge_csv(args.edges)
+    net = _read_stations(args.edges)
     adj = _rewire(net, args.kind, args.sigma, args.prune)
 
     out = _outdir(args)
@@ -328,7 +340,7 @@ def cmd_train(args) -> int:
     if config.has_section("period"):
         raise ValueError(f"config file {args.config}: [period] applies to qc, not train")
     cmap = _column_map(config)
-    net = read_edge_csv(args.edges)
+    net = _read_stations(args.edges)
     series, ingest = _read_gauge_dir(args.gauges, cmap)
 
     missing = [node for node in net.nodes if node not in series]

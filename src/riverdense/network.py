@@ -164,50 +164,30 @@ def topological_distances(net: RiverNetwork) -> DistanceMatrix:
     Sibling tributaries have no directed path between them, so distances are
     taken over undirected edges; on a tree this is the unique path length.
 
-    Stations are numbered in depth-first preorder of the undirected graph,
-    one root per component, and each edge runs from its earlier endpoint
-    (``near``) to its later one (``far``). A pass pair relaxes every edge for
-    all sources at once: toward the roots with the deepest ``far`` first,
-    then away from them in preorder. Each sum extends a path outward from its
-    source, and float addition is monotone, so the fixed point is the smallest
-    such path sum: bitwise what Dijkstra from every source gives. On a forest
-    one pair is exact, since every edge joins a node to its preorder parent:
-    the first pass settles each source inside a node's subtree, and the second
-    extends the settled parent to every other source. Other graphs repeat pass
-    pairs until one changes nothing.
+    Stations are ranked downstream first, in the reversed topological order,
+    so each edge runs from its ``dst`` (``near``) to its ``src`` (``far``). A
+    pass pair relaxes every edge for all sources at once: toward the outlets
+    with the last-ranked ``far`` first, then away from them in rank order. Each
+    sum extends a path outward from its source, and float addition is
+    monotone, so the fixed point is the smallest such path sum: bitwise what
+    Dijkstra from every source gives. When no station has two downstream
+    edges, every edge joins a station to the one it drains into and one pair
+    is exact: the first pass settles each source upstream of a station, and
+    the second extends the settled downstream station to every other source.
+    Other graphs repeat pass pairs until one changes nothing.
     """
     n = net.n
-    neighbours: list[list[int]] = [[] for _ in range(n)]
-    for e in net.edges:
-        i, j = net.index(e.src), net.index(e.dst)
-        neighbours[i].append(j)
-        neighbours[j].append(i)
-    rank = [-1] * n
-    roots = ranked = 0
-    for root in range(n):
-        if rank[root] >= 0:
-            continue
-        roots += 1
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if rank[node] < 0:
-                rank[node], ranked = ranked, ranked + 1
-                stack.extend(neighbours[node])
-    links = []
-    for e in net.edges:
-        near, far = sorted((net.index(e.src), net.index(e.dst)), key=rank.__getitem__)
-        links.append((rank[far], near, far, e.stream_length))
-    links.sort()
+    links = [(net.index(e.dst), net.index(e.src), e.stream_length)
+             for station in reversed(net.topological_order()) for e in net.out_edges(station)]
 
     dist = np.full((n, n), np.inf)  # dist[t, s]: from s to t, so a relaxation is a row op
     np.fill_diagonal(dist, 0.0)
-    forest = len(links) == n - roots
+    forest = len({e.src for e in net.edges}) == len(net.edges)
     while True:
         before = None if forest else dist.copy()
-        for _, near, far, length in reversed(links):
+        for near, far, length in reversed(links):
             np.minimum(dist[near], dist[far] + length, out=dist[near])
-        for _, near, far, length in links:
+        for near, far, length in links:
             np.minimum(dist[far], dist[near] + length, out=dist[far])
         if before is None or np.array_equal(dist, before):
             break

@@ -1,4 +1,3 @@
-import csv
 import json
 import os
 import re
@@ -11,14 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riverdense as rd
-import riverdense.adjacency
-from riverdense.adjacency import (CSV_SPLIT_NNZ, _file_digest, _read_adjacency_body,
-                                  _read_adjacency_rows)
+from riverdense.adjacency import CSV_SPLIT_NNZ, _file_digest
 from riverdense.errors import CsvFormatError, DegenerateSigma, IsolatedRow
 from riverdense.network import DistanceMatrix
 
-from util import (random_weighted_tree, reference_rbf_kernel, traced_peak,
-                  write_adjacency_csv_by_rows)
+from util import (random_weighted_tree, read_adjacency_csv_by_rows, reference_rbf_kernel,
+                  traced_peak, write_adjacency_csv_by_rows)
 
 
 def dm(matrix) -> DistanceMatrix:
@@ -449,19 +446,8 @@ def test_adjacency_csv_writer_raises_when_a_row_writer_fails(tmp_path, monkeypat
     assert list(tmp_path.iterdir()) == []  # no partial adjacency.csv, no temp file
 
 
-def _row_loop(path, nodes=None):
-    with path.open(newline="", encoding="utf-8") as fh:
-        return _read_adjacency_rows(path, fh, nodes)
-
-
-def _numpy_body(path, nodes=None):
-    with path.open(newline="", encoding="utf-8") as fh:
-        next(csv.reader(fh))
-        return _read_adjacency_body(fh, nodes)
-
-
-# bodies numpy's parser takes, then bodies it leaves to the row loop
-FAST_BODIES = {
+# line endings, padding, quoting, blank and whitespace rows, an empty body
+BODIES = {
     "crlf": "0,1,0.5\r\n1,0,1.0\r\n2,0,0.125\r\n",
     "lf": "0,1,0.5\n1,0,1.0\n2,0,0.125\n",
     "cr": "0,1,0.5\r1,0,1.0\r2,0,0.125\r",
@@ -469,8 +455,6 @@ FAST_BODIES = {
     "padded": " 0 ,1,  0.5\n1 , 0 ,1.0 \n\t2,0,\t0.125\n",
     "quoted": '"0","1","0.5"\r\n1,"0",1.0\r\n" 2 ",0,"0.125"\r\n',
     "one_row": "7,3,0.1\n",
-}
-SLOW_BODIES = {
     "whitespace_row": "0,1,0.5\n   \n1,0,1.0\n",
     "empty_cells_row": "0,1,0.5\n , , \n1,0,1.0\n",
     "underscored_id": "0,1_0,0.5\n1,0,1.0\n",
@@ -478,36 +462,16 @@ SLOW_BODIES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(FAST_BODIES) + sorted(SLOW_BODIES))
+@pytest.mark.parametrize("name", sorted(BODIES))
 @pytest.mark.parametrize("nodes", [None, [0, 1, 2, 3, 7, 10]])
 def test_adjacency_csv_fast_reader_matches_row_loop(tmp_path, name, nodes):
+    """The text reader, filling the matrix as it reads when given the node ids, returns
+    what the reference that lists every row first returns."""
     path = tmp_path / "adjacency.csv"
-    path.write_text("src,dst,weight\r\n" + {**FAST_BODIES, **SLOW_BODIES}[name],
-                    newline="", encoding="utf-8")
-    w, order, _ = rd.read_adjacency_csv(path, nodes=nodes)
-    w_rows, order_rows = _row_loop(path, nodes)
-    assert order == order_rows
-    assert np.array_equal(w, w_rows)
-    fast = _numpy_body(path, nodes)
-    if name in FAST_BODIES:
-        assert fast is not None
-        assert fast[1] == order_rows and np.array_equal(fast[0], w_rows)
-    else:
-        assert fast is None
-
-
-@pytest.mark.parametrize("name", sorted(FAST_BODIES))
-def test_adjacency_csv_well_formed_files_skip_the_row_loop(tmp_path, monkeypatch, name):
-    path = tmp_path / "adjacency.csv"
-    path.write_text("src,dst,weight\r\n" + FAST_BODIES[name], newline="", encoding="utf-8")
-    w_rows, order_rows = _row_loop(path)
-
-    def no_row_loop(*args):
-        raise AssertionError("the row loop ran on a well-formed file")
-
-    monkeypatch.setattr(riverdense.adjacency, "_read_adjacency_rows", no_row_loop)
-    w, order, _ = rd.read_adjacency_csv(path)
-    assert order == order_rows
+    path.write_text("src,dst,weight\r\n" + BODIES[name], newline="", encoding="utf-8")
+    w, order, source = rd.read_adjacency_csv(path, nodes=nodes)
+    w_rows, order_rows = read_adjacency_csv_by_rows(path, nodes)
+    assert (order, source) == (order_rows, "csv")
     assert np.array_equal(w, w_rows)
 
 
@@ -517,16 +481,40 @@ def test_adjacency_csv_well_formed_files_skip_the_row_loop(tmp_path, monkeypatch
     ("0,1,0.5\n1.0,0,0.5\n", None),          # float where an id belongs
     ("0,1,0.5\n1,0\n", None),                # short row
     ("0,1,0.5\n1,0,0.5,\n", None),           # long row
-    ("0,1,0.5\n# note\n", None),             # numpy would take this as a comment
+    ("0,1,0.5\n# note\n", None),             # a one-cell row, not a comment
     ("0,1,0.5\n1,0,nan\n", None),            # not a finite weight
     ("0,1,0.5\n1,0,inf\n", [0, 1]),
 ])
 def test_adjacency_csv_bad_bodies_go_to_the_row_loop(tmp_path, body, nodes):
     path = tmp_path / "adjacency.csv"
     path.write_text("src,dst,weight\n" + body)
-    assert _numpy_body(path, nodes) is None
     with pytest.raises(CsvFormatError, match=r"adjacency\.csv:3: "):
         rd.read_adjacency_csv(path, nodes=nodes)
+
+
+def test_adjacency_csv_read_with_a_meta_stops_at_the_first_bad_line(tmp_path):
+    """Given the node ids, rows are checked as they are read: a duplicate on line 3
+    is reported before the weight on line 5 that does not parse."""
+    path = tmp_path / "adjacency.csv"
+    path.write_text("src,dst,weight\n0,1,0.5\n0,1,0.5\n1,0,1.0\n1,0,abc\n")
+    (tmp_path / "adjacency_meta.json").write_text('{"nodes": [0, 1]}')
+    with pytest.raises(CsvFormatError, match=r"adjacency\.csv:3: duplicate entry \(0,1\)"):
+        rd.read_adjacency_csv(path)
+
+
+def test_adjacency_csv_text_read_with_a_meta_holds_no_row_list(tmp_path):
+    """A 300-node dense text read over the meta's node ids holds the n^2 float64
+    matrix, its n^2 byte fill flags and one row at a time, not the 89,700 rows."""
+    n = 300
+    path = tmp_path / "adjacency.csv"
+    rd.write_adjacency_csv(_tree_adjacency("dense", n), path)
+    meta_path = tmp_path / "adjacency_meta.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["sidecar"]
+    meta_path.write_text(json.dumps(meta))
+    (w, _, source), peak = traced_peak(rd.read_adjacency_csv, path)
+    assert source == "csv" and np.count_nonzero(w) == n * (n - 1)
+    assert peak < 2 * n * n * 8 + 2**18
 
 
 # ---------------------------------------------------------------------------

@@ -451,6 +451,50 @@ def test_an_empty_path_flag_exits_2_naming_it(basin8_dir, tmp_path, capsys, case
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag", [("qc", "--gauges"), ("train", "--gauges"),
+                                           ("qc", "--out"), ("rewire", "--out"),
+                                           ("resist", "--out"), ("train", "--out")])
+def test_an_empty_gauges_or_out_flag_exits_2_naming_it(basin8_dir, tmp_path, capsys,
+                                                      monkeypatch, command, flag):
+    """An empty path is the working directory; here that holds gauge files."""
+    rw, cwd = tmp_path / "rw", tmp_path / "cwd"
+    assert run_cli("rewire", "--edges", basin8_dir / "edges.csv", "--out", rw) == 0
+    shutil.copytree(basin8_dir / "gauges", cwd)
+    monkeypatch.chdir(cwd)
+    before = snapshot(cwd)
+    args = {"--edges": basin8_dir / "edges.csv", "--gauges": basin8_dir / "gauges",
+            "--adjacency": rw / "adjacency.csv", "--out": tmp_path / "out"}
+    args[flag] = ""
+    inputs = {"qc": ["--edges", "--gauges"], "rewire": ["--edges"],
+              "resist": ["--adjacency"], "train": ["--edges", "--gauges"]}[command]
+    argv = [part for name in inputs + ["--out"] for part in (name, args[name])]
+    assert run_cli(command, *argv, *(["--epochs", "1"] if command == "train" else [])) == 2
+    assert f"input error: {flag} is an empty path" in capsys.readouterr().err
+    assert snapshot(cwd) == before and not (tmp_path / "out").exists()
+
+
+def test_a_file_given_as_the_gauge_directory_exits_2_naming_it(basin8_dir, tmp_path, capsys):
+    edges = basin8_dir / "edges.csv"
+    assert run_cli("qc", "--edges", edges, "--gauges", edges, "--out", tmp_path / "qc") == 2
+    assert (f"input error: gauge directory {edges} does not exist or is not a directory"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "qc").exists()
+
+
+@pytest.mark.parametrize("command", [f"rewire --kind {kind}" for kind in rd.ADJACENCY_KINDS]
+                         + ["train"])
+def test_a_header_only_edge_file_exits_2_naming_it(basin8_dir, tmp_path, capsys, command):
+    """qc keeps a network without stations; rewire and train have nothing to work on."""
+    edges = tmp_path / "edges.csv"
+    edges.write_text("src,dst,stream_length_km,elevation_diff_m\n")
+    out = tmp_path / "out"
+    extra = ["--gauges", basin8_dir / "gauges", "--epochs", "1"] if command == "train" else []
+    assert run_cli(*command.split(), "--edges", edges, *extra, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"input error: edge file {edges} has no edges, so no stations" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # rewire
 

@@ -188,8 +188,12 @@ def grid_dag(side: int, rng: np.random.Generator) -> rd.RiverNetwork:
     return rd.build_network(range(side * side), edges)
 
 
-@pytest.mark.parametrize("net", [alternating_chain(120), grid_dag(9, np.random.default_rng(5))],
-                         ids=["alternating-chain", "grid-dag"])
+@pytest.mark.parametrize("net", [
+    alternating_chain(120), grid_dag(9, np.random.default_rng(5)),
+    # an undirected tree: station 1 splits into 2 and 3, and 4 joins 3, which drains into 5
+    rd.build_network(range(6), [(0, 1, 1.5, 0.0), (1, 2, 2.25, 0.0), (1, 3, 0.7, 0.0),
+                                (4, 3, 3.1, 0.0), (3, 5, 1.2, 0.0)]),
+], ids=["alternating-chain", "grid-dag", "distributary"])
 def test_non_tree_distances_equal_dijkstra_and_floyd_warshall(net):
     assert not is_river_tree(net)
     d = rd.topological_distances(net).d

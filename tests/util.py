@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import heapq
 import json
 import tracemalloc
@@ -222,6 +223,20 @@ def write_adjacency_csv_by_rows(adj: rd.AdjacencyMatrix, path, nodes=None, *,
     write_adjacency_meta(adj, path.with_name(path.stem + "_meta.json"), sigma=sigma,
                          nodes=nodes, sidecar=entry)
     return entry
+
+
+def read_adjacency_csv_by_rows(path, nodes=None) -> tuple[np.ndarray, list[int]]:
+    """A well-formed coordinate-list CSV as its matrix and sorted node order: every
+    non-blank row after the header is listed first, then set into the matrix over
+    ``nodes``, else over the ids the rows name."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [row for row in list(csv.reader(fh))[1:] if "".join(row).strip()]
+    entries = [(int(src), int(dst), float(weight)) for src, dst, weight in rows]
+    order = sorted(set(nodes) if nodes is not None else {x for e in entries for x in e[:2]})
+    w = np.zeros((len(order), len(order)))
+    for src, dst, weight in entries:
+        w[order.index(src), order.index(dst)] = weight
+    return w, order
 
 
 # ---------------------------------------------------------------------------
