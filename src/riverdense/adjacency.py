@@ -15,7 +15,7 @@ import os
 import sys
 import tempfile
 from _blake2 import blake2b  # hashlib's import loads OpenSSL, ~3.5 MB more memory
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -340,14 +340,19 @@ def _file_digest(path: Path) -> str:
 
 
 def _read_adjacency_rows(path: Path, fh, order: list[int] | None):
-    """The matrix and node order of the text in ``fh``; a bad row raises at its line.
-    Given the node order, each row fills the matrix as it is read, so the first bad row
-    raises; else every row is read first, for the node ids it names, and a row that does
-    not parse raises before any repeated entry."""
-    rows = read_csv_rows(path, fh, ADJACENCY_CSV_HEADER, (int, int, float))
+    """The matrix and node order of the text in ``fh``. Each row fills the matrix as it is
+    read, so the first bad row raises at its line, whatever is wrong with it. Without the
+    node order, a first pass takes it from the ids the rows name, up to the first row that
+    does not parse, and the text is read again."""
+    columns = (int, int, float)
     if order is None:
-        rows = list(rows)
-        order = sorted({node for _, (src, dst, _) in rows for node in (src, dst)})
+        ids, rows = set(), read_csv_rows(path, fh, ADJACENCY_CSV_HEADER, columns)
+        with suppress(CsvFormatError):  # raised again at its line unless an earlier row is bad
+            for _, (src, dst, _) in rows:
+                ids.update((src, dst))
+        order = sorted(ids)
+        fh.seek(0)
+    rows = read_csv_rows(path, fh, ADJACENCY_CSV_HEADER, columns)
     pos = {node: k for k, node in enumerate(order)}
     n = len(order)
     w = np.zeros((n, n))

@@ -1,9 +1,11 @@
 """Batch command-line surface: qc -> rewire -> resist -> train.
 
-Every command writes all outputs, plus a manifest JSON recording the
-effective parameters, into its --out directory and nowhere else; --out is
-created only after every input is read. Exit codes: 0 success, 2 input
-error, 3 computation error, 64 usage error.
+A command's handler reads its inputs, computes, creates --out only after
+every input is read, writes its outputs there and nowhere else, and returns
+``(out, parameters)``. :func:`main` then writes ``manifest.json`` last,
+recording those effective parameters, the input paths and the wall time
+since the handler started. Exit codes: 0 success, 2 input error, 3 computation error,
+64 usage error.
 """
 
 from __future__ import annotations
@@ -112,7 +114,10 @@ def main(argv=None) -> int:
         for flag in ("gauges", "out"):  # Path("") is the working directory
             if getattr(args, flag, None) == "":
                 raise ValueError(f"--{flag} is an empty path")
-        return handler(args)
+        started = time.perf_counter()
+        out, parameters = handler(args)
+        _write_manifest(out, args, parameters, started)
+        return 0
     except _INPUT_ERRORS as exc:
         print(f"riverdense {args.command}: input error: {exc}", file=sys.stderr)
         return 2
@@ -163,12 +168,15 @@ def _outdir(args) -> Path:
     return out
 
 
-def _write_manifest(out: Path, args, inputs: list, parameters: dict, started: float) -> None:
+def _write_manifest(out: Path, args, parameters: dict, started: float) -> None:
+    """``out/manifest.json``; its inputs are the command's --edges, --gauges and
+    --adjacency, in that order, where given."""
+    inputs = (getattr(args, flag, None) for flag in ("edges", "gauges", "adjacency"))
     manifest = {
         "command": args.command,
         "tool_version": __version__,
         "config_path": getattr(args, "config", None),
-        "input_paths": [str(p) for p in inputs],
+        "input_paths": [str(p) for p in inputs if p is not None],
         "output_dir": str(out),
         "seed": getattr(args, "seed", None),
         "wall_clock_seconds": round(time.perf_counter() - started, 6),
@@ -254,8 +262,7 @@ def _column_map(config: configparser.ConfigParser) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_qc(args) -> int:
-    started = time.perf_counter()
+def cmd_qc(args) -> tuple[Path, dict]:
     config = _load_config(args.config)
     cmap = _column_map(config)
     net = read_edge_csv(args.edges)
@@ -288,31 +295,21 @@ def cmd_qc(args) -> int:
     out = _outdir(args)
     write_qc_json(reports, out / "qc_report.json")
     write_edge_csv(filtered, out / "network_filtered.csv")
-    _write_manifest(out, args, [args.edges, args.gauges],
-                    {"period_start": start_text, "period_end": end_text,
-                     "column_map": cmap,
-                     "stations_in": len(reports), "stations_kept": len(keep), **ingest},
-                    started)
-    return 0
+    return out, {"period_start": start_text, "period_end": end_text, "column_map": cmap,
+                 "stations_in": len(reports), "stations_kept": len(keep), **ingest}
 
 
-def cmd_rewire(args) -> int:
-    started = time.perf_counter()
+def cmd_rewire(args) -> tuple[Path, dict]:
     net = _read_stations(args.edges)
     adj = _rewire(net, args.kind, args.sigma, args.prune)
 
     out = _outdir(args)
     written = write_adjacency_csv(adj, out / "adjacency.csv", net.nodes)
-    _write_manifest(out, args, [args.edges],
-                    {"kind": args.kind, "sigma": args.sigma,
-                     "sigma_resolved": adj.sigma, "prune": args.prune, "n": adj.n,
-                     "nnz": adj.nnz, **written},
-                    started)
-    return 0
+    return out, {"kind": args.kind, "sigma": args.sigma, "sigma_resolved": adj.sigma,
+                 "prune": args.prune, "n": adj.n, "nnz": adj.nnz, **written}
 
 
-def cmd_resist(args) -> int:
-    started = time.perf_counter()
+def cmd_resist(args) -> tuple[Path, dict]:
     w, order, source = read_adjacency_csv(args.adjacency, meta=args.meta)
     if not order:
         raise ValueError(f"adjacency file {args.adjacency} has no entries and no meta lists "
@@ -322,20 +319,14 @@ def cmd_resist(args) -> int:
     out = _outdir(args)
     write_report_json(report, out / "resistance.json")
     write_report_csv(report, out / "resistance_hist.csv")
-    _write_manifest(out, args, [args.adjacency],
-                    {"mode": args.mode, "n": report.n, "mean": report.mean,
-                     "excluded_pairs": report.excluded_pairs,
-                     "adjacency_source": source,
-                     "nodes": order,
-                     "numerics": {"components": report.components,
-                                  "solver": report.solver,
-                                  "pinv_residual": report.pinv_residual}},
-                    started)
-    return 0
+    return out, {"mode": args.mode, "n": report.n, "mean": report.mean,
+                 "excluded_pairs": report.excluded_pairs, "adjacency_source": source,
+                 "nodes": order,
+                 "numerics": {"components": report.components, "solver": report.solver,
+                              "pinv_residual": report.pinv_residual}}
 
 
-def cmd_train(args) -> int:
-    started = time.perf_counter()
+def cmd_train(args) -> tuple[Path, dict]:
     config = _load_config(args.config)
     if config.has_section("period"):
         raise ValueError(f"config file {args.config}: [period] applies to qc, not train")
@@ -399,18 +390,12 @@ def cmd_train(args) -> int:
                 start=1):
             fh.write(f"{epoch},{lr!r},{mae!r},{clipped}\n")
     save_model(model, out / "checkpoint.json")
-    _write_manifest(out, args, [p for p in (args.edges, args.gauges, args.adjacency)
-                                if p is not None],
-                    {"kind": adj.kind, "sigma_resolved": adj.sigma,
-                     "adjacency_source": source,
-                     "history": args.history, "horizon": args.horizon,
-                     "latent": args.latent, "layers": args.layers,
-                     "epochs": args.epochs, "lr": args.lr,
-                     "optimizer": args.optimizer, "stride": args.stride,
-                     "train_frac": args.train_frac,
-                     "train_windows": int(x_tr.shape[0]),
-                     "test_windows": int(x_te.shape[0]),
-                     "final_train_mae": float(result.losses[-1]),
-                     "channels": channel_names, **ingest},
-                    started)
-    return 0
+    return out, {"kind": adj.kind, "sigma_resolved": adj.sigma, "adjacency_source": source,
+                 "history": args.history, "horizon": args.horizon,
+                 "latent": args.latent, "layers": args.layers,
+                 "epochs": args.epochs, "lr": args.lr,
+                 "optimizer": args.optimizer, "stride": args.stride,
+                 "train_frac": args.train_frac,
+                 "train_windows": int(x_tr.shape[0]), "test_windows": int(x_te.shape[0]),
+                 "final_train_mae": float(result.losses[-1]),
+                 "channels": channel_names, **ingest}

@@ -492,26 +492,34 @@ def test_adjacency_csv_bad_bodies_go_to_the_row_loop(tmp_path, body, nodes):
         rd.read_adjacency_csv(path, nodes=nodes)
 
 
-def test_adjacency_csv_read_with_a_meta_stops_at_the_first_bad_line(tmp_path):
-    """Given the node ids, rows are checked as they are read: a duplicate on line 3
-    is reported before the weight on line 5 that does not parse."""
+@pytest.mark.parametrize("meta", [True, False], ids=["with-meta", "without-meta"])
+def test_adjacency_csv_text_read_stops_at_the_first_bad_line(tmp_path, meta):
+    """Rows are checked as they are read, with the meta's node ids or with those the
+    rows name: a duplicate on line 3 is reported before the weight on line 5 that
+    does not parse."""
     path = tmp_path / "adjacency.csv"
     path.write_text("src,dst,weight\n0,1,0.5\n0,1,0.5\n1,0,1.0\n1,0,abc\n")
-    (tmp_path / "adjacency_meta.json").write_text('{"nodes": [0, 1]}')
+    if meta:
+        (tmp_path / "adjacency_meta.json").write_text('{"nodes": [0, 1]}')
     with pytest.raises(CsvFormatError, match=r"adjacency\.csv:3: duplicate entry \(0,1\)"):
         rd.read_adjacency_csv(path)
 
 
-def test_adjacency_csv_text_read_with_a_meta_holds_no_row_list(tmp_path):
-    """A 300-node dense text read over the meta's node ids holds the n^2 float64
-    matrix, its n^2 byte fill flags and one row at a time, not the 89,700 rows."""
+@pytest.mark.parametrize("meta", [True, False], ids=["with-meta", "without-meta"])
+def test_adjacency_csv_text_read_holds_no_row_list(tmp_path, meta):
+    """A 300-node dense text read, over the meta's node ids or over those a first pass
+    collects, holds the n^2 float64 matrix, its n^2 byte fill flags and one row at a
+    time, not the 89,700 rows."""
     n = 300
     path = tmp_path / "adjacency.csv"
     rd.write_adjacency_csv(_tree_adjacency("dense", n), path)
     meta_path = tmp_path / "adjacency_meta.json"
-    meta = json.loads(meta_path.read_text())
-    del meta["sidecar"]
-    meta_path.write_text(json.dumps(meta))
+    if meta:
+        info = json.loads(meta_path.read_text())
+        del info["sidecar"]
+        meta_path.write_text(json.dumps(info))
+    else:
+        meta_path.unlink()
     (w, _, source), peak = traced_peak(rd.read_adjacency_csv, path)
     assert source == "csv" and np.count_nonzero(w) == n * (n - 1)
     assert peak < 2 * n * n * 8 + 2**18

@@ -69,6 +69,36 @@ def test_no_command_exits_64(capsys):
     assert run_cli() == 64
 
 
+@pytest.mark.parametrize("case", ["qc", "rewire", "resist", "train", "train --adjacency"])
+def test_every_command_manifest_lists_its_inputs_and_times_the_run(basin8_dir, tmp_path,
+                                                                   case):
+    edges, gauges = basin8_dir / "edges.csv", basin8_dir / "gauges"
+    adjacency = tmp_path / "rw" / "adjacency.csv"
+    if case in ("resist", "train --adjacency"):
+        assert run_cli("rewire", "--edges", edges, "--out", adjacency.parent) == 0
+    train = ["train", "--edges", edges, "--gauges", gauges, "--history", "12",
+             "--horizon", "4", "--epochs", "1", "--latent", "4"]
+    argv, inputs = {
+        "qc": (["qc", "--edges", edges, "--gauges", gauges], [edges, gauges]),
+        "rewire": (["rewire", "--edges", edges], [edges]),
+        "resist": (["resist", "--adjacency", adjacency], [adjacency]),
+        "train": (train, [edges, gauges]),
+        "train --adjacency": (train + ["--adjacency", adjacency], [edges, gauges, adjacency]),
+    }[case]
+    out = tmp_path / "out"
+    started = time.perf_counter()
+    assert run_cli(*argv, "--out", out) == 0
+    elapsed = time.perf_counter() - started
+    manifest = strict_json(out / "manifest.json")
+    assert list(manifest) == ["command", "tool_version", "config_path", "input_paths",
+                              "output_dir", "seed", "wall_clock_seconds", "parameters"]
+    assert manifest["command"] == argv[0] and manifest["output_dir"] == str(out)
+    assert manifest["input_paths"] == [str(p) for p in inputs]
+    assert 0 < manifest["wall_clock_seconds"] <= elapsed
+    written = [p.stat().st_mtime_ns for p in out.iterdir() if p.name != "manifest.json"]
+    assert (out / "manifest.json").stat().st_mtime_ns >= max(written)
+
+
 # ---------------------------------------------------------------------------
 # qc
 
