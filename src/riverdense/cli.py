@@ -4,8 +4,8 @@ A command's handler reads its inputs, computes, creates --out only after
 every input is read, writes its outputs there and nowhere else, and returns
 ``(out, parameters)``. :func:`main` then writes ``manifest.json`` last,
 recording those effective parameters, the input paths and the wall time
-since the handler started. Exit codes: 0 success, 2 input error, 3 computation error,
-64 usage error.
+since the handler started. Exit codes: 0 success, 2 input error,
+3 computation error, 64 usage error.
 """
 
 from __future__ import annotations
