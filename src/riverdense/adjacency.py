@@ -365,9 +365,9 @@ def _read_adjacency_rows(path: Path, fh, order: list[int] | None):
                                  "node set") from None
         if filled[i * n + j]:
             raise CsvFormatError(path, lineno, f"duplicate entry ({src},{dst})")
-        if not math.isfinite(weight):
+        if not 0 <= weight < math.inf:
             raise CsvFormatError(path, lineno, f"weight {weight!r} of ({src},{dst}) is not "
-                                 "finite")
+                                 "finite and nonnegative")
         filled[i * n + j] = 1
         w[i, j] = weight
     return w, order

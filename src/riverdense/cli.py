@@ -35,7 +35,6 @@ from .resistance import resistance_report, write_report_csv, write_report_json
 _INPUT_ERRORS = (CsvFormatError, CycleDetected, DuplicateEdge, NonpositiveLength,
                  UnknownStation, FileNotFoundError, IsADirectoryError,
                  NotADirectoryError, ValueError)
-_CONFIG_OPTIONS = {"column_map": tuple(DEFAULT_COLUMN_MAP), "period": ("start", "end")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     qc = sub.add_parser("qc", help="screen gauges and emit the filtered network")
     qc.add_argument("--edges", required=True, help="edge CSV (src,dst,stream_length_km,elevation_diff_m)")
     qc.add_argument("--gauges", required=True, help="directory of per-station CSV files")
-    qc.add_argument("--config", default=None, help="INI config (column_map, period)")
+    qc.add_argument("--config", default=None, help="INI config ([column_map] only)")
     qc.add_argument("--period-start", default=None, help="ISO-8601 start of the study period")
     qc.add_argument("--period-end", default=None, help="ISO-8601 end (exclusive)")
     qc.add_argument("--out", required=True, help="output directory")
@@ -133,35 +132,6 @@ def entry() -> None:
 # ---------------------------------------------------------------------------
 # helpers
 
-def _load_config(path) -> configparser.ConfigParser:
-    """The parsed ``--config``, holding only the sections and options in
-    ``_CONFIG_OPTIONS``; values are taken literally, ``%`` included. No header
-    names the empty default section, so ``[DEFAULT]`` is an unknown section."""
-    config = configparser.ConfigParser(interpolation=None, default_section="")
-    if path is not None:
-        path = Path(path)
-        if not path.is_file():  # ConfigParser.read skips what it cannot open
-            raise FileNotFoundError(f"config file {path} does not exist or is not a file")
-        try:
-            config.read(path)
-        except configparser.Error as exc:
-            # a missing header or a repeat carries .lineno; ParsingError lists its lines
-            line = getattr(exc, "lineno", None) or exc.errors[0][0]
-            reason = (exc.message.splitlines()[0].split("]: ")[-1] if hasattr(exc, "lineno")
-                      else "expected a [section] header or an option = value line")
-            raise ValueError(f"config file {path}:{line}: {reason}") from None
-        for section in config.sections():
-            allowed = _CONFIG_OPTIONS.get(section)
-            if allowed is None:
-                raise ValueError(f"config file {path}: unknown section [{section}], expected "
-                                 + " or ".join(f"[{name}]" for name in _CONFIG_OPTIONS))
-            for option in config.options(section):
-                if option not in allowed:
-                    raise ValueError(f"config file {path}: unknown option {option!r} in "
-                                     f"[{section}], expected " + " or ".join(allowed))
-    return config
-
-
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -234,48 +204,70 @@ def _rewire(net, kind: str, sigma: str, prune: float = 0.0) -> AdjacencyMatrix:
                            RewireConfig(sigma=sigma, kind=kind, epsilon_prune=prune))
 
 
-def _period_bound(args, config: configparser.ConfigParser,
-                  bound: str) -> tuple[str | None, np.datetime64 | None, str]:
-    """The study period's start or end as given, as parsed, and where it
-    came from: --period-<bound>, else [period] <bound> in --config, else
-    (None, None) and the gauge data's union span that ``cmd_qc`` falls back
-    to. A value that does not parse, an empty one included, raises
-    ValueError naming the flag or the config option."""
+def _period_bound(args, bound: str) -> tuple[str | None, np.datetime64 | None, str]:
+    """The study period's start or end as given by --period-<bound>, as parsed,
+    and where it came from: the flag, else (None, None) and the gauge data's
+    union span that ``cmd_qc`` falls back to. A value that does not parse, an
+    empty one included, raises ValueError naming the flag."""
     text = getattr(args, f"period_{bound}")
-    source = f"--period-{bound}"
-    if text is None:
-        text = config.get("period", bound, fallback=None)
-        source = f"config file {args.config}: [period] {bound}"
     if text is None:
         return None, None, "the gauge data's union span"
     try:
-        return text, parse_timestamp(text), source
+        return text, parse_timestamp(text), f"--period-{bound}"
     except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
+        raise ValueError(f"--period-{bound}: {exc}") from None
 
 
-def _column_map(config: configparser.ConfigParser) -> dict[str, str]:
-    return {key: config.get("column_map", key, fallback=default)
-            for key, default in DEFAULT_COLUMN_MAP.items()}
+def _column_map(path) -> dict[str, str]:
+    """The gauge column names: the defaults, overridden by the ``[column_map]``
+    section of the INI file ``path`` when one is given. Values are taken
+    literally, ``%`` included; any other section (``[DEFAULT]`` too) or option,
+    undecodable bytes and malformed lines raise ValueError naming the file."""
+    cmap = dict(DEFAULT_COLUMN_MAP)
+    if path is None:
+        return cmap
+    path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"config file {path} does not exist or is not a file")
+    config = configparser.ConfigParser(interpolation=None, default_section="")
+    try:
+        config.read_string(path.read_text(encoding="utf-8"), source=str(path))
+    except UnicodeDecodeError:
+        raise ValueError(f"config file {CsvFormatError.undecodable(path)}") from None
+    except configparser.Error as exc:
+        # a missing header or a repeat carries .lineno; ParsingError lists its lines
+        line = getattr(exc, "lineno", None) or exc.errors[0][0]
+        reason = (exc.message.splitlines()[0].split("]: ")[-1] if hasattr(exc, "lineno")
+                  else "expected a [section] header or an option = value line")
+        raise ValueError(f"config file {path}:{line}: {reason}") from None
+    for section in config.sections():
+        if section != "column_map":
+            raise ValueError(f"config file {path}: unknown section [{section}], expected "
+                             "[column_map]")
+        for option, value in config.items(section):
+            if option not in cmap:
+                raise ValueError(f"config file {path}: unknown option {option!r} in "
+                                 "[column_map], expected " + " or ".join(DEFAULT_COLUMN_MAP))
+            cmap[option] = value
+    return cmap
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_qc(args) -> tuple[Path, dict]:
-    config = _load_config(args.config)
-    cmap = _column_map(config)
+    cmap = _column_map(args.config)
     net = read_edge_csv(args.edges)
     series, ingest = _read_gauge_dir(args.gauges, cmap)
 
-    start_text, start, start_source = _period_bound(args, config, "start")
-    end_text, end, end_source = _period_bound(args, config, "end")
+    start_text, start, start_source = _period_bound(args, "start")
+    end_text, end, end_source = _period_bound(args, "end")
     if start is None or end is None:
         # fall back to the union span of all series, end exclusive
         spans = [s.timestamps for s in series.values() if len(s)]
         if not spans:
             raise ValueError("no gauge file has a data row to take the study period from; "
-                             "pass --period-start and --period-end or set [period] in --config")
+                             "pass --period-start and --period-end")
         if start is None:
             start = min(t.min() for t in spans)
             start_text = str(start)
@@ -327,10 +319,7 @@ def cmd_resist(args) -> tuple[Path, dict]:
 
 
 def cmd_train(args) -> tuple[Path, dict]:
-    config = _load_config(args.config)
-    if config.has_section("period"):
-        raise ValueError(f"config file {args.config}: [period] applies to qc, not train")
-    cmap = _column_map(config)
+    cmap = _column_map(args.config)
     net = _read_stations(args.edges)
     series, ingest = _read_gauge_dir(args.gauges, cmap)
 

@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+from pathlib import Path
+
 
 class RiverDenseError(Exception):
     """Base class for every error raised by this package."""
@@ -56,3 +58,14 @@ class CsvFormatError(RiverDenseError):
         super().__init__(f"{path}:{line}: {message}")
         self.path = str(path)
         self.line = line
+
+    @classmethod
+    def undecodable(cls, path) -> "CsvFormatError":
+        """The error for the first byte of ``path`` that is not UTF-8, at its line."""
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:  # lines end as the csv module's do: \n, \r\n or \r
+            return cls(path, len((data[:exc.start] + b"x").splitlines()),
+                       f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})")
+        return cls(path, 0, "not UTF-8 when read, UTF-8 when read again")

@@ -69,35 +69,35 @@ class ForecastTask:
         return self.alpha_hist * self.feature_dim
 
 
+WEIGHT_DECAY = 1e-4                # decoupled, on the weight matrices and learned adjacency
+LR_HALVING_EPOCHS = (1, 50, 80)    # the lr halves after each of these epochs completes
+CLIP_NORM = 5.0                    # global gradient norm bound per batch
+BATCH_SIZE = 64                    # windows per batch; the last batch of an epoch may be short
+
+
 @dataclass
 class TrainConfig:
     """Optimization settings; loss is mean absolute error.
 
     The optimizer is Adam (beta1 0.9, beta2 0.999, eps 1e-8) with decoupled
-    weight decay on the weight matrices and the learned adjacency, applied
-    after each Adam step; the lr/halving defaults were tuned for it.
+    weight decay ``WEIGHT_DECAY`` on the weight matrices and the learned
+    adjacency, applied after each Adam step; the lr default and
+    ``LR_HALVING_EPOCHS`` were tuned for it.
     """
 
     lr: float = 2e-3
-    weight_decay: float = 1e-4
-    lr_halving_epochs: tuple[int, ...] = (1, 50, 80)
-    clip_norm: float = 5.0
     epochs: int = 100
-    batch_size: int = 64
     seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.lr < np.inf:  # false for NaN too
             raise ValueError(f"lr (--lr) must be positive and finite, got {self.lr!r}")
-        for name, value in (("weight_decay", self.weight_decay), ("clip_norm", self.clip_norm)):
-            if not 0 <= value < np.inf:
-                raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
-        _check_counts(("epochs (--epochs)", self.epochs), ("batch_size", self.batch_size))
+        _check_counts(("epochs (--epochs)", self.epochs))
 
     def lr_at(self, epoch: int) -> float:
         """Effective learning rate during a 1-indexed epoch; halvings apply
-        after each listed epoch completes."""
-        halvings = sum(1 for m in self.lr_halving_epochs if m < epoch)
+        after each epoch in ``LR_HALVING_EPOCHS`` completes."""
+        halvings = sum(1 for m in LR_HALVING_EPOCHS if m < epoch)
         return self.lr * 0.5 ** halvings
 
 
@@ -309,21 +309,16 @@ def forward(model: ForecastModel, history: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def input_jacobian(model: ForecastModel, u: int,
-                   history: np.ndarray | None = None) -> np.ndarray:
+def input_jacobian(model: ForecastModel, u: int, history: np.ndarray) -> np.ndarray:
     """(N, beta, alpha*C) Jacobian of node u's forecast; block v is its
     derivative w.r.t. node v's history window, in (alpha, C) order.
 
-    Evaluated at ``history`` (an all-ones window by default, since gradients
-    depend on the linearization point through the ReLU gates). One backward
-    pass: the window is tiled beta times on the batch axis and copy k seeds
-    d(forecast step k at node u), so copy k's input gradient is row k of
-    every block.
+    Evaluated at the (alpha, N, C) window ``history``, since gradients depend
+    on the linearization point through the ReLU gates. One backward pass: the
+    window is tiled beta times on the batch axis and copy k seeds d(forecast
+    step k at node u), so copy k's input gradient is row k of every block.
     """
-    task = model.task
-    beta = task.beta_horizon
-    if history is None:
-        history = np.ones((task.alpha_hist, model.n, task.feature_dim))
+    beta = model.task.beta_horizon
     history, single = _check_history(model, history)
     if not single:
         raise ShapeMismatch("input_jacobian expects a single window, not a batch")
@@ -360,11 +355,11 @@ def loss_and_gradients(model: ForecastModel, history: np.ndarray,
     return loss, grads
 
 
-def _clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> bool:
-    """Scale ``grads`` in place to ``max_norm``; True when they were clipped."""
+def _clip_global_norm(grads: dict[str, np.ndarray]) -> bool:
+    """Scale ``grads`` in place to ``CLIP_NORM``; True when they were clipped."""
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if max_norm > 0 and total > max_norm:
-        scale = max_norm / total
+    if total > CLIP_NORM:
+        scale = CLIP_NORM / total
         for g in grads.values():
             g *= scale
         return True
@@ -382,7 +377,8 @@ def train(model: ForecastModel, data, config: TrainConfig) -> TrainResult:
         ``(history, target)`` with shapes (S, alpha, N, C) and (S, beta, N),
         already split chronologically by the caller.
     config : TrainConfig
-        Learning rate, halving epochs, global-norm clipping, seed.
+        Learning rate, epoch count and shuffling seed; batches of
+        ``BATCH_SIZE`` windows are clipped to ``CLIP_NORM``.
 
     Returns
     -------
@@ -416,14 +412,14 @@ def train(model: ForecastModel, data, config: TrainConfig) -> TrainResult:
         lr = config.lr_at(epoch)
         order = rng.permutation(n_samples)
         epoch_abs_sum = 0.0
-        for start in range(0, n_samples, config.batch_size):
-            batch = order[start:start + config.batch_size]
+        for start in range(0, n_samples, BATCH_SIZE):
+            batch = order[start:start + BATCH_SIZE]
             loss, grads = loss_and_gradients(model, history[batch], target[batch])
             if not np.isfinite(loss):
                 raise NonfiniteLoss(f"non-finite loss at epoch {epoch}, "
-                                    f"batch {start // config.batch_size}, lr {lr}")
+                                    f"batch {start // BATCH_SIZE}, lr {lr}")
             epoch_abs_sum += loss * batch.size
-            clipped[epoch - 1] += _clip_global_norm(grads, config.clip_norm)
+            clipped[epoch - 1] += _clip_global_norm(grads)
             grad = grads["w_in"].base  # the whole gradient vector, laid out as flat
             steps += 1
             # m = beta1 * m + (1 - beta1) * grad and so on, operation for operation
@@ -435,9 +431,8 @@ def train(model: ForecastModel, data, config: TrainConfig) -> TrainResult:
             denom += eps
             np.multiply(lr, np.divide(m, 1 - beta1 ** steps, out=step), out=step)
             flat -= np.divide(step, denom, out=step)  # lr * m_hat / (sqrt(v_hat) + eps)
-            if config.weight_decay:
-                np.subtract(flat, np.multiply(lr * config.weight_decay, flat, out=step),
-                            out=flat, where=decay_mask)
+            np.subtract(flat, np.multiply(lr * WEIGHT_DECAY, flat, out=step),
+                        out=flat, where=decay_mask)
         losses[epoch - 1] = epoch_abs_sum / n_samples
         lrs[epoch - 1] = lr
     return TrainResult(losses=losses, lrs=lrs, clipped=clipped)
@@ -467,6 +462,8 @@ ELEV_RANGE_M = (0.5, 30.0)      # elevation drop of each generated edge
 CHAIN_BIAS = 0.5                # chance a new node extends the latest branch
 WAVE_SPEED_KMH = 0.5            # flood-wave celerity; lag = length / speed
 RELEASE_RANGE = (0.1, 0.35)     # per-node linear-reservoir release fraction
+RAIN_PROB = 0.12                # chance of a storm at a node in a given hour
+GAUGE_START = np.datetime64("2000-01-01T00:00:00", "s")  # first stamp of the gauge CSVs
 
 
 @dataclass
@@ -509,8 +506,7 @@ def random_river_tree(size: int, rng: np.random.Generator) -> RiverNetwork:
     return build_network(range(size), edges)
 
 
-def generate_basin(size: int, seed: int, hours: int = 2400,
-                   rain_prob: float = 0.12) -> SyntheticBasin:
+def generate_basin(size: int, seed: int, hours: int = 2400) -> SyntheticBasin:
     """Generate a random basin and simulate its discharge series.
 
     Discharge at each node is the lagged sum of upstream discharge plus a
@@ -530,7 +526,7 @@ def generate_basin(size: int, seed: int, hours: int = 2400,
     routing = {(e.src, e.dst): max(1, int(round(e.stream_length / WAVE_SPEED_KMH)))
                for e in net.edges}
 
-    storms = rng.random((hours, n)) < rain_prob
+    storms = rng.random((hours, n)) < RAIN_PROB
     rainfall = np.where(storms, rng.gamma(2.0, 2.0, size=(hours, n)), 0.0)
 
     # linear reservoir per node: local[t] = (1-a) local[t-1] + a rain[t]
@@ -682,17 +678,15 @@ def load_model(path) -> ForecastModel:
     return model
 
 
-def basin_to_gauge_csvs(basin: SyntheticBasin, directory,
-                        start: str = "2000-01-01T00:00:00Z") -> list[Path]:
-    """Write one `timestamp,qobs,rain` CSV per station, hourly from ``start``.
+def basin_to_gauge_csvs(basin: SyntheticBasin, directory) -> list[Path]:
+    """Write one `timestamp,qobs,rain` CSV per station, hourly from ``GAUGE_START``.
 
     Lines are written as :mod:`csv` writes them: ``repr`` values and ``\\r\\n``
     endings.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    t0 = np.datetime64(start.replace("Z", ""), "s")
-    hours = t0 + np.arange(basin.hours) * np.timedelta64(1, "h")
+    hours = GAUGE_START + np.arange(basin.hours) * np.timedelta64(1, "h")
     stamps = [f"{stamp}Z" for stamp in np.datetime_as_string(hours).tolist()]
     written = []
     for station in basin.network.nodes:

@@ -209,7 +209,7 @@ def read_csv_rows(path: Path, fh, header: Sequence[str],
     of the wrong width, or a cell its converter rejects raises
     :class:`CsvFormatError` at its file:line.
     """
-    reader = csv.reader(fh)
+    reader = csv.reader(_decoded_lines(path, fh))
     try:
         first = next(reader)
     except StopIteration:
@@ -217,6 +217,14 @@ def read_csv_rows(path: Path, fh, header: Sequence[str],
     if tuple(h.strip() for h in first) != tuple(header):
         raise CsvFormatError(path, 1, f"bad header {first!r}, expected " + ",".join(header))
     return _converted_rows(path, reader, converters)
+
+
+def _decoded_lines(path: Path, fh) -> Iterator[str]:
+    try:
+        for line in fh:  # not yield from, which closes fh when the rows are dropped
+            yield line
+    except UnicodeDecodeError:
+        raise CsvFormatError.undecodable(path) from None
 
 
 def _converted_rows(path: Path, reader, converters) -> Iterator[tuple[int, list]]:

@@ -73,17 +73,16 @@ class QCReport:
 # ---------------------------------------------------------------------------
 # quality control
 
-def qc_station(series: GaugeSeries, period_start, period_end) -> QCReport:
+def qc_station(series: GaugeSeries, start: np.datetime64, end: np.datetime64) -> QCReport:
     """Count negative discharge values and missing hourly slots.
 
     Only strictly negative values count; zero is a valid reading. Missing
-    slots are counted over [period_start, period_end): a slot counts as
-    present only when an exactly grid-aligned timestamp with a finite
-    reading on every channel exists; duplicated timestamps are counted as
-    gaps on top, so a series that repeats an hour can never pass.
+    slots are counted over [start, end), two ``np.datetime64`` instants such
+    as :func:`parse_timestamp` returns: a slot counts as present only when an
+    exactly grid-aligned timestamp with a finite reading on every channel
+    exists; duplicated timestamps are counted as gaps on top, so a series
+    that repeats an hour can never pass.
     """
-    start = _as_datetime64(period_start)
-    end = _as_datetime64(period_end)
     if not start < end:
         raise ValueError(f"period_start {start} must precede period_end {end}")
     expected = int((end - start) // HOUR)
@@ -104,24 +103,12 @@ def qc_station(series: GaugeSeries, period_start, period_end) -> QCReport:
     return QCReport(series.station, negative_count=negative, missing_hours=missing)
 
 
-def _as_datetime64(value) -> np.datetime64:
-    if isinstance(value, np.datetime64):
-        return value.astype("datetime64[s]")
-    if isinstance(value, datetime):
-        return _whole_utc_second(value, value.isoformat())
-    return parse_timestamp(str(value))
-
-
 def parse_timestamp(text: str) -> np.datetime64:
     """Parse an ISO-8601 UTC instant ('Z' or '+00:00' suffix or naive) to the second.
 
     Another offset, or a nonzero fraction of a second, raises ``ValueError``.
     """
-    cleaned = text.strip().replace("Z", "+00:00")
-    return _whole_utc_second(datetime.fromisoformat(cleaned), text)
-
-
-def _whole_utc_second(dt: datetime, text: str) -> np.datetime64:
+    dt = datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
     if dt.tzinfo is not None:
         if dt.utcoffset():
             raise ValueError(f"timestamp {text!r} is not UTC")
@@ -206,7 +193,10 @@ def read_gauge_csv(path, column_map: dict[str, str] | None = None, *,
     if series is None:
         if fallbacks is not None:
             fallbacks.append(path)
-        series = _read_gauge_rows(path, station, cmap)
+        try:
+            series = _read_gauge_rows(path, station, cmap)
+        except UnicodeDecodeError:
+            raise CsvFormatError.undecodable(path) from None
     return series
 
 
@@ -231,7 +221,8 @@ def _read_gauge_columns(path: Path, station: int, cmap: dict[str, str]) -> Gauge
             fields = next(csv.reader([header]), [])
             ts_name, q_name = cmap["timestamp"], cmap["discharge"]
             if (ts_name == q_name or ts_name not in fields or q_name not in fields
-                    or len(set(fields)) != len(fields)):
+                    or len(set(fields)) != len(fields)
+                    or "discharge" in fields and "discharge" not in (ts_name, q_name)):
                 return None
             if _TEXT.search(data, len(header.encode("utf-8"))) is None:
                 return GaugeSeries(station, [], [])  # no line after the header has text
@@ -289,6 +280,9 @@ def _read_gauge_rows(path: Path, station: int, cmap: dict[str, str]) -> GaugeSer
         if repeated:
             raise CsvFormatError(path, 1, f"repeated columns {repeated} in header")
         feature_cols = [c for c in fields if c not in (cmap["timestamp"], cmap["discharge"])]
+        if "discharge" in feature_cols:  # it would replace the mapped column in channels()
+            raise CsvFormatError(path, 1, f"column 'discharge' would shadow the discharge "
+                                 f"channel, which is read from column {cmap['discharge']!r}")
         for row in reader:
             # DictReader pads a short row with None and files extra cells under None
             if None in row or None in row.values():

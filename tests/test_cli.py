@@ -291,7 +291,7 @@ def test_qc_header_only_gauges_without_period_exits_2_naming_flags(basin8_dir, t
                        "--gauges", gauges, "--out", tmp_path / "qc")
     assert code == 2
     err = capsys.readouterr().err
-    assert "--period-start" in err and "[period]" in err
+    assert "--period-start" in err and "[period]" not in err
     assert caught == []
 
 
@@ -321,7 +321,7 @@ def test_qc_honors_config_column_map(basin8_dir, tmp_path, flow):
 @pytest.mark.parametrize("command", ["qc", "train"])
 @pytest.mark.parametrize("text, line", [
     ("timestamp = when\n", 1),
-    ("[period]\nstart = 2000-01-01T00:00:00Z\nstart = 2000-01-02T00:00:00Z\n", 3),
+    ("[column_map]\ndischarge = flow\ndischarge = q\n", 3),
 ], ids=["no-section-header", "repeated-option"])
 def test_malformed_config_exits_2_naming_file_and_line(basin8_dir, tmp_path, capsys,
                                                        command, text, line):
@@ -338,10 +338,12 @@ def test_malformed_config_exits_2_naming_file_and_line(basin8_dir, tmp_path, cap
 @pytest.mark.parametrize("command", ["qc", "train"])
 @pytest.mark.parametrize("text, named", [
     ("[colum_map]\ndischarge = flow\n", "unknown section [colum_map]"),
-    ("[period]\nbegin = 2000-01-01T00:00:00Z\n", "unknown option 'begin' in [period]"),
+    ("[column_map]\nflow = q\n", "unknown option 'flow' in [column_map]"),
     ("[DEFAULT]\nstart = 2000-01-01T00:00:00Z\n", "unknown section [DEFAULT]"),
+    ("[period]\nstart = 2000-01-01T00:00:00Z\n", "unknown section [period], expected "
+                                                  "[column_map]"),
     (None, "is not a file"),
-], ids=["section", "option", "default-section", "directory"])
+], ids=["section", "option", "default-section", "period-section", "directory"])
 def test_unusable_config_exits_2_naming_it(basin8_dir, tmp_path, capsys, command, text,
                                            named):
     config = tmp_path / "config.ini"
@@ -358,59 +360,52 @@ def test_unusable_config_exits_2_naming_it(basin8_dir, tmp_path, capsys, command
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags, text, named", [
-    ([], "[period]\nstart = 50%\n",
-     "config file {config}: [period] start: Invalid isoformat string: '50%'"),
-    ([], "[period]\nend =\n", "config file {config}: [period] end: Invalid isoformat string: ''"),
-    (["--period-start", "50%"], "", "--period-start: Invalid isoformat string: '50%'"),
-    (["--period-end", ""], "", "--period-end: Invalid isoformat string: ''"),
-    (["--period-start", "2000-01-01T00:00:00Z"], "[period]\nend = 2000-01-21T00:00:00+02:00\n",
-     "config file {config}: [period] end: timestamp '2000-01-21T00:00:00+02:00' is not UTC"),
-], ids=["config-unparsable", "config-empty", "flag-unparsable", "flag-empty", "config-offset"])
+@pytest.mark.parametrize("flags, named", [
+    (["--period-start", "50%"], "--period-start: Invalid isoformat string: '50%'"),
+    (["--period-end", ""], "--period-end: Invalid isoformat string: ''"),
+    (["--period-start", "2000-01-01T00:00:00Z", "--period-end", "2000-01-21T00:00:00+02:00"],
+     "--period-end: timestamp '2000-01-21T00:00:00+02:00' is not UTC"),
+    (["--period-start", "2000-01-01T00:00:00.5Z"],
+     "--period-start: timestamp '2000-01-01T00:00:00.5Z' has a fraction of a second"),
+], ids=["flag-unparsable", "flag-empty", "flag-offset", "flag-fraction"])
 def test_qc_bad_period_value_exits_2_naming_its_source(basin8_dir, tmp_path, capsys,
-                                                       flags, text, named):
-    config = tmp_path / "config.ini"
-    config.write_text(text)
+                                                       flags, named):
     out = tmp_path / "out"
     code = run_cli("qc", "--edges", basin8_dir / "edges.csv", "--gauges", basin8_dir / "gauges",
-                   "--config", config, *flags, "--out", out)
+                   *flags, "--out", out)
     assert code == 2
     err = capsys.readouterr().err
-    assert named.format(config=config) in err and "Traceback" not in err
+    assert named in err and "Traceback" not in err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags, text, named", [
-    (["--period-start", "2000-01-10T00:00:00Z", "--period-end", "2000-01-01T00:00:00Z"], "",
+@pytest.mark.parametrize("flags, named", [
+    (["--period-start", "2000-01-10T00:00:00Z", "--period-end", "2000-01-01T00:00:00Z"],
      "start 2000-01-10T00:00:00 (--period-start) must precede "
      "its end 2000-01-01T00:00:00 (--period-end)"),
-    ([], "[period]\nstart = 2000-01-05T00:00:00Z\nend = 2000-01-05T00:00:00Z\n",
-     "start 2000-01-05T00:00:00 (config file {config}: [period] start) must precede "
-     "its end 2000-01-05T00:00:00 (config file {config}: [period] end)"),
-    (["--period-start", "2000-03-10T00:00:00Z"], "",
+    (["--period-start", "2000-01-05T00:00:00Z", "--period-end", "2000-01-05T00:00:00+00:00"],
+     "start 2000-01-05T00:00:00 (--period-start) must precede "
+     "its end 2000-01-05T00:00:00 (--period-end)"),
+    (["--period-start", "2000-03-10T00:00:00Z"],
      "start 2000-03-10T00:00:00 (--period-start) must precede "
      "its end 2000-01-21T00:00:00 (the gauge data's union span)"),
-], ids=["flag-flag-inverted", "config-config-equal", "flag-fallback"])
+], ids=["flag-flag-inverted", "flag-flag-equal", "flag-fallback"])
 def test_qc_empty_period_exits_2_naming_both_sources(basin8_dir, tmp_path, capsys,
-                                                     flags, text, named):
-    config = tmp_path / "config.ini"
-    config.write_text(text)
+                                                     flags, named):
     out = tmp_path / "out"
     code = run_cli("qc", "--edges", basin8_dir / "edges.csv", "--gauges", basin8_dir / "gauges",
-                   "--config", config, *flags, "--out", out)
+                   *flags, "--out", out)
     assert code == 2
     err = capsys.readouterr().err
-    assert named.format(config=config) in err and "Traceback" not in err
+    assert named in err and "Traceback" not in err
     assert not out.exists()
 
 
 def test_qc_manifest_records_period_text_as_given(basin8_dir, tmp_path):
-    config = tmp_path / "config.ini"
-    config.write_text("[period]\nstart = 1999-01-01T00:00:00Z\nend = 2000-01-21T00:00:00+00:00\n")
     out, union = tmp_path / "qc", tmp_path / "union"
     assert run_cli("qc", "--edges", basin8_dir / "edges.csv", "--gauges", basin8_dir / "gauges",
-                   "--config", config, "--period-start", "2000-01-01T00:00:00Z",
-                   "--out", out) == 0
+                   "--period-start", "2000-01-01T00:00:00Z",
+                   "--period-end", "2000-01-21T00:00:00+00:00", "--out", out) == 0
     assert run_cli("qc", "--edges", basin8_dir / "edges.csv", "--gauges", basin8_dir / "gauges",
                    "--out", union) == 0
     params = json.loads((out / "manifest.json").read_text())["parameters"]
@@ -675,6 +670,61 @@ def test_resist_nonfinite_weight_exits_2_at_its_line(tmp_path, capsys, value, mo
     out = tmp_path / "rs"
     assert run_cli("resist", "--adjacency", adj, "--mode", mode, "--out", out) == 2
     assert f"{adj}:2: weight {float(value)!r} of (1,2) is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["edges", "gauge", "config", "adjacency", "adjacency-npy",
+                                  "negative-weight"])
+def test_bad_input_exits_2_naming_file_and_line(basin8_dir, tmp_path, capsys, case):
+    bad, line, reason = tmp_path / "bad.csv", 3, "byte 0x93 is not UTF-8"
+    if case == "edges":
+        bad.write_bytes(b"src,dst,stream_length_km,elevation_diff_m\r\n1,2,1.0,0.5\r\n"
+                        b"2,3,\x93,0.5\r\n")
+        argv = ["rewire", "--edges", bad]
+    elif case in ("gauge", "config"):
+        gauges = tmp_path / "gauges"
+        shutil.copytree(basin8_dir / "gauges", gauges)
+        argv = ["qc", "--edges", basin8_dir / "edges.csv", "--gauges", gauges]
+        if case == "gauge":  # past the first 8 KiB the text reader decodes
+            bad, line = gauges / "3.csv", 400
+            rows = bad.read_bytes().splitlines(keepends=True)
+            rows[line - 1] = b"\x93" + rows[line - 1][1:]
+            bad.write_bytes(b"".join(rows))
+        else:
+            bad, line = tmp_path / "config.ini", 2
+            bad.write_bytes(b"[column_map]\ndischarge = fl\x93w\n")
+            argv += ["--config", bad]
+    elif case == "adjacency-npy":
+        bad, line = tmp_path / "adjacency.npy", 1
+        np.save(bad, np.eye(2))
+        argv = ["resist", "--adjacency", bad]
+    else:
+        weight = b"\x93" if case == "adjacency" else b"-0.5"
+        bad.write_bytes(b"src,dst,weight\r\n1,2,1.0\r\n2,3," + weight + b"\r\n")
+        argv = ["resist", "--adjacency", bad]
+        if case == "negative-weight":
+            reason = "weight -0.5 of (2,3) is not finite and nonnegative"
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", out) == 2
+    assert f"{bad}:{line}: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["qc", "train"])
+def test_gauge_column_named_discharge_exits_2_naming_it(basin8_dir, tmp_path, capsys, command):
+    # it would replace the mapped qobs column as the discharge channel
+    gauges = tmp_path / "gauges"
+    gauges.mkdir()
+    for src in (basin8_dir / "gauges").glob("*.csv"):
+        rows = src.read_text().splitlines()
+        (gauges / src.name).write_text("\n".join([rows[0] + ",discharge"]
+                                                 + [row + ",7.5" for row in rows[1:]]) + "\n")
+    out = tmp_path / "out"
+    assert run_cli(command, "--edges", basin8_dir / "edges.csv", "--gauges", gauges,
+                   "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"{gauges / '0.csv'}:1: column 'discharge' would shadow the discharge channel" in err
+    assert "'qobs'" in err
     assert not out.exists()
 
 
@@ -1197,7 +1247,7 @@ def test_train_refuses_a_config_period_section(basin8_dir, tmp_path, capsys):
     assert run_cli("train", "--edges", basin8_dir / "edges.csv",
                    "--gauges", basin8_dir / "gauges", "--config", config, "--history", "12",
                    "--horizon", "4", "--epochs", "1", "--out", out) == 2
-    assert (f"config file {config}: [period] applies to qc, not train"
+    assert (f"config file {config}: unknown section [period], expected [column_map]"
             in capsys.readouterr().err)
     assert not out.exists()
 

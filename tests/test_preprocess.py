@@ -1,5 +1,5 @@
 import warnings
-from datetime import datetime, timedelta, timezone
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -235,6 +235,20 @@ def test_read_gauge_csv_column_map(tmp_path):
     assert series.discharge.tolist() == [4.0]
 
 
+def test_read_gauge_csv_refuses_a_feature_named_discharge(tmp_path):
+    path = tmp_path / "3.csv"
+    path.write_text("timestamp,qobs,discharge\n2000-01-01T00:00:00Z,4.0,7.5\n")
+    with pytest.raises(CsvFormatError, match=r"3\.csv:1: column 'discharge' would shadow "
+                                             r"the discharge channel, which is read from "
+                                             r"column 'qobs'"):
+        rd.read_gauge_csv(path)
+    # mapped as the discharge column, it is that channel; qobs is then a feature
+    path.write_text("timestamp,discharge,qobs\n2000-01-01T00:00:00Z,4.0,7.5\n")
+    series = rd.read_gauge_csv(path, {"discharge": "discharge"})
+    assert {k: v.tolist() for k, v in series.channels().items()} == {"discharge": [4.0],
+                                                                       "qobs": [7.5]}
+
+
 def test_read_gauge_csv_errors(tmp_path):
     bad_name = tmp_path / "stationX.csv"
     bad_name.write_text("timestamp,qobs\n")
@@ -279,18 +293,6 @@ def test_read_gauge_csv_fraction_of_a_second_names_the_file_line(tmp_path):
     path.write_text("timestamp,qobs\n2000-01-01T00:00:00Z,1.0\n2000-01-01T01:00:00.5Z,2.0\n")
     with pytest.raises(CsvFormatError, match=r"6\.csv:3: timestamp '2000-01-01T01:00:00\.5Z'"):
         rd.read_gauge_csv(path)
-
-
-def test_qc_period_bounds_follow_the_utc_rule():
-    series = hourly_series(1, np.ones(48))
-    utc = rd.qc_station(series, datetime(2000, 1, 1, tzinfo=timezone.utc),
-                        datetime(2000, 1, 3, tzinfo=timezone.utc))
-    assert utc == rd.qc_station(series, T0, T0 + 48 * HOUR)
-    plus2 = timezone(timedelta(hours=2))
-    with pytest.raises(ValueError, match="not UTC"):
-        rd.qc_station(series, datetime(2000, 1, 1, 12, tzinfo=plus2), T0 + 48 * HOUR)
-    with pytest.raises(ValueError, match="fraction of a second"):
-        rd.qc_station(series, datetime(2000, 1, 1, 0, 0, 0, 500), T0 + 48 * HOUR)
 
 
 # ---------------------------------------------------------------------------

@@ -336,14 +336,14 @@ def reference_train(model: rd.ForecastModel, data, config: rd.TrainConfig) -> rd
         lr = config.lr_at(epoch)
         order = rng.permutation(n_samples)
         epoch_abs_sum = 0.0
-        for start in range(0, n_samples, config.batch_size):
-            batch = order[start:start + config.batch_size]
+        for start in range(0, n_samples, rd.forecast.BATCH_SIZE):
+            batch = order[start:start + rd.forecast.BATCH_SIZE]
             loss, grads = rd.loss_and_gradients(model, history[batch], target[batch])
             grads = {name: grad.copy() for name, grad in grads.items()}  # one array each
             epoch_abs_sum += loss * batch.size
             total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-            if config.clip_norm > 0 and total > config.clip_norm:
-                scale = config.clip_norm / total
+            if total > rd.forecast.CLIP_NORM:
+                scale = rd.forecast.CLIP_NORM / total
                 for g in grads.values():
                     g *= scale
                 clipped[epoch - 1] += 1
@@ -355,10 +355,9 @@ def reference_train(model: rd.ForecastModel, data, config: rd.TrainConfig) -> rd
                 v_hat = moment2[name] / (1 - beta2 ** steps)
                 param = model.params[name]
                 param -= lr * m_hat / (np.sqrt(v_hat) + eps)
-            if config.weight_decay:
-                for name in decayed:
-                    param = model.params[name]
-                    param -= lr * config.weight_decay * param
+            for name in decayed:
+                param = model.params[name]
+                param -= lr * rd.forecast.WEIGHT_DECAY * param
         losses[epoch - 1] = epoch_abs_sum / n_samples
         lrs[epoch - 1] = lr
     return rd.TrainResult(losses=losses, lrs=lrs, clipped=clipped)
