@@ -222,7 +222,7 @@ def _read_gauge_columns(path: Path, station: int, cmap: dict[str, str]) -> Gauge
             ts_name, q_name = cmap["timestamp"], cmap["discharge"]
             if (ts_name == q_name or ts_name not in fields or q_name not in fields
                     or len(set(fields)) != len(fields)
-                    or "discharge" in fields and "discharge" not in (ts_name, q_name)):
+                    or ("discharge" in fields and "discharge" not in (ts_name, q_name))):
                 return None
             if _TEXT.search(data, len(header.encode("utf-8"))) is None:
                 return GaugeSeries(station, [], [])  # no line after the header has text
