@@ -13,9 +13,9 @@ from .adjacency import (ADJACENCY_KINDS, AdjacencyMatrix, RewireConfig,
 from .resistance import (BoundParams, LaplacianBundle, ResistanceReport,
                          graph_laplacian, jacobian_bound, pairwise_resistances,
                          resistance_report, write_report_csv, write_report_json)
-from .preprocess import (GaugeSeries, QCReport, bypass_remove, extract_subgraph,
-                         parse_timestamp, qc_station, read_gauge_csv,
-                         write_qc_json)
+from .preprocess import (GaugeSeries, GaugeTally, QCReport, bypass_remove,
+                         extract_subgraph, parse_timestamp, qc_station,
+                         read_gauge_csv, write_qc_json)
 from .forecast import (ForecastModel, ForecastTask, SyntheticBasin, TrainConfig,
                        TrainResult, basin_to_gauge_csvs, forward, generate_basin,
                        input_jacobian, load_model, loss_and_gradients, nse,

@@ -28,7 +28,7 @@ from .errors import (CsvFormatError, CycleDetected, DuplicateEdge,
 from .forecast import (ForecastModel, ForecastTask, TrainConfig, nse_by_horizon,
                        prepare_dataset, save_model, train)
 from .network import RiverNetwork, read_edge_csv, topological_distances, write_edge_csv
-from .preprocess import (DEFAULT_COLUMN_MAP, GaugeSeries, extract_subgraph,
+from .preprocess import (DEFAULT_COLUMN_MAP, GaugeSeries, GaugeTally, extract_subgraph,
                          parse_timestamp, qc_station, read_gauge_csv, write_qc_json)
 from .resistance import resistance_report, write_report_csv, write_report_json
 
@@ -156,9 +156,10 @@ def _write_manifest(out: Path, args, parameters: dict, started: float) -> None:
                                        encoding="utf-8")
 
 
-def _read_gauge_dir(gauge_dir, column_map) -> tuple[dict[int, GaugeSeries], dict]:
-    """Every station's series, plus the manifest's ingest counts: rows read
-    and files that took the row-by-row reader."""
+def _read_gauge_dir(gauge_dir, column_map, keep=lambda gauge: gauge) -> tuple[dict, dict]:
+    """``keep`` of every station's series, taken as each file is read, plus the
+    manifest's ingest counts: rows read and files that took the row-by-row
+    reader."""
     gauge_dir = Path(gauge_dir)
     if not gauge_dir.is_dir():
         raise NotADirectoryError(f"gauge directory {gauge_dir} does not exist or is not a "
@@ -166,15 +167,16 @@ def _read_gauge_dir(gauge_dir, column_map) -> tuple[dict[int, GaugeSeries], dict
     files = sorted(gauge_dir.glob("*.csv"))
     if not files:
         raise FileNotFoundError(f"no stations found in {gauge_dir}")
-    series, sources, rows, fallbacks = {}, {}, 0, []
+    kept, sources, rows, fallbacks = {}, {}, 0, []
     for path in files:
         gauge = read_gauge_csv(path, column_map, fallbacks=fallbacks)
         if gauge.station in sources:
             raise ValueError(f"gauge files {sources[gauge.station]} and {path} both hold "
                              f"station {gauge.station}")
-        series[gauge.station], sources[gauge.station] = gauge, path
+        kept[gauge.station], sources[gauge.station] = keep(gauge), path
         rows += len(gauge)
-    return series, {"rows_ingested": rows, "row_loop_files": len(fallbacks)}
+        del gauge  # not held while the next file is read
+    return kept, {"rows_ingested": rows, "row_loop_files": len(fallbacks)}
 
 
 def _read_stations(path) -> RiverNetwork:
@@ -258,29 +260,30 @@ def _column_map(path) -> dict[str, str]:
 def cmd_qc(args) -> tuple[Path, dict]:
     cmap = _column_map(args.config)
     net = read_edge_csv(args.edges)
-    series, ingest = _read_gauge_dir(args.gauges, cmap)
+    tallies, ingest = _read_gauge_dir(args.gauges, cmap, keep=GaugeTally)
 
     start_text, start, start_source = _period_bound(args, "start")
     end_text, end, end_source = _period_bound(args, "end")
     if start is None or end is None:
         # fall back to the union span of all series, end exclusive
-        spans = [s.timestamps for s in series.values() if len(s)]
+        spans = [t.span for t in tallies.values() if t.span is not None]
         if not spans:
             raise ValueError("no gauge file has a data row to take the study period from; "
                              "pass --period-start and --period-end")
         if start is None:
-            start = min(t.min() for t in spans)
+            start = min(first for first, _ in spans)
             start_text = str(start)
         if end is None:
-            end = max(t.max() for t in spans) + np.timedelta64(1, "h")
+            end = max(last for _, last in spans) + np.timedelta64(1, "h")
             end_text = str(end)
     if not start < end:
         raise ValueError(f"study period start {start} ({start_source}) must precede "
                          f"its end {end} ({end_source})")
 
     # a network node without a gauge file fails by vacuous coverage
-    reports = [qc_station(series[s] if s in series else GaugeSeries(s, [], []), start, end)
-               for s in sorted(set(series) | set(net.nodes))]
+    reports = [qc_station(tallies[s] if s in tallies else GaugeTally(GaugeSeries(s, [], [])),
+                          start, end)
+               for s in sorted(set(tallies) | set(net.nodes))]
     keep = {r.station for r in reports if r.passed} & set(net.nodes)
     filtered = extract_subgraph(net, keep)
 

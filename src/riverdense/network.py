@@ -228,7 +228,8 @@ def _decoded_lines(path: Path, fh) -> Iterator[str]:
 
 
 def _converted_rows(path: Path, reader, converters) -> Iterator[tuple[int, list]]:
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
+        lineno = reader.line_num  # physical: a quoted cell may hold a line break
         if not "".join(row).strip():
             continue
         if len(row) != len(converters):

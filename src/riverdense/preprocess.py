@@ -23,6 +23,7 @@ from .errors import CsvFormatError, UnknownStation
 from .network import Edge, RiverNetwork, build_network
 
 HOUR = np.timedelta64(1, "h")
+_HOUR_S = 3600
 DEFAULT_COLUMN_MAP = {"timestamp": "timestamp", "discharge": "qobs"}
 
 
@@ -73,34 +74,67 @@ class QCReport:
 # ---------------------------------------------------------------------------
 # quality control
 
-def qc_station(series: GaugeSeries, start: np.datetime64, end: np.datetime64) -> QCReport:
-    """Count negative discharge values and missing hourly slots.
+@dataclass(frozen=True, slots=True, init=False, eq=False)
+class GaugeTally:
+    """What :func:`qc_station` needs of one station's series, whatever the period.
+
+    ``span`` is the first and last stamp of any row (None for an empty
+    series). ``runs`` is a read-only (k, 2) int64 array of runs of consecutive
+    present hours, each its first second since the epoch and its length; an
+    hour is present when its stamp occurs and every channel of every row at
+    that stamp is finite. ``duplicates`` counts the rows that repeat an
+    earlier stamp and ``negative`` the strictly negative discharge readings.
+    The tally is a few numbers per run, so a caller can drop the series.
+    """
+
+    station: int
+    span: tuple[np.datetime64, np.datetime64] | None
+    runs: np.ndarray
+    duplicates: int
+    negative: int
+
+    def __init__(self, series: GaugeSeries):
+        stamps = series.timestamps
+        unique, counts = np.unique(stamps, return_counts=True)
+        finite = True
+        for values in series.channels().values():
+            finite = finite & (values < np.inf) & (values > -np.inf)
+        present = unique
+        if not finite.all():  # an hour where any channel reads NaN or ±inf is missing
+            present = unique[~np.isin(unique, stamps[~finite])]
+        seconds = present.astype(np.int64)
+        heads = np.flatnonzero(np.diff(seconds, prepend=seconds[:1]) != _HOUR_S)
+        runs = np.column_stack([seconds[heads], np.diff(heads, append=seconds.size)])
+        runs.flags.writeable = False
+        set_field = object.__setattr__  # the instance is frozen
+        set_field(self, "station", series.station)
+        set_field(self, "span", (unique[0], unique[-1]) if unique.size else None)
+        set_field(self, "runs", runs)
+        set_field(self, "duplicates", int((counts - 1).sum()))
+        set_field(self, "negative", int(np.sum(series.discharge < 0)))
+
+
+def qc_station(tally: GaugeTally, start: np.datetime64, end: np.datetime64) -> QCReport:
+    """Count negative discharge values and missing hourly slots of a station.
 
     Only strictly negative values count; zero is a valid reading. Missing
-    slots are counted over [start, end), two ``np.datetime64`` instants such
-    as :func:`parse_timestamp` returns: a slot counts as present only when an
-    exactly grid-aligned timestamp with a finite reading on every channel
-    exists; duplicated timestamps are counted as gaps on top, so a series
-    that repeats an hour can never pass.
+    slots are counted over [start, end), two whole-second ``np.datetime64``
+    instants such as :func:`parse_timestamp` returns: a slot counts as
+    present only when the tally holds a present hour exactly on it, that is
+    an hour of a run whose first second lies on ``start``'s hour grid.
+    Duplicated timestamps are counted as gaps on top, so a series that
+    repeats an hour can never pass.
     """
     if not start < end:
         raise ValueError(f"period_start {start} must precede period_end {end}")
     expected = int((end - start) // HOUR)
-
-    stamps = series.timestamps
-    unique, counts = np.unique(stamps, return_counts=True)
-    duplicates = int((counts - 1).sum())
-    finite = True
-    for values in series.channels().values():
-        finite = finite & (values < np.inf) & (values > -np.inf)
-    if not finite.all():  # an hour where any channel reads NaN or ±inf is missing
-        unique = unique[~np.isin(unique, stamps[~finite])]
-    in_window = unique[(unique >= start) & (unique < end)]
-    offsets = (in_window - start) // HOUR
-    aligned = in_window[start + offsets * HOUR == in_window]
-    missing = expected - aligned.size + duplicates
-    negative = int(np.sum(series.discharge < 0))
-    return QCReport(series.station, negative_count=negative, missing_hours=missing)
+    lo, hi = (np.datetime64(t, "s").astype(np.int64) for t in (start, end))
+    first, length = tally.runs[(tally.runs[:, 0] - lo) % _HOUR_S == 0].T
+    # the run's hours k in [0, length) with lo <= first + k·3600 < hi
+    below = np.clip(-((first - lo) // _HOUR_S), 0, length)
+    above = np.clip(-((first - hi) // _HOUR_S), 0, length)
+    missing = expected - int((above - below).sum()) + tally.duplicates
+    return QCReport(tally.station, negative_count=tally.negative, missing_hours=missing)
 
 
 def parse_timestamp(text: str) -> np.datetime64:

@@ -14,6 +14,8 @@ import riverdense as rd
 from riverdense.adjacency import _file_digest
 from riverdense.cli import main
 
+from util import traced_peak
+
 
 def run_cli(*argv):
     try:
@@ -134,6 +136,21 @@ def test_qc_manifest_counts_files_read_row_by_row(basin8_dir, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["parameters"]["rows_ingested"] == 8 * 480
     assert manifest["parameters"]["row_loop_files"] == 1
+
+
+def test_qc_holds_a_tally_per_station_not_every_series(tmp_path):
+    basin = rd.generate_basin(40, seed=5, hours=2000)
+    rd.write_edge_csv(basin.network, tmp_path / "edges.csv")
+    files = rd.basin_to_gauge_csvs(basin, tmp_path / "gauges")
+    held = sum(sum(values.nbytes for values in series.channels().values())
+               + series.timestamps.nbytes for series in map(rd.read_gauge_csv, files))
+    assert held == 40 * 2000 * 24
+    code, peak = traced_peak(main, ["qc", "--edges", str(tmp_path / "edges.csv"),
+                                    "--gauges", str(tmp_path / "gauges"),
+                                    "--out", str(tmp_path / "qc")])
+    assert code == 0
+    # one file's parse at a time: 0.23 MB traced, where holding every series took 2.2 MB
+    assert peak < held / 4
 
 
 def test_qc_negative_station_is_bypassed(basin8_dir, tmp_path):

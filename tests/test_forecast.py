@@ -721,7 +721,7 @@ def test_basin_gauge_csv_round_trip(tmp_path):
     k = basin.network.index(0)
     assert np.allclose(series.discharge, basin.discharge[:, k], atol=1e-12)
     assert np.allclose(series.features["rain"], basin.rainfall[:, k], atol=1e-12)
-    report = rd.qc_station(series, series.timestamps[0],
+    report = rd.qc_station(rd.GaugeTally(series), series.timestamps[0],
                            series.timestamps[-1] + np.timedelta64(1, "h"))
     assert report.passed
 

@@ -285,6 +285,18 @@ def test_edge_csv_errors_name_file_and_line(tmp_path, body, error):
         rd.read_edge_csv(path)
 
 
+@pytest.mark.parametrize("read, body", [
+    (rd.read_edge_csv, 'src,dst,stream_length_km,elevation_diff_m\n"1\n",2,1.0,0.5\n2,3,x,0.5\n'),
+    (rd.read_adjacency_csv, 'src,dst,weight\n"1\n",2,0.5\n2,3,x\n'),
+])
+def test_csv_errors_name_the_physical_line_after_a_quoted_line_break(tmp_path, read, body):
+    path = tmp_path / "rows.csv"
+    path.write_text(body, newline="")
+    with pytest.raises(CsvFormatError, match=r"rows\.csv:4: could not convert string to "
+                                             r"float: 'x'$"):
+        read(path)
+
+
 @pytest.mark.parametrize("body", [
     "src,dst,stream_length_km,elevation_diff_m\n0,1,2.5,1.25\n1,2,3.0,-0.5\n",
     "src,dst,stream_length_km,elevation_diff_m\r\n\r\n0,1,2.5,1.25\r\n   \r\n"

@@ -12,7 +12,8 @@ from riverdense.errors import CsvFormatError, UnknownStation
 from riverdense.preprocess import (_STAMP, DEFAULT_COLUMN_MAP, _canonical_utc_stamps,
                                    _read_gauge_columns, _read_gauge_rows)
 
-from util import is_river_tree, random_weighted_tree, round_trip_stamps
+from util import (is_river_tree, random_weighted_tree, reference_qc_station,
+                  round_trip_stamps)
 
 T0 = np.datetime64("2000-01-01T00:00:00", "s")
 HOUR = np.timedelta64(1, "h")
@@ -24,26 +25,26 @@ def hourly_series(station, values, start=T0, **features):
 
 
 def test_screen_zero_is_not_negative():
-    report = rd.qc_station(hourly_series(1, [1.0, 2.0, 0.0]), T0, T0 + 3 * HOUR)
+    report = rd.qc_station(rd.GaugeTally(hourly_series(1, [1.0, 2.0, 0.0])), T0, T0 + 3 * HOUR)
     assert report.negative_count == 0
     assert report.passed
 
 
 def test_screen_flags_negative():
-    report = rd.qc_station(hourly_series(1, [1.0, -0.1]), T0, T0 + 2 * HOUR)
+    report = rd.qc_station(rd.GaugeTally(hourly_series(1, [1.0, -0.1])), T0, T0 + 2 * HOUR)
     assert report.negative_count == 1
     assert not report.passed
 
 
 def test_empty_series_fails_by_vacuous_coverage():
     series = rd.GaugeSeries(1, [], [])
-    report = rd.qc_station(series, T0, T0 + 48 * HOUR)
+    report = rd.qc_station(rd.GaugeTally(series), T0, T0 + 48 * HOUR)
     assert report.missing_hours == 48
     assert not report.passed
 
 
 def test_completeness_full_window():
-    report = rd.qc_station(hourly_series(1, np.ones(48)), T0, T0 + 48 * HOUR)
+    report = rd.qc_station(rd.GaugeTally(hourly_series(1, np.ones(48))), T0, T0 + 48 * HOUR)
     assert report.missing_hours == 0
     assert report.passed
 
@@ -51,7 +52,7 @@ def test_completeness_full_window():
 def test_completeness_one_missing_hour():
     stamps = np.concatenate([np.arange(10), np.arange(11, 48)]) * HOUR + T0
     series = rd.GaugeSeries(1, stamps, np.ones(47))
-    report = rd.qc_station(series, T0, T0 + 48 * HOUR)
+    report = rd.qc_station(rd.GaugeTally(series), T0, T0 + 48 * HOUR)
     assert report.missing_hours == 1
     assert not report.passed
 
@@ -59,7 +60,7 @@ def test_completeness_one_missing_hour():
 def test_completeness_duplicate_counts_as_gap():
     stamps = np.concatenate([np.arange(48), [5]]) * HOUR + T0
     series = rd.GaugeSeries(1, np.sort(stamps), np.ones(49))
-    report = rd.qc_station(series, T0, T0 + 48 * HOUR)
+    report = rd.qc_station(rd.GaugeTally(series), T0, T0 + 48 * HOUR)
     assert report.missing_hours == 1
     assert not report.passed
 
@@ -68,24 +69,26 @@ def test_completeness_off_grid_stamp_does_not_count():
     stamps = T0 + np.arange(48) * HOUR
     stamps[7] = stamps[7] + np.timedelta64(30, "m")
     series = rd.GaugeSeries(1, stamps, np.ones(48))
-    report = rd.qc_station(series, T0, T0 + 48 * HOUR)
+    report = rd.qc_station(rd.GaugeTally(series), T0, T0 + 48 * HOUR)
     assert report.missing_hours == 1
 
 
 def test_completeness_nonfinite_reading_counts_as_missing():
     values = np.ones(48)
     values[[3, 9, 20]] = [np.nan, np.inf, -np.inf]
-    report = rd.qc_station(hourly_series(1, values), T0, T0 + 48 * HOUR)
+    report = rd.qc_station(rd.GaugeTally(hourly_series(1, values)), T0, T0 + 48 * HOUR)
     assert (report.negative_count, report.missing_hours) == (1, 3)
     assert not report.passed
     # outside the period a non-finite reading is not an hour of it
-    outside = rd.qc_station(hourly_series(1, values), T0 + 21 * HOUR, T0 + 48 * HOUR)
+    outside = rd.qc_station(rd.GaugeTally(hourly_series(1, values)),
+                            T0 + 21 * HOUR, T0 + 48 * HOUR)
     assert outside.missing_hours == 0
     # a repeated hour stays a gap when one of its readings is NaN
     stamps = np.sort(np.concatenate([np.arange(48), [5]])) * HOUR + T0
     repeated = np.ones(49)
     repeated[5] = np.nan
-    report = rd.qc_station(rd.GaugeSeries(1, stamps, repeated), T0, T0 + 48 * HOUR)
+    report = rd.qc_station(rd.GaugeTally(rd.GaugeSeries(1, stamps, repeated)),
+                           T0, T0 + 48 * HOUR)
     assert report.missing_hours == 2
 
 
@@ -93,7 +96,7 @@ def test_completeness_nonfinite_reading_on_any_channel_counts_as_missing():
     rain, temp = np.zeros(48), np.ones(48)
     rain[[4, 30]] = [np.nan, -np.inf]
     temp[[4, 11]] = [np.inf, np.nan]  # hour 4 is bad on both channels, counted once
-    report = rd.qc_station(hourly_series(1, np.ones(48), rain=rain, temp=temp),
+    report = rd.qc_station(rd.GaugeTally(hourly_series(1, np.ones(48), rain=rain, temp=temp)),
                            T0, T0 + 48 * HOUR)
     assert (report.negative_count, report.missing_hours) == (0, 3)
     assert not report.passed
@@ -101,9 +104,66 @@ def test_completeness_nonfinite_reading_on_any_channel_counts_as_missing():
 
 def test_qc_is_order_independent():
     values = [3.0, -1.0, 2.0]
-    a = rd.qc_station(hourly_series(9, values), T0, T0 + 3 * HOUR)
-    b = rd.qc_station(hourly_series(9, values), T0, T0 + 3 * HOUR)
+    a = rd.qc_station(rd.GaugeTally(hourly_series(9, values)), T0, T0 + 3 * HOUR)
+    b = rd.qc_station(rd.GaugeTally(hourly_series(9, values)), T0, T0 + 3 * HOUR)
     assert a == b
+
+
+# readings: ordinary, zero and negative values, and every kind of non-finite one
+_READINGS = st.one_of(st.floats(-2.0, 10.0),
+                      st.sampled_from([0.0, -0.5, np.nan, np.inf, -np.inf]))
+
+
+@st.composite
+def gauge_series(draw):
+    """A station's rows in any order: an hourly block with gaps, some of its
+    hours repeated, and stamps anywhere around it, mostly off the hour grid."""
+    first, count = draw(st.integers(-30, 30)), draw(st.integers(0, 60))
+    present = draw(st.lists(st.sampled_from([True, True, True, False]),
+                            min_size=count, max_size=count))
+    seconds = [3600 * (first + k) for k, keep in enumerate(present) if keep]
+    if seconds:
+        seconds += draw(st.lists(st.sampled_from(seconds), max_size=4))
+    seconds += draw(st.lists(st.integers(-40 * 3600, 100 * 3600), max_size=4))
+    seconds = draw(st.permutations(seconds))
+    n = len(seconds)
+    features = {}
+    if draw(st.booleans()):
+        features["rain"] = draw(st.lists(_READINGS, min_size=n, max_size=n))
+    return rd.GaugeSeries(5, T0 + np.array(seconds, dtype="timedelta64[s]"),
+                          draw(st.lists(_READINGS, min_size=n, max_size=n)), features)
+
+
+_ON_GRID = st.integers(-50, 110).map(lambda hours: 3600 * hours)
+
+
+@settings(max_examples=400, deadline=None)
+@given(series=gauge_series(),
+       start=st.one_of(_ON_GRID, st.integers(-50 * 3600, 110 * 3600)),
+       length=st.one_of(_ON_GRID.filter(lambda s: s > 0), st.integers(1, 160 * 3600)))
+def test_qc_station_on_a_tally_matches_the_whole_series(series, start, length):
+    start = T0 + np.timedelta64(start, "s")
+    end = start + np.timedelta64(length, "s")
+    tally = rd.GaugeTally(series)
+    assert rd.qc_station(tally, start, end) == reference_qc_station(series, start, end)
+    stamps = series.timestamps
+    assert tally.span == ((stamps.min(), stamps.max()) if stamps.size else None)
+
+
+def test_tally_keeps_runs_of_present_hours():
+    stamps = T0 + np.array([0, 1, 2, 4, 5, 5, 7, 8], dtype="timedelta64[h]")
+    stamps[6] += np.timedelta64(30, "m")  # 07:30 is a run of its own
+    values = np.ones(8)
+    values[3] = np.nan  # 04:00 is not present
+    tally = rd.GaugeTally(rd.GaugeSeries(2, stamps, values))
+    first = int(T0.astype(np.int64))
+    assert tally.runs.tolist() == [[first, 3], [first + 5 * 3600, 1],
+                                   [first + 7 * 3600 + 1800, 1], [first + 8 * 3600, 1]]
+    assert (tally.station, tally.duplicates, tally.negative) == (2, 1, 0)
+    assert tally.span == (T0, T0 + 8 * HOUR)
+    assert not tally.runs.flags.writeable
+    empty = rd.GaugeTally(rd.GaugeSeries(3, [], []))
+    assert (empty.span, empty.runs.shape) == (None, (0, 2))
 
 
 def test_report_invariant_passed():

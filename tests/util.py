@@ -490,6 +490,38 @@ def round_trip_stamps(body: np.ndarray, field: str) -> np.ndarray | None:
 
 
 # ---------------------------------------------------------------------------
+# quality-control reference: the verdict read off the whole series
+
+def reference_qc_station(series: rd.GaugeSeries, start: np.datetime64,
+                         end: np.datetime64) -> rd.QCReport:
+    """Count negative discharge values and missing hourly slots over [start, end).
+
+    A slot counts as present only when an exactly grid-aligned timestamp with
+    a finite reading on every channel exists; duplicated timestamps are
+    counted as gaps on top.
+    """
+    if not start < end:
+        raise ValueError(f"period_start {start} must precede period_end {end}")
+    hour = np.timedelta64(1, "h")
+    expected = int((end - start) // hour)
+
+    stamps = series.timestamps
+    unique, counts = np.unique(stamps, return_counts=True)
+    duplicates = int((counts - 1).sum())
+    finite = True
+    for values in series.channels().values():
+        finite = finite & (values < np.inf) & (values > -np.inf)
+    if not finite.all():  # an hour where any channel reads NaN or ±inf is missing
+        unique = unique[~np.isin(unique, stamps[~finite])]
+    in_window = unique[(unique >= start) & (unique < end)]
+    offsets = (in_window - start) // hour
+    aligned = in_window[start + offsets * hour == in_window]
+    missing = expected - aligned.size + duplicates
+    negative = int(np.sum(series.discharge < 0))
+    return rd.QCReport(series.station, negative_count=negative, missing_hours=missing)
+
+
+# ---------------------------------------------------------------------------
 # windowing reference: one anchor at a time, then a split with a window gap
 
 def make_windows(features: np.ndarray, targets: np.ndarray, task: rd.ForecastTask,
