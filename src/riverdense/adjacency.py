@@ -24,7 +24,7 @@ import numpy as np
 
 from ._csvrows import write_rows
 from .errors import CsvFormatError, DegenerateSigma, IsolatedRow, RowWriterFailed
-from .network import DistanceMatrix, RiverNetwork, read_csv_rows
+from .network import DistanceMatrix, RiverNetwork, read_csv_rows, text_lines
 
 ADJACENCY_KINDS = ("isolated", "topology", "dense", "learned")
 ROW_SUM_TOL = 1e-12
@@ -48,7 +48,8 @@ class RewireConfig:
             raise ValueError(f"sigma (--sigma) must be 'auto' or positive and finite, "
                              f"got {self.sigma!r}")
         if not 0 <= self.epsilon_prune < 1:
-            raise ValueError(f"epsilon_prune must be in [0, 1), got {self.epsilon_prune}")
+            raise ValueError(f"epsilon_prune (--prune) must be in [0, 1), "
+                             f"got {self.epsilon_prune}")
 
 
 class AdjacencyMatrix:
@@ -297,8 +298,10 @@ def read_adjacency_csv(path, *, meta=None,
     info = {}
     if meta_path.exists():
         try:
-            info = json.loads(meta_path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # malformed JSON or undecodable bytes
+            info = json.loads("".join(text_lines(meta_path)))
+        except CsvFormatError as exc:
+            raise ValueError(f"metadata file {exc}") from None
+        except ValueError as exc:
             raise ValueError(f"metadata file {meta_path}: {exc}") from None
         if not isinstance(info, dict):
             raise ValueError(f"metadata file {meta_path}: expected an object, "
@@ -327,8 +330,7 @@ def read_adjacency_csv(path, *, meta=None,
                         return w, order, "sidecar"
     except (KeyError, TypeError, OSError, ValueError):
         pass
-    with path.open(newline="", encoding="utf-8") as fh:
-        return *_read_adjacency_rows(path, fh, order), "csv"
+    return *_read_adjacency_rows(path, order), "csv"
 
 
 def _file_digest(path: Path) -> str:
@@ -339,20 +341,19 @@ def _file_digest(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _read_adjacency_rows(path: Path, fh, order: list[int] | None):
-    """The matrix and node order of the text in ``fh``. Each row fills the matrix as it is
+def _read_adjacency_rows(path: Path, order: list[int] | None):
+    """The matrix and node order of the text file ``path``. Each row fills the matrix as it is
     read, so the first bad row raises at its line, whatever is wrong with it. Without the
     node order, a first pass takes it from the ids the rows name, up to the first row that
     does not parse, and the text is read again."""
     columns = (int, int, float)
     if order is None:
-        ids, rows = set(), read_csv_rows(path, fh, ADJACENCY_CSV_HEADER, columns)
+        ids, rows = set(), read_csv_rows(path, ADJACENCY_CSV_HEADER, columns)
         with suppress(CsvFormatError):  # raised again at its line unless an earlier row is bad
             for _, (src, dst, _) in rows:
                 ids.update((src, dst))
         order = sorted(ids)
-        fh.seek(0)
-    rows = read_csv_rows(path, fh, ADJACENCY_CSV_HEADER, columns)
+    rows = read_csv_rows(path, ADJACENCY_CSV_HEADER, columns)
     pos = {node: k for k, node in enumerate(order)}
     n = len(order)
     w = np.zeros((n, n))

@@ -27,7 +27,8 @@ from .errors import (CsvFormatError, CycleDetected, DuplicateEdge,
                      NonpositiveLength, RiverDenseError, UnknownStation)
 from .forecast import (ForecastModel, ForecastTask, TrainConfig, nse_by_horizon,
                        prepare_dataset, save_model, train)
-from .network import RiverNetwork, read_edge_csv, topological_distances, write_edge_csv
+from .network import (RiverNetwork, read_edge_csv, text_lines, topological_distances,
+                      write_edge_csv)
 from .preprocess import (DEFAULT_COLUMN_MAP, GaugeSeries, GaugeTally, extract_subgraph,
                          parse_timestamp, qc_station, read_gauge_csv, write_qc_json)
 from .resistance import resistance_report, write_report_csv, write_report_json
@@ -224,7 +225,7 @@ def _column_map(path) -> dict[str, str]:
     """The gauge column names: the defaults, overridden by the ``[column_map]``
     section of the INI file ``path`` when one is given. Values are taken
     literally, ``%`` included; any other section (``[DEFAULT]`` too) or option,
-    undecodable bytes and malformed lines raise ValueError naming the file."""
+    bytes that are not UTF-8 and malformed lines raise ValueError at file:line."""
     cmap = dict(DEFAULT_COLUMN_MAP)
     if path is None:
         return cmap
@@ -233,9 +234,9 @@ def _column_map(path) -> dict[str, str]:
         raise FileNotFoundError(f"config file {path} does not exist or is not a file")
     config = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        config.read_string(path.read_text(encoding="utf-8"), source=str(path))
-    except UnicodeDecodeError:
-        raise ValueError(f"config file {CsvFormatError.undecodable(path)}") from None
+        config.read_file(text_lines(path), source=str(path))
+    except CsvFormatError as exc:
+        raise ValueError(f"config file {exc}") from None
     except configparser.Error as exc:
         # a missing header or a repeat carries .lineno; ParsingError lists its lines
         line = getattr(exc, "lineno", None) or exc.errors[0][0]

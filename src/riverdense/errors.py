@@ -1,7 +1,5 @@
 """Exception types shared across the toolkit."""
 
-from pathlib import Path
-
 
 class RiverDenseError(Exception):
     """Base class for every error raised by this package."""
@@ -52,20 +50,9 @@ class RowWriterFailed(RiverDenseError):
 
 
 class CsvFormatError(RiverDenseError):
-    """A CSV input failed to parse; message carries file:line context."""
+    """A CSV or other text input failed to decode or parse; message carries file:line."""
 
     def __init__(self, path, line, message):
         super().__init__(f"{path}:{line}: {message}")
         self.path = str(path)
         self.line = line
-
-    @classmethod
-    def undecodable(cls, path) -> "CsvFormatError":
-        """The error for the first byte of ``path`` that is not UTF-8, at its line."""
-        data = Path(path).read_bytes()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:  # lines end as the csv module's do: \n, \r\n or \r
-            return cls(path, len((data[:exc.start] + b"x").splitlines()),
-                       f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})")
-        return cls(path, 0, "not UTF-8 when read, UTF-8 when read again")

@@ -200,16 +200,31 @@ def topological_distances(net: RiverNetwork) -> DistanceMatrix:
 # ---------------------------------------------------------------------------
 # CSV interfaces
 
-def read_csv_rows(path: Path, fh, header: Sequence[str],
+def text_lines(path: Path) -> Iterator[str]:
+    """The lines of the UTF-8 text file ``path``, ends kept, one per line the csv module's
+    ``line_num`` counts. Every text input decodes here: a byte that is not UTF-8 raises
+    :class:`CsvFormatError` when its line is reached, so a bad row above it comes first."""
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.isascii():
+                try:  # the line's own bytes back, decoded strictly for the byte and reason
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise CsvFormatError(path, lineno, f"byte 0x{exc.object[exc.start]:02x} "
+                                         f"is not UTF-8 ({exc.reason})") from None
+            yield line
+
+
+def read_csv_rows(path: Path, header: Sequence[str],
                   converters: Sequence[Callable[[str], object]]) -> Iterator[tuple[int, list]]:
-    """Check the header line of ``fh`` now; return the converted rows after it.
+    """Check the header line of ``path`` now; return the converted rows after it.
 
     The iterator yields ``(line, values)`` for every non-blank row, with
     ``converters[k]`` applied to column k. A missing or wrong header, a row
     of the wrong width, or a cell its converter rejects raises
     :class:`CsvFormatError` at its file:line.
     """
-    reader = csv.reader(_decoded_lines(path, fh))
+    reader = csv.reader(text_lines(path))
     try:
         first = next(reader)
     except StopIteration:
@@ -217,14 +232,6 @@ def read_csv_rows(path: Path, fh, header: Sequence[str],
     if tuple(h.strip() for h in first) != tuple(header):
         raise CsvFormatError(path, 1, f"bad header {first!r}, expected " + ",".join(header))
     return _converted_rows(path, reader, converters)
-
-
-def _decoded_lines(path: Path, fh) -> Iterator[str]:
-    try:
-        for line in fh:  # not yield from, which closes fh when the rows are dropped
-            yield line
-    except UnicodeDecodeError:
-        raise CsvFormatError.undecodable(path) from None
 
 
 def _converted_rows(path: Path, reader, converters) -> Iterator[tuple[int, list]]:
@@ -248,10 +255,8 @@ def read_edge_csv(path) -> RiverNetwork:
     Nodes are the edge endpoints. Raises :class:`CsvFormatError` with
     file:line on bad rows.
     """
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = read_csv_rows(path, fh, EDGE_CSV_HEADER, (int, int, float, float))
-        edges = [Edge(*values) for _, values in rows]
+    rows = read_csv_rows(Path(path), EDGE_CSV_HEADER, (int, int, float, float))
+    edges = [Edge(*values) for _, values in rows]
     return build_network(sorted({node for e in edges for node in (e.src, e.dst)}), edges)
 
 

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CsvFormatError, UnknownStation
-from .network import Edge, RiverNetwork, build_network
+from .network import Edge, RiverNetwork, build_network, text_lines
 
 HOUR = np.timedelta64(1, "h")
 _HOUR_S = 3600
@@ -127,7 +127,7 @@ def qc_station(tally: GaugeTally, start: np.datetime64, end: np.datetime64) -> Q
     """
     if not start < end:
         raise ValueError(f"period_start {start} must precede period_end {end}")
-    expected = int((end - start) // HOUR)
+    expected = int(-((start - end) // HOUR))  # a partial last slot counts, as in ``above``
     lo, hi = (np.datetime64(t, "s").astype(np.int64) for t in (start, end))
     first, length = tally.runs[(tally.runs[:, 0] - lo) % _HOUR_S == 0].T
     # the run's hours k in [0, length) with lo <= first + k·3600 < hi
@@ -227,10 +227,7 @@ def read_gauge_csv(path, column_map: dict[str, str] | None = None, *,
     if series is None:
         if fallbacks is not None:
             fallbacks.append(path)
-        try:
-            series = _read_gauge_rows(path, station, cmap)
-        except UnicodeDecodeError:
-            raise CsvFormatError.undecodable(path) from None
+        series = _read_gauge_rows(path, station, cmap)
     return series
 
 
@@ -266,7 +263,7 @@ def _read_gauge_columns(path: Path, station: int, cmap: dict[str, str]) -> Gauge
                               for k in range(len(fields))])
             body = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
             stamps = _canonical_utc_stamps(body, f"c{ts}")
-    except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+    except (ValueError, Warning):  # a byte that is not UTF-8 raises a ValueError too
         return None
     if stamps is None:
         return None
@@ -304,31 +301,30 @@ def _read_gauge_rows(path: Path, station: int, cmap: dict[str, str]) -> GaugeSer
     stamps: list[np.datetime64] = []
     discharge: list[float] = []
     extras: dict[str, list[float]] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        for required in (cmap["timestamp"], cmap["discharge"]):
-            if required not in fields:
-                raise CsvFormatError(path, 1, f"missing column {required!r} in header {fields!r}")
-        repeated = sorted({c for c in fields if fields.count(c) > 1})
-        if repeated:
-            raise CsvFormatError(path, 1, f"repeated columns {repeated} in header")
-        feature_cols = [c for c in fields if c not in (cmap["timestamp"], cmap["discharge"])]
-        if "discharge" in feature_cols:  # it would replace the mapped column in channels()
-            raise CsvFormatError(path, 1, f"column 'discharge' would shadow the discharge "
-                                 f"channel, which is read from column {cmap['discharge']!r}")
-        for row in reader:
-            # DictReader pads a short row with None and files extra cells under None
-            if None in row or None in row.values():
-                raise CsvFormatError(path, reader.line_num,
-                                     f"row width differs from the header's {len(fields)} columns")
-            try:
-                stamps.append(parse_timestamp(row[cmap["timestamp"]]))
-                discharge.append(float(row[cmap["discharge"]]))
-                for col in feature_cols:
-                    extras.setdefault(col, []).append(float(row[col]))
-            except ValueError as exc:
-                raise CsvFormatError(path, reader.line_num, str(exc)) from None
+    reader = csv.DictReader(text_lines(path))
+    fields = reader.fieldnames or []
+    for required in (cmap["timestamp"], cmap["discharge"]):
+        if required not in fields:
+            raise CsvFormatError(path, 1, f"missing column {required!r} in header {fields!r}")
+    repeated = sorted({c for c in fields if fields.count(c) > 1})
+    if repeated:
+        raise CsvFormatError(path, 1, f"repeated columns {repeated} in header")
+    feature_cols = [c for c in fields if c not in (cmap["timestamp"], cmap["discharge"])]
+    if "discharge" in feature_cols:  # it would replace the mapped column in channels()
+        raise CsvFormatError(path, 1, f"column 'discharge' would shadow the discharge "
+                             f"channel, which is read from column {cmap['discharge']!r}")
+    for row in reader:
+        # DictReader pads a short row with None and files extra cells under None
+        if None in row or None in row.values():
+            raise CsvFormatError(path, reader.line_num,
+                                 f"row width differs from the header's {len(fields)} columns")
+        try:
+            stamps.append(parse_timestamp(row[cmap["timestamp"]]))
+            discharge.append(float(row[cmap["discharge"]]))
+            for col in feature_cols:
+                extras.setdefault(col, []).append(float(row[col]))
+        except ValueError as exc:
+            raise CsvFormatError(path, reader.line_num, str(exc)) from None
     return GaugeSeries(station, stamps, discharge, extras)
 
 

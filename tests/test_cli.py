@@ -434,6 +434,17 @@ def test_qc_manifest_records_period_text_as_given(basin8_dir, tmp_path):
     assert (out / "qc_report.json").read_bytes() == (union / "qc_report.json").read_bytes()
 
 
+def test_qc_period_end_off_the_hour_grid_counts_its_partial_slot(basin8_dir, tmp_path):
+    # the slot at 2000-01-15T00:00 lies inside [05:00 on the 1st, 00:30 on the 15th)
+    out = tmp_path / "qc"
+    assert run_cli("qc", "--edges", basin8_dir / "edges.csv", "--gauges", basin8_dir / "gauges",
+                   "--period-start", "2000-01-01T05:00:00Z",
+                   "--period-end", "2000-01-15T00:30:00", "--out", out) == 0
+    reports = json.loads((out / "qc_report.json").read_text())
+    assert len(reports) == 8
+    assert all(r["missing_hours"] == 0 and r["passed"] for r in reports)
+
+
 @pytest.mark.parametrize("command, missing", [("qc", "--edges"), ("qc", "--gauges"),
                                               ("rewire", "--edges"), ("train", "--edges"),
                                               ("train", "--gauges")])
@@ -691,36 +702,56 @@ def test_resist_nonfinite_weight_exits_2_at_its_line(tmp_path, capsys, value, mo
 
 
 @pytest.mark.parametrize("case", ["edges", "gauge", "config", "adjacency", "adjacency-npy",
-                                  "negative-weight"])
+                                  "negative-weight", "edges-row-first", "gauge-row-first",
+                                  "adjacency-row-first", "adjacency-meta-row-first",
+                                  "meta-truncated"])
 def test_bad_input_exits_2_naming_file_and_line(basin8_dir, tmp_path, capsys, case):
     bad, line, reason = tmp_path / "bad.csv", 3, "byte 0x93 is not UTF-8"
-    if case == "edges":
+    # "-row-first": a bad cell on line 3, then byte 0x93 on line 4 or 5, all in one 8 KiB
+    row_first = case.endswith("-row-first")
+    if row_first:
+        reason = "could not convert string to float: 'x'"
+    if case.startswith("edges"):
+        cells = b"x,0.5\r\n3,4,1.0,0.5\r\n4,5,\x93" if row_first else b"\x93"
         bad.write_bytes(b"src,dst,stream_length_km,elevation_diff_m\r\n1,2,1.0,0.5\r\n"
-                        b"2,3,\x93,0.5\r\n")
+                        b"2,3," + cells + b",0.5\r\n")
         argv = ["rewire", "--edges", bad]
-    elif case in ("gauge", "config"):
+    elif case.startswith(("gauge", "config")):
         gauges = tmp_path / "gauges"
         shutil.copytree(basin8_dir / "gauges", gauges)
         argv = ["qc", "--edges", basin8_dir / "edges.csv", "--gauges", gauges]
-        if case == "gauge":  # past the first 8 KiB the text reader decodes
-            bad, line = gauges / "3.csv", 400
-            rows = bad.read_bytes().splitlines(keepends=True)
-            rows[line - 1] = b"\x93" + rows[line - 1][1:]
-            bad.write_bytes(b"".join(rows))
-        else:
+        if case == "config":
             bad, line = tmp_path / "config.ini", 2
             bad.write_bytes(b"[column_map]\ndischarge = fl\x93w\n")
             argv += ["--config", bad]
+        else:  # "gauge": past the first 8 KiB the text reader decodes
+            bad, line = gauges / "3.csv", 3 if row_first else 400
+            rows = bad.read_bytes().splitlines(keepends=True)
+            if row_first:
+                rows[2] = rows[2].split(b",")[0] + b",x,0.0\r\n"
+                rows[3] = b"\x93" + rows[3][1:]
+            else:
+                rows[line - 1] = b"\x93" + rows[line - 1][1:]
+            bad.write_bytes(b"".join(rows))
     elif case == "adjacency-npy":
         bad, line = tmp_path / "adjacency.npy", 1
         np.save(bad, np.eye(2))
         argv = ["resist", "--adjacency", bad]
+    elif case == "meta-truncated":  # a multi-byte sequence cut off by the end of the file
+        (tmp_path / "bad.csv").write_text("src,dst,weight\n1,2,1.0\n2,1,1.0\n")
+        bad, line = tmp_path / "bad_meta.json", 2
+        reason = "byte 0xe2 is not UTF-8 (unexpected end of data)"
+        bad.write_bytes(b'{"nodes": [1, 2],\n "note": "\xe2\x80')
+        argv = ["resist", "--adjacency", tmp_path / "bad.csv"]
     else:
-        weight = b"\x93" if case == "adjacency" else b"-0.5"
+        weight = (b"x\r\n3,4,1.0\r\n4,5,\x93" if row_first
+                  else b"\x93" if case == "adjacency" else b"-0.5")
         bad.write_bytes(b"src,dst,weight\r\n1,2,1.0\r\n2,3," + weight + b"\r\n")
         argv = ["resist", "--adjacency", bad]
         if case == "negative-weight":
             reason = "weight -0.5 of (2,3) is not finite and nonnegative"
+        if case == "adjacency-meta-row-first":
+            (tmp_path / "bad_meta.json").write_text('{"nodes": [1, 2, 3, 4, 5]}')
     out = tmp_path / "out"
     assert run_cli(*argv, "--out", out) == 2
     assert f"{bad}:{line}: {reason}" in capsys.readouterr().err
@@ -979,7 +1010,7 @@ def test_resist_parses_the_csv_when_the_sidecar_cannot_be_trusted(basin8_dir, tm
     ('{"nodes": "abc"}', "key 'nodes' must list"),
     ('{"nodes": [0, 1, "2"]}', "key 'nodes' must list"),
     ('{"nodes": [0, true]}', "key 'nodes' must list"),
-    (b"\xff\xfe{}", "decode"),
+    (b"\xff\xfe{}", "byte 0xff is not UTF-8 (invalid start byte)"),
 ], ids=["not-json", "not-an-object", "nodes-a-string", "node-a-string", "node-a-bool",
         "not-utf8"])
 def test_resist_bad_meta_exits_2_naming_the_file(tmp_path, capsys, text, named):
@@ -993,7 +1024,8 @@ def test_resist_bad_meta_exits_2_naming_the_file(tmp_path, capsys, text, named):
     out = tmp_path / "rs"
     assert run_cli("resist", "--adjacency", adj, "--out", out) == 2
     err = capsys.readouterr().err
-    assert f"metadata file {meta}: " in err and named in err
+    line = ":1" if isinstance(text, bytes) else ""  # a decoding error names its line
+    assert f"metadata file {meta}{line}: " in err and named in err
     assert not out.exists()
 
 

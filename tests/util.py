@@ -503,7 +503,7 @@ def reference_qc_station(series: rd.GaugeSeries, start: np.datetime64,
     if not start < end:
         raise ValueError(f"period_start {start} must precede period_end {end}")
     hour = np.timedelta64(1, "h")
-    expected = int((end - start) // hour)
+    expected = int(-((start - end) // hour))  # [start, end) holds a partial last slot
 
     stamps = series.timestamps
     unique, counts = np.unique(stamps, return_counts=True)
