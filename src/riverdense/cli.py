@@ -29,7 +29,7 @@ from .forecast import (ForecastModel, ForecastTask, TrainConfig, nse_by_horizon,
                        prepare_dataset, save_model, train)
 from .network import (RiverNetwork, read_edge_csv, text_lines, topological_distances,
                       write_edge_csv)
-from .preprocess import (DEFAULT_COLUMN_MAP, GaugeSeries, GaugeTally, extract_subgraph,
+from .preprocess import (DEFAULT_COLUMN_MAP, HOUR, GaugeSeries, GaugeTally, extract_subgraph,
                          parse_timestamp, qc_station, read_gauge_csv, write_qc_json)
 from .resistance import resistance_report, write_report_csv, write_report_json
 
@@ -275,7 +275,9 @@ def cmd_qc(args) -> tuple[Path, dict]:
             start = min(first for first, _ in spans)
             start_text = str(start)
         if end is None:
-            end = max(last for _, last in spans) + np.timedelta64(1, "h")
+            # the first slot of start's hour grid after the last stamp, so none lies past it
+            last = max(last for _, last in spans)
+            end = start + ((last - start) // HOUR + 1) * HOUR
             end_text = str(end)
     if not start < end:
         raise ValueError(f"study period start {start} ({start_source}) must precede "

@@ -263,7 +263,7 @@ def _read_gauge_columns(path: Path, station: int, cmap: dict[str, str]) -> Gauge
                               for k in range(len(fields))])
             body = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
             stamps = _canonical_utc_stamps(body, f"c{ts}")
-    except (ValueError, Warning):  # a byte that is not UTF-8 raises a ValueError too
+    except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
         return None
     if stamps is None:
         return None

@@ -434,18 +434,30 @@ def test_qc_manifest_records_period_text_as_given(basin8_dir, tmp_path):
     assert (out / "qc_report.json").read_bytes() == (union / "qc_report.json").read_bytes()
 
 
-def test_qc_period_end_off_the_hour_grid_counts_its_partial_slot(basin8_dir, tmp_path):
+@pytest.mark.parametrize("flags, stray, period_end", [
     # the slot at 2000-01-15T00:00 lies inside [05:00 on the 1st, 00:30 on the 15th)
-    out = tmp_path / "qc"
-    assert run_cli("qc", "--edges", basin8_dir / "edges.csv", "--gauges", basin8_dir / "gauges",
-                   "--period-start", "2000-01-01T05:00:00Z",
-                   "--period-end", "2000-01-15T00:30:00", "--out", out) == 0
+    (["--period-start", "2000-01-01T05:00:00Z", "--period-end", "2000-01-15T00:30:00"], None,
+     "2000-01-15T00:30:00"),
+    # a stray reading at 23:30, after every station's last hour; no slot lies past it
+    ([], "2000-01-20T23:30:00Z,0.4,0.0\r\n", "2000-01-21T00:00:00"),
+], ids=["flag-end", "union-span-end"])
+def test_qc_period_end_off_the_hour_grid_adds_no_empty_slot(basin8_dir, tmp_path, flags,
+                                                            stray, period_end):
+    gauges, out = tmp_path / "gauges", tmp_path / "qc"
+    shutil.copytree(basin8_dir / "gauges", gauges)
+    if stray:
+        with (gauges / "3.csv").open("a", newline="") as fh:
+            fh.write(stray)
+    assert run_cli("qc", "--edges", basin8_dir / "edges.csv", "--gauges", gauges,
+                   *flags, "--out", out) == 0
+    params = json.loads((out / "manifest.json").read_text())["parameters"]
+    assert params["period_end"] == period_end
     reports = json.loads((out / "qc_report.json").read_text())
     assert len(reports) == 8
     assert all(r["missing_hours"] == 0 and r["passed"] for r in reports)
 
 
-@pytest.mark.parametrize("command, missing", [("qc", "--edges"), ("qc", "--gauges"),
+@pytest.mark.parametrize("command, missing",[("qc", "--edges"), ("qc", "--gauges"),
                                               ("rewire", "--edges"), ("train", "--edges"),
                                               ("train", "--gauges")])
 def test_missing_input_exits_2_before_out_is_created(basin8_dir, tmp_path, command, missing):
