@@ -324,10 +324,9 @@ def cmd_resist(args) -> tuple[Path, dict]:
                               "pinv_residual": report.pinv_residual}}
 
 
-def cmd_train(args) -> tuple[Path, dict]:
-    cmap = _column_map(args.config)
-    net = _read_stations(args.edges)
-    series, ingest = _read_gauge_dir(args.gauges, cmap)
+def _stacked_features(net: RiverNetwork, gauge_dir, column_map) -> tuple[np.ndarray, list, dict]:
+    """(T, N, C) stack of net's stations, channel names, ingest counts; no series outlives it."""
+    series, ingest = _read_gauge_dir(gauge_dir, column_map)
 
     missing = [node for node in net.nodes if node not in series]
     if missing:
@@ -353,6 +352,13 @@ def cmd_train(args) -> tuple[Path, dict]:
         t, i, c = np.argwhere(~np.isfinite(features))[0]  # the first hour holding one
         raise ValueError(f"station {ordered[i].station} channel {channel_names[c]!r} has a "
                          f"non-finite value at {base[t]}")
+    return features, channel_names, ingest
+
+
+def cmd_train(args) -> tuple[Path, dict]:
+    cmap = _column_map(args.config)
+    net = _read_stations(args.edges)
+    features, channel_names, ingest = _stacked_features(net, args.gauges, cmap)
     task = ForecastTask(alpha_hist=args.history, beta_horizon=args.horizon,
                         feature_dim=len(channel_names))
 
@@ -361,11 +367,12 @@ def cmd_train(args) -> tuple[Path, dict]:
         w, _, source = read_adjacency_csv(args.adjacency, nodes=net.nodes)
         adj = AdjacencyMatrix(args.kind, w,
                               support=net.edge_mask() if args.kind == "topology" else None)
+        del w  # adj holds its own copy
     else:
         adj = _rewire(net, args.kind, args.sigma)
 
-    (x_tr, y_tr), (x_te, y_te) = prepare_dataset(features, task, args.train_frac,
-                                                 args.stride)
+    (x_tr, y_tr), (x_te, y_te) = prepare_dataset(features, task, args.train_frac, args.stride)
+    del features  # the windows view prepare_dataset's z-scored copy of it
 
     model = ForecastModel(task, adj, latent=args.latent, n_layers=args.layers,
                           seed=args.seed)

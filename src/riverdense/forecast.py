@@ -13,8 +13,8 @@ operator with the same memory viewed as (N, S*latent), and the backward pass
 is the same handful of GEMMs transposed. ``train`` hands each shuffled batch,
 ``history[batch]``, to ``loss_and_gradients``, which writes its node-major
 input rows and activations into buffers the model keeps for the full and the
-ragged last batch; Adam updates the weight vector in place. A forward-only
-pass keeps two layer states at any depth.
+ragged last batch until ``train`` returns; Adam updates the weight vector in
+place. A forward-only pass keeps one layer state and one scratch array.
 
 Propagation operator per adjacency kind:
   isolated -> identity (no message paths, the model degenerates to an MLP)
@@ -186,19 +186,23 @@ class _Buffers:
 
     Rows are node-major: row ``n * s + k`` holds node n in window k, so a
     (N*S, L) state viewed as (N, S*L) is the operand of one propagation GEMM.
-    Without ``backward`` the layers take turns on two states and share one message.
+    Without ``backward`` one state serves every layer, and the input rows, message
+    and output share one scratch array, each dead before the next is written.
     """
 
     def __init__(self, model: ForecastModel, s: int, backward: bool):
         rows, latent = model.n * s, model.latent
-        self.x = np.empty((rows, model.task.input_width))
-        self.h = [np.empty((rows, latent)) for _ in range(model.n_layers + 1 if backward else 2)]
-        self.m = [np.empty((rows, latent)) for _ in range(model.n_layers if backward else 1)]
-        self.y = np.empty((rows, model.task.beta_horizon))
-        if backward:
-            self.dy = np.empty_like(self.y)
-            self.dh = np.empty((rows, latent))
-            self.dm = np.empty((rows, latent))
+        widths = (model.task.input_width, latent, model.task.beta_horizon)
+        if not backward:
+            scratch = np.empty(rows * max(widths))
+            self.x, message, self.y = (scratch[:rows * w].reshape(rows, w) for w in widths)
+            self.h, self.m = [np.empty((rows, latent))], [message]
+            return
+        self.x = np.empty((rows, widths[0]))
+        self.h = [np.empty((rows, latent)) for _ in range(model.n_layers + 1)]
+        self.m = [np.empty((rows, latent)) for _ in range(model.n_layers)]
+        self.y, self.dy = np.empty((rows, widths[2])), np.empty((rows, widths[2]))
+        self.dh, self.dm = np.empty((rows, latent)), np.empty((rows, latent))
 
 
 def _batch_buffers(model: ForecastModel, s: int) -> _Buffers:
@@ -408,33 +412,36 @@ def train(model: ForecastModel, data, config: TrainConfig) -> TrainResult:
     m, v, step, denom = np.zeros((4, flat.size))  # Adam's two moments, then scratch
     steps = 0
 
-    for epoch in range(1, config.epochs + 1):
-        lr = config.lr_at(epoch)
-        order = rng.permutation(n_samples)
-        epoch_abs_sum = 0.0
-        for start in range(0, n_samples, BATCH_SIZE):
-            batch = order[start:start + BATCH_SIZE]
-            loss, grads = loss_and_gradients(model, history[batch], target[batch])
-            if not np.isfinite(loss):
-                raise NonfiniteLoss(f"non-finite loss at epoch {epoch}, "
-                                    f"batch {start // BATCH_SIZE}, lr {lr}")
-            epoch_abs_sum += loss * batch.size
-            clipped[epoch - 1] += _clip_global_norm(grads)
-            grad = grads["w_in"].base  # the whole gradient vector, laid out as flat
-            steps += 1
-            # m = beta1 * m + (1 - beta1) * grad and so on, operation for operation
-            m *= beta1
-            m += np.multiply(1 - beta1, grad, out=step)
-            v *= beta2
-            v += np.multiply(np.multiply(1 - beta2, grad, out=step), grad, out=step)
-            np.sqrt(np.divide(v, 1 - beta2 ** steps, out=denom), out=denom)
-            denom += eps
-            np.multiply(lr, np.divide(m, 1 - beta1 ** steps, out=step), out=step)
-            flat -= np.divide(step, denom, out=step)  # lr * m_hat / (sqrt(v_hat) + eps)
-            np.subtract(flat, np.multiply(lr * WEIGHT_DECAY, flat, out=step),
-                        out=flat, where=decay_mask)
-        losses[epoch - 1] = epoch_abs_sum / n_samples
-        lrs[epoch - 1] = lr
+    try:
+        for epoch in range(1, config.epochs + 1):
+            lr = config.lr_at(epoch)
+            order = rng.permutation(n_samples)
+            epoch_abs_sum = 0.0
+            for start in range(0, n_samples, BATCH_SIZE):
+                batch = order[start:start + BATCH_SIZE]
+                loss, grads = loss_and_gradients(model, history[batch], target[batch])
+                if not np.isfinite(loss):
+                    raise NonfiniteLoss(f"non-finite loss at epoch {epoch}, "
+                                        f"batch {start // BATCH_SIZE}, lr {lr}")
+                epoch_abs_sum += loss * batch.size
+                clipped[epoch - 1] += _clip_global_norm(grads)
+                grad = grads["w_in"].base  # the whole gradient vector, laid out as flat
+                steps += 1
+                # m = beta1 * m + (1 - beta1) * grad and so on, operation for operation
+                m *= beta1
+                m += np.multiply(1 - beta1, grad, out=step)
+                v *= beta2
+                v += np.multiply(np.multiply(1 - beta2, grad, out=step), grad, out=step)
+                np.sqrt(np.divide(v, 1 - beta2 ** steps, out=denom), out=denom)
+                denom += eps
+                np.multiply(lr, np.divide(m, 1 - beta1 ** steps, out=step), out=step)
+                flat -= np.divide(step, denom, out=step)  # lr * m_hat / (sqrt(v_hat) + eps)
+                np.subtract(flat, np.multiply(lr * WEIGHT_DECAY, flat, out=step),
+                            out=flat, where=decay_mask)
+            losses[epoch - 1] = epoch_abs_sum / n_samples
+            lrs[epoch - 1] = lr
+    finally:
+        model._buffers.clear()  # both batch sizes' buffers are dead once training ends
     return TrainResult(losses=losses, lrs=lrs, clipped=clipped)
 
 
@@ -583,7 +590,8 @@ def prepare_dataset(features: np.ndarray, task: ForecastTask, train_frac: float,
     mean = features[:cut].mean(axis=0)
     std = features[:cut].std(axis=0)
     std = np.where(std == 0, 1.0, std)
-    features = (features - mean) / std
+    features = features - mean
+    features /= std
     alpha, beta = task.alpha_hist, task.beta_horizon
     if features.shape[0] < alpha + beta:
         raise ValueError(f"alpha_hist (--history) {alpha} + beta_horizon (--horizon) {beta} "

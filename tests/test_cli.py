@@ -1078,6 +1078,21 @@ def test_train_smoke_run(basin8_dir, tmp_path):
     assert manifest["parameters"]["row_loop_files"] == 0
 
 
+def test_train_scores_without_the_raw_series_or_the_batch_buffers(tmp_path):
+    basin = rd.generate_basin(16, seed=5, hours=2000)
+    rd.write_edge_csv(basin.network, tmp_path / "edges.csv")
+    rd.basin_to_gauge_csvs(basin, tmp_path / "gauges")
+    code, peak = traced_peak(main, ["train", "--edges", str(tmp_path / "edges.csv"),
+                                    "--gauges", str(tmp_path / "gauges"), "--history", "24",
+                                    "--horizon", "12", "--stride", "2", "--epochs", "1",
+                                    "--out", str(tmp_path / "train")])
+    assert code == 0
+    # 5.3 MiB traced. Scoring with separate input rows, two states and a message per test
+    # window took 11.6 MiB with the rest; keeping either the batch buffers past train
+    # (7.7 MiB) or the raw series and their stack past prepare_dataset (6.5 MiB) exceeds this
+    assert peak < 6 * 2**20
+
+
 @pytest.mark.parametrize("flag, value", [("--train-frac", "0"), ("--train-frac", "1.5"),
                                          ("--stride", "0")])
 def test_train_bad_split_argument_exits_2_naming_it(basin8_dir, tmp_path, capsys,

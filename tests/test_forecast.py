@@ -65,7 +65,8 @@ def test_forward_shapes_single_and_batch():
 @pytest.mark.parametrize("layers", [1, 2, 3])
 @pytest.mark.parametrize("kind", KINDS)
 def test_forward_equals_the_backward_buffer_pass_bitwise(kind, layers):
-    # forward alternates two state arrays; even and odd layer counts end on either
+    # forward writes every layer's state to one array and its input rows, messages and
+    # output to one shared scratch array; the backward buffers keep each layer's own
     net = random_weighted_tree(7, np.random.default_rng(layers))
     model = small_model(adj_of_kind(net, kind), layers=layers)
     history = np.random.default_rng(4).normal(size=(5, 4, net.n, 2))
@@ -83,6 +84,19 @@ def test_forward_peak_does_not_grow_with_the_layer_count():
              for layers in (1, 4)}
     state = 6 * 200 * 16 * 8  # one (N*S, latent) array; keeping every layer's took 6 more
     assert peaks[4] < peaks[1] + state
+
+
+@pytest.mark.parametrize("alpha", [4, 12])  # the widest row is the message's, then the input's
+def test_forward_peak_is_one_state_plus_one_shared_scratch_array(alpha):
+    net = path_net(6)
+    history = np.random.default_rng(5).normal(size=(200, alpha, 6, 2))
+    model = small_model(dense_adj_for(net), alpha=alpha, latent=16)
+    _, peak = traced_peak(rd.forward, model, history)
+    rows = 6 * 200
+    # input rows (alpha * C wide), message (latent) and output (beta) share one scratch array;
+    # 2**17 covers numpy's 64 KiB buffer for the broadcast bias add. Separate input rows, two
+    # states, a message and an output took 634 KB at alpha 4
+    assert peak < rows * (max(alpha * 2, 16, 3) + 16) * 8 + 2**17
 
 
 def test_forward_shape_mismatch():
@@ -390,6 +404,18 @@ def test_lr_schedule_halves_after_milestones():
     assert config.lr_at(51) == config.lr / 4
     assert config.lr_at(80) == config.lr / 4
     assert config.lr_at(81) == config.lr / 8
+
+
+def test_train_lets_go_of_its_batch_buffers_on_return_and_on_raise():
+    rng = np.random.default_rng(37)
+    model = small_model(isolated_adj(2), seed=0)
+    x = rng.normal(size=(70, 4, 2, 2))
+    y = rng.normal(size=(70, 3, 2))
+    rd.train(model, (x, y), rd.TrainConfig(epochs=1))
+    assert model._buffers == {}  # the full and the ragged batch's sets are both gone
+    with pytest.raises(NonfiniteLoss):
+        rd.train(model, (x, np.full_like(y, np.nan)), rd.TrainConfig(epochs=1))
+    assert model._buffers == {}
 
 
 def test_nonfinite_loss_raises():
