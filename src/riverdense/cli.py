@@ -31,7 +31,7 @@ from .network import (RiverNetwork, read_edge_csv, text_lines, topological_dista
                       write_edge_csv)
 from .preprocess import (DEFAULT_COLUMN_MAP, HOUR, GaugeSeries, GaugeTally, extract_subgraph,
                          parse_timestamp, qc_station, read_gauge_csv, write_qc_json)
-from .resistance import resistance_report, write_report_csv, write_report_json
+from .resistance import _component_labels, resistance_report, write_report_csv, write_report_json
 
 _INPUT_ERRORS = (CsvFormatError, CycleDetected, DuplicateEdge, NonpositiveLength,
                  UnknownStation, FileNotFoundError, IsADirectoryError,
@@ -304,7 +304,8 @@ def cmd_rewire(args) -> tuple[Path, dict]:
     out = _outdir(args)
     written = write_adjacency_csv(adj, out / "adjacency.csv", net.nodes)
     return out, {"kind": args.kind, "sigma": args.sigma, "sigma_resolved": adj.sigma,
-                 "prune": args.prune, "n": adj.n, "nnz": adj.nnz, **written}
+                 "prune": args.prune, "n": adj.n, "nnz": adj.nnz, **written,
+                 "numerics": {"components": int(_component_labels(adj.w > 0).max()) + 1}}
 
 
 def cmd_resist(args) -> tuple[Path, dict]:
@@ -400,4 +401,5 @@ def cmd_train(args) -> tuple[Path, dict]:
                  "train_frac": args.train_frac,
                  "train_windows": int(x_tr.shape[0]), "test_windows": int(x_te.shape[0]),
                  "final_train_mae": float(result.losses[-1]),
-                 "channels": channel_names, **ingest}
+                 "channels": channel_names, **ingest,
+                 "numerics": {"clipped_batches": int(result.clipped.sum())}}

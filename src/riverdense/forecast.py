@@ -12,9 +12,10 @@ is then one GEMM over all rows, propagation is one GEMM of the (N, N)
 operator with the same memory viewed as (N, S*latent), and the backward pass
 is the same handful of GEMMs transposed. ``train`` hands each shuffled batch,
 ``history[batch]``, to ``loss_and_gradients``, which writes its node-major
-input rows and activations into buffers the model keeps for the full and the
-ragged last batch until ``train`` returns; Adam updates the weight vector in
-place. A forward-only pass keeps one layer state and one scratch array.
+input rows and activations into one buffer set the model keeps, sized for the
+largest batch, until ``train`` returns; Adam updates the weight vector in
+place. A forward-only pass runs ``BATCH_SIZE`` windows at a time through one
+layer state and one scratch array.
 
 Propagation operator per adjacency kind:
   isolated -> identity (no message paths, the model degenerates to an MLP)
@@ -72,7 +73,7 @@ class ForecastTask:
 WEIGHT_DECAY = 1e-4                # decoupled, on the weight matrices and learned adjacency
 LR_HALVING_EPOCHS = (1, 50, 80)    # the lr halves after each of these epochs completes
 CLIP_NORM = 5.0                    # global gradient norm bound per batch
-BATCH_SIZE = 64                    # windows per batch; the last batch of an epoch may be short
+BATCH_SIZE = 64                    # windows per batch and per forward chunk; the last may be short
 
 
 @dataclass
@@ -139,7 +140,7 @@ class ForecastModel:
         drawn["w_out"] = _glorot(rng, latent, task.beta_horizon)
         drawn["b_out"] = rng.uniform(-0.05, 0.05, size=task.beta_horizon)
 
-        self._buffers: dict[int, _Buffers] = {}
+        self._buffers: _Buffers | None = None
         self._support = None
         if adjacency.kind == "learned":
             self._support = adjacency.w > 0
@@ -188,6 +189,7 @@ class _Buffers:
     (N*S, L) state viewed as (N, S*L) is the operand of one propagation GEMM.
     Without ``backward`` one state serves every layer, and the input rows, message
     and output share one scratch array, each dead before the next is written.
+    ``first(rows)`` lays the same memory out for a batch with fewer rows.
     """
 
     def __init__(self, model: ForecastModel, s: int, backward: bool):
@@ -204,16 +206,23 @@ class _Buffers:
         self.y, self.dy = np.empty((rows, widths[2])), np.empty((rows, widths[2]))
         self.dh, self.dm = np.empty((rows, latent)), np.empty((rows, latent))
 
+    def first(self, rows: int) -> _Buffers:
+        """Views of every array's first ``rows`` rows: the buffers of a smaller batch,
+        since each array is row-major and a batch's rows are contiguous."""
+        view = object.__new__(_Buffers)
+        for name, arr in vars(self).items():
+            setattr(view, name, [a[:rows] for a in arr] if isinstance(arr, list) else arr[:rows])
+        return view
+
 
 def _batch_buffers(model: ForecastModel, s: int) -> _Buffers:
-    """The model's reused buffers for s-window batches. ``train`` asks for two
-    sizes, the full batch and the ragged last one, so two are kept."""
-    cache = model._buffers
-    if s not in cache:
-        if len(cache) == 2:
-            del cache[next(iter(cache))]
-        cache[s] = _Buffers(model, s, backward=True)
-    return cache[s]
+    """Buffers for an s-window batch: row-prefix views of the one set the model
+    keeps, which is replaced by a larger one when a batch outgrows it."""
+    rows = model.n * s
+    if model._buffers is None or len(model._buffers.x) < rows:
+        model._buffers = None  # the old set goes before the new one is allocated
+        model._buffers = _Buffers(model, s, backward=True)
+    return model._buffers.first(rows)
 
 
 def _flatten_history(model: ForecastModel, history: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -304,12 +313,22 @@ def _backward(model: ForecastModel, x: np.ndarray, buf: _Buffers,
 
 
 def forward(model: ForecastModel, history: np.ndarray) -> np.ndarray:
-    """Predict discharge; (alpha, N, C) -> (beta, N), batches add a lead axis."""
+    """Predict discharge; (alpha, N, C) -> (beta, N), batches add a lead axis.
+
+    Windows run ``BATCH_SIZE`` at a time through one forward-only buffer set,
+    so beside the (S, beta, N) result the pass holds a batch's activations
+    whatever the window count.
+    """
     history, single = _check_history(model, history)
     s = history.shape[0]
-    buf = _Buffers(model, s, backward=False)
-    _forward(model, _flatten_history(model, history, buf.x), buf)
-    out = buf.y.reshape(model.n, s, -1).transpose(1, 2, 0)  # (S, beta, N)
+    out = np.empty((s, model.task.beta_horizon, model.n))
+    buf = _Buffers(model, min(s, BATCH_SIZE), backward=False)
+    for lo in range(0, s, BATCH_SIZE):
+        chunk = history[lo:lo + BATCH_SIZE]
+        k = chunk.shape[0]
+        part = buf.first(model.n * k)
+        _forward(model, _flatten_history(model, chunk, part.x), part)
+        out[lo:lo + k] = part.y.reshape(model.n, k, -1).transpose(1, 2, 0)
     return out[0] if single else out
 
 
@@ -340,8 +359,8 @@ def loss_and_gradients(model: ForecastModel, history: np.ndarray,
                        target: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
     """MAE loss over one batch plus analytic gradients for every parameter.
 
-    Activations go to buffers the model keeps per batch size, so one model
-    must not run this from two threads at once. The gradients are views of
+    Activations go to the one buffer set the model keeps, so one model must
+    not run this from two threads at once. The gradients are views of
     one vector allocated by this call, laid out as ``model.flat`` and keyed
     in backprop order; no later call writes to them.
     """
@@ -441,7 +460,7 @@ def train(model: ForecastModel, data, config: TrainConfig) -> TrainResult:
             losses[epoch - 1] = epoch_abs_sum / n_samples
             lrs[epoch - 1] = lr
     finally:
-        model._buffers.clear()  # both batch sizes' buffers are dead once training ends
+        model._buffers = None  # the batch buffers are dead once training ends
     return TrainResult(losses=losses, lrs=lrs, clipped=clipped)
 
 
@@ -614,7 +633,9 @@ def nse_by_horizon(model: ForecastModel, history: np.ndarray,
     """Mean per-node NSE at each forecast step over a window set.
 
     Nodes whose observed slice is constant are skipped (their NSE is
-    undefined); the mean runs over the rest.
+    undefined); the mean runs over the rest. The forecasts come from
+    ``forward``, so scoring holds the (S, beta, N) forecasts plus one batch's
+    activations, not activations for every window.
     """
     preds = forward(model, history)  # (S, beta, N)
     beta = model.task.beta_horizon

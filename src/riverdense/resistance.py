@@ -294,8 +294,10 @@ def resistance_report(adj, mode: str = "symmetric") -> ResistanceReport:
         mean = median = p95 = None
     else:
         mean = float(vals.mean())
-        median = float(np.median(vals))
-        p95 = float(np.percentile(vals, 95))
+        # vals is the mask's fresh copy, so the order-free median and p95 may partition
+        # it in place; the mean, which sums in order, comes first
+        median = float(np.median(vals, overwrite_input=True))
+        p95 = float(np.percentile(vals, 95, overwrite_input=True))
 
     return ResistanceReport(n=n, mode=mode, pairwise=r, mean=mean, median=median,
                             p95=p95, histogram=(edges, counts), excluded_pairs=excluded,
