@@ -225,6 +225,8 @@ def write_adjacency_csv(adj: AdjacencyMatrix, path, nodes: Sequence[int] | None 
     ids = [str(x) for x in nodes]
     if len(ids) != n:
         raise ValueError(f"{len(ids)} node ids for an {n}-node adjacency")
+    if len(set(nodes)) != n:
+        raise ValueError(f"node ids repeat: {n} ids name {len(set(nodes))} stations")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     parts = cpus if adj.nnz >= CSV_SPLIT_NNZ else 1
     ends = np.count_nonzero(w, axis=1).cumsum()  # entries up to each row's end

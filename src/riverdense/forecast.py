@@ -31,6 +31,7 @@ Propagation operator per adjacency kind:
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, fields
 from pathlib import Path
 from types import MappingProxyType
@@ -334,13 +335,16 @@ def forward(model: ForecastModel, history: np.ndarray) -> np.ndarray:
 
 def input_jacobian(model: ForecastModel, u: int, history: np.ndarray) -> np.ndarray:
     """(N, beta, alpha*C) Jacobian of node u's forecast; block v is its
-    derivative w.r.t. node v's history window, in (alpha, C) order.
+    derivative w.r.t. node v's history window, in (alpha, C) order. ``u`` is
+    a node position in [0, N): an integer, not a bool.
 
     Evaluated at the (alpha, N, C) window ``history``, since gradients depend
     on the linearization point through the ReLU gates. One backward pass: the
     window is tiled beta times on the batch axis and copy k seeds d(forecast
     step k at node u), so copy k's input gradient is row k of every block.
     """
+    if isinstance(u, bool) or not 0 <= operator.index(u) < model.n:
+        raise ValueError(f"u={u!r} is not a node index in [0, N) for N={model.n}")
     beta = model.task.beta_horizon
     history, single = _check_history(model, history)
     if not single:

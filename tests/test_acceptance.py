@@ -249,29 +249,32 @@ def test_receptive_field_exact_zero_beyond_r_hops():
     check("sensitivity exactly 0 beyond r hops (50 random trees)", exact)
 
 
-def _rewiring_nse(seed, kind):
-    basin = rd.generate_basin(16, seed=seed, hours=4000)
-    task = rd.ForecastTask(alpha_hist=24, beta_horizon=12, feature_dim=2)
-    (x_tr, y_tr), (x_te, y_te) = rd.prepare_dataset(basin.feature_tensor(), task,
-                                                    train_frac=0.7, stride=2)
-    if kind == "isolated":
-        adj = rd.AdjacencyMatrix("isolated", np.zeros((16, 16)))
-    else:
-        adj = rd.build_adjacency(basin.network, rd.topological_distances(basin.network),
-                                 rd.RewireConfig(kind=kind))
-    model = rd.ForecastModel(task, adj, latent=32, n_layers=3, seed=100 + seed)
-    rd.train(model, (x_tr, y_tr),
-             rd.TrainConfig(epochs=80, seed=100 + seed))
-    return float(rd.nse_by_horizon(model, x_te, y_te)[-1])
+def _rewiring_nse(tmp, seed, kind):
+    """Horizon-12 test NSE of `riverdense train` on 16-station basin ``seed``,
+    whose edge and gauge CSVs are written under ``tmp`` once."""
+    basin_dir = tmp / f"basin{seed}"
+    if not basin_dir.exists():
+        basin_dir.mkdir()
+        basin = rd.generate_basin(16, seed=seed, hours=4000)
+        rd.write_edge_csv(basin.network, basin_dir / "edges.csv")
+        rd.basin_to_gauge_csvs(basin, basin_dir / "gauges")
+    out = basin_dir / kind
+    code = cli_main(["train", "--edges", str(basin_dir / "edges.csv"),
+                     "--gauges", str(basin_dir / "gauges"), "--kind", kind,
+                     "--history", "24", "--horizon", "12", "--stride", "2",
+                     "--epochs", "80", "--seed", str(100 + seed), "--out", str(out)])
+    assert code == 0, f"riverdense train exited {code}"
+    with (out / "metrics.csv").open(newline="") as fh:
+        return float(list(csv.DictReader(fh))[-1]["nse"])
 
 
-def test_desk_scale_rewiring_benefit():
+def test_desk_scale_rewiring_benefit(tmp_path):
     started = time.perf_counter()
     wins = 0
     margins = []
     for seed in range(5):
-        dense = _rewiring_nse(seed, "dense")
-        isolated = _rewiring_nse(seed, "isolated")
+        dense = _rewiring_nse(tmp_path, seed, "dense")
+        isolated = _rewiring_nse(tmp_path, seed, "isolated")
         wins += dense >= isolated
         margins.append(dense - isolated)
     elapsed = time.perf_counter() - started

@@ -194,6 +194,10 @@ def test_adjacency_writer_takes_numpy_ids_and_refuses_others_before_writing(tmp_
             rd.write_adjacency_csv(adj, out / "adjacency.csv", bad)
         assert list(out.iterdir()) == []
         out.rmdir()
+    for repeated in ([0, 0, 1], np.array([2, 1, 2])):
+        with pytest.raises(ValueError, match="repeat"):
+            rd.write_adjacency_csv(adj, tmp_path / "adjacency.csv", repeated)
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "numpy", tmp_path / "plain"]
 
 
 def test_adjacency_kind_and_weights_are_read_only():

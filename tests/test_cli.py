@@ -1106,6 +1106,28 @@ def test_train_manifest_records_numerics(basin8_dir, tmp_path):
     assert sum(clipped) > 0  # lr 0.5 makes the gradients outgrow CLIP_NORM
 
 
+@pytest.mark.parametrize("kind", rd.ADJACENCY_KINDS)
+def test_train_scores_equal_the_library_chain_bitwise(tmp_path, kind):
+    """`riverdense train` is the scored path of the desk gate; its NSE is the
+    README's library chain, bit for bit, after the gauge CSV round trip."""
+    basin = rd.generate_basin(8, seed=23, hours=480)
+    rd.write_edge_csv(basin.network, tmp_path / "edges.csv")
+    rd.basin_to_gauge_csvs(basin, tmp_path / "gauges")
+    assert run_cli("train", "--edges", tmp_path / "edges.csv", "--gauges", tmp_path / "gauges",
+                   "--kind", kind, "--history", "12", "--horizon", "6", "--stride", "2",
+                   "--epochs", "2", "--seed", "5", "--out", tmp_path / "tr") == 0
+
+    task = rd.ForecastTask(alpha_hist=12, beta_horizon=6, feature_dim=2)
+    (x_tr, y_tr), (x_te, y_te) = rd.prepare_dataset(basin.feature_tensor(), task,
+                                                    train_frac=0.7, stride=2)
+    adj = rd.build_adjacency(basin.network, rd.topological_distances(basin.network),
+                             rd.RewireConfig(kind=kind))
+    model = rd.ForecastModel(task, adj, seed=5)
+    rd.train(model, (x_tr, y_tr), rd.TrainConfig(epochs=2, seed=5))
+    expected = rd.nse_by_horizon(model, x_te, y_te).tolist()
+    assert [float(row["nse"]) for row in read_metrics(tmp_path / "tr" / "metrics.csv")] == expected
+
+
 def test_train_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # 16 stations, 145 test windows: scoring runs three BATCH_SIZE chunks, the last ragged
     basin = rd.generate_basin(16, seed=29, hours=1000)

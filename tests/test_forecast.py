@@ -283,6 +283,16 @@ def test_input_jacobian_refuses_a_batch():
         rd.input_jacobian(model, 2, np.ones((3, 4, 5, 2)))
 
 
+@pytest.mark.parametrize("u, error", [(-1, ValueError), (4, ValueError), (True, ValueError),
+                                      (2.0, TypeError), (np.float64(1), TypeError)])
+def test_input_jacobian_refuses_a_node_outside_the_model(u, error):
+    model = small_model(dense_adj_for(random_weighted_tree(4, np.random.default_rng(7))))
+    match = rf"u={u!r} .* N=4" if error is ValueError else "integer"
+    with pytest.raises(error, match=match):
+        rd.input_jacobian(model, u, np.ones((4, 4, 2)))
+    assert rd.input_jacobian(model, np.int64(3), np.ones((4, 4, 2))).shape == (4, 3, 8)
+
+
 def test_train_hands_each_shuffled_batch_to_loss_and_gradients(monkeypatch):
     rng = np.random.default_rng(73)
     net = random_weighted_tree(5, rng)
